@@ -8,7 +8,6 @@ from .dictionary import (FundamentalGrid, HarmonicAtomBasis, NoiseShapes,
                          train_noise_shapes)
 from .enhance import (EnhanceConfig, EnhanceResult, enhance, enhance_oracle,
                       enhance_plain, sweep_atoms_sparsity, wiener_reconstruct)
-from .kernels import BACKEND
 from .nmf import (CompositeDictionary, ConstrainedAtom, SolverSettings,
                   kl_divergence, objective, solve)
 from .signal_io import Signal, mix_at_snr, read_wav, snr_db, write_wav

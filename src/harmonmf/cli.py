@@ -192,7 +192,6 @@ def _add_common(parser):
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--mode", choices=["lin", "dense"], default=None)
-    parser.add_argument("--jobs", type=int, default=1)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -234,6 +233,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-list", default="0.2,0.5,1.0")
     p.add_argument("--input-snr", type=float, default=0.0)
     p.add_argument("--m", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_sweep)
 

@@ -9,12 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import nmf
 from .stft import FrameParams, MagnitudeSpectrogram, WindowSpectrum
 
 AMPLITUDE_FLOOR = 1e-8
 COLUMN_TRUNCATION = 1e-4
-NOISE_TRAIN_ITERATIONS = 100
+FREE_FIT_ITERATIONS = 100
 _SHAPES_MAGIC = b"NSHP"
+_SHAPES_HEADER = struct.Struct("<IIdII")  # K, r, sample_rate, window_len, hop
 
 
 @dataclass(frozen=True)
@@ -84,28 +86,33 @@ def build_harmonic_basis(fundamental_hz: float, params: FrameParams, p_star: int
     return HarmonicAtomBasis(psi, w0, p)
 
 
+def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int, seed: int,
+                        iterations: int = FREE_FIT_ITERATIONS) -> np.ndarray:
+    """Fit n_atoms unconstrained columns to a spectrogram by plain KL-NMF
+    without sparsity, from a seeded uniform (0, 1] start; returns K x n_atoms."""
+    K = mag.values.shape[0]
+    rng = np.random.default_rng(seed)
+    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(K), kind="noise")
+             for _ in range(n_atoms)]
+    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
+                                  iterations=iterations, seed=seed)
+    result = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
+                       mode="plain")
+    return result.dictionary.realized.copy()
+
+
 def train_noise_shapes(noise_mag: MagnitudeSpectrogram, r: int,
-                       iterations: int = NOISE_TRAIN_ITERATIONS,
+                       iterations: int = FREE_FIT_ITERATIONS,
                        seed: int = 0) -> NoiseShapes:
     """Fit r spectral shapes to a noise spectrogram by unconstrained KL-NMF;
     columns are returned l1-normalized."""
-    from . import nmf  # deferred: nmf imports this module's types
-
     if r < 1:
         raise ValueError("need at least one noise shape")
     if noise_mag.values.shape[1] < r:
         raise ValueError("noise spectrogram has fewer frames than shapes")
     if not np.any(noise_mag.values > 0):
         raise ValueError("noise spectrogram is identically zero")
-    K = noise_mag.values.shape[0]
-    rng = np.random.default_rng(seed)
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(K), kind="noise")
-             for _ in range(r)]
-    dictionary = nmf.CompositeDictionary(atoms)
-    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=iterations, seed=seed)
-    result = nmf.solve(noise_mag.values, dictionary, settings, mode="plain")
-    shapes = result.dictionary.realized.copy()
+    shapes = fit_free_dictionary(noise_mag, r, seed, iterations)
     sums = shapes.sum(axis=0)
     if np.any(sums <= 0):
         raise ValueError("noise training produced an empty shape")
@@ -119,8 +126,6 @@ def build_noise_bases(shapes: NoiseShapes, m_n: int, seed: int) -> list:
     (perturbed identity); otherwise coefficients start uniform random.
     Strictly positive starts keep multiplicative updates from locking zeros.
     """
-    from . import nmf
-
     if m_n < 1:
         raise ValueError("need at least one noise atom")
     r = shapes.n_matrix.shape[1]
@@ -141,22 +146,40 @@ def save_noise_shapes(shapes: NoiseShapes, path) -> None:
     u32 window_len, u32 hop, then K*r float64 column-major."""
     K, r = shapes.n_matrix.shape
     p = shapes.params
-    header = _SHAPES_MAGIC + struct.pack("<IIdII", K, r, float(p.sample_rate),
-                                         p.window_len, p.hop)
+    header = _SHAPES_MAGIC + _SHAPES_HEADER.pack(K, r, float(p.sample_rate),
+                                                 p.window_len, p.hop)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.asfortranarray(shapes.n_matrix, dtype="<f8").tobytes(order="F"))
 
 
 def load_noise_shapes(path) -> NoiseShapes:
+    """Read a file written by save_noise_shapes.  A file with a short
+    header, a body that is not exactly K*r values, or an entry that is
+    negative or not finite raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _SHAPES_MAGIC:
-            raise ValueError(f"not a noise-shapes file: {path}")
-        K, r, sample_rate, window_len, hop = struct.unpack("<IIdII", fh.read(24))
-        data = np.frombuffer(fh.read(K * r * 8), dtype="<f8")
+        blob = fh.read()
+    if blob[:len(_SHAPES_MAGIC)] != _SHAPES_MAGIC:
+        raise ValueError(f"not a noise-shapes file: {path}")
+    body_start = len(_SHAPES_MAGIC) + _SHAPES_HEADER.size
+    if len(blob) < body_start:
+        raise ValueError(f"corrupt noise-shapes file {path}: header cut short")
+    K, r, sample_rate, window_len, hop = _SHAPES_HEADER.unpack_from(
+        blob, len(_SHAPES_MAGIC))
+    if r < 1:
+        raise ValueError(f"corrupt noise-shapes file {path}: no shapes")
+    body_len = len(blob) - body_start
+    if body_len != K * r * 8:
+        raise ValueError(f"corrupt noise-shapes file {path}: body is {body_len} "
+                         f"bytes, {K} x {r} shapes need {K * r * 8}")
+    if not np.isfinite(sample_rate):
+        raise ValueError(f"corrupt noise-shapes file {path}: bad sample rate")
     params = FrameParams(window_len=window_len, hop=hop, fft_len=window_len,
                          sample_rate=int(sample_rate))
     if K != params.n_bins:
         raise ValueError(f"corrupt noise-shapes file: K={K} does not match window")
+    data = np.frombuffer(blob, dtype="<f8", offset=body_start)
+    if not np.all(np.isfinite(data)) or np.any(data < 0):
+        raise ValueError(f"corrupt noise-shapes file {path}: "
+                         "negative or non-finite entries")
     return NoiseShapes(data.reshape((K, r), order="F").copy(), params)

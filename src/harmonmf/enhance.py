@@ -10,12 +10,11 @@ import numpy as np
 
 from . import nmf
 from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
-                         fundamental_grid)
+                         fit_free_dictionary, fundamental_grid)
 from .signal_io import Signal, snr_db
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    default_frame_params, istft, stft, window_magnitude_spectrum)
 
-ORACLE_TRAIN_ITERATIONS = 100
 _COEFF_JITTER = 0.001
 
 
@@ -132,19 +131,6 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig) -> Enhanc
     return _run(noisy, nmf.CompositeDictionary(atoms), config, config.mode)
 
 
-def _fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int, seed: int,
-                         iterations: int = ORACLE_TRAIN_ITERATIONS) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    K = mag.values.shape[0]
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(K), kind="speech")
-             for _ in range(n_atoms)]
-    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=iterations, seed=seed)
-    result = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
-                       mode="plain")
-    return result.dictionary.realized.copy()
-
-
 def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
                    config: EnhanceConfig, oracle_atoms: int = 32) -> EnhanceResult:
     """Baseline with the speech dictionary fit on the clean signal and frozen;
@@ -154,7 +140,7 @@ def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     params = config.frame_params()
     _check_shapes(shapes, params)
     clean_mag = stft(clean, params).magnitude()
-    D_s = _fit_free_dictionary(clean_mag, oracle_atoms, config.seed)
+    D_s = fit_free_dictionary(clean_mag, oracle_atoms, config.seed)
     atoms = [nmf.ConstrainedAtom(psi=None, coeffs=D_s[:, j].copy(), kind="speech")
              for j in range(oracle_atoms)]
     atoms += build_noise_bases(shapes, config.m_n, config.seed)

@@ -1,4 +1,9 @@
-"""Pure-numpy implementations of the solver kernels."""
+"""Numeric kernels of the multiplicative-update solver: the ratio refresh,
+the rank-1 model update and the floored KL divergence.
+
+They stay in their own module, called as ``kernels.<name>``, so that a
+profiler can wrap each one by its module attribute.
+"""
 import numpy as np
 
 

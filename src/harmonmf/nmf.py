@@ -120,8 +120,7 @@ def kl_divergence(Y, V, epsilon: float = EPSILON) -> float:
     V = np.asarray(V, dtype=np.float64)
     if Y.shape != V.shape:
         raise ValueError("shape mismatch")
-    return kernels.kl_divergence_floored(np.ascontiguousarray(Y),
-                                         np.ascontiguousarray(V), epsilon)
+    return kernels.kl_divergence_floored(Y, V, epsilon)
 
 
 def objective(Y, dictionary: CompositeDictionary, X, settings: SolverSettings,
@@ -135,8 +134,7 @@ def _objective_point(iteration, Y, dictionary, X, settings, mode,
                      V=None) -> ObjectivePoint:
     if V is None:
         V = dictionary.realized @ X
-    kl = kernels.kl_divergence_floored(np.ascontiguousarray(Y),
-                                       np.ascontiguousarray(V), settings.epsilon)
+    kl = kernels.kl_divergence_floored(Y, V, settings.epsilon)
     sparsity = (settings.lambda_speech * float(dictionary.speech_rows(X).sum())
                 + settings.lambda_noise * float(dictionary.noise_rows(X).sum()))
     density = 0.0
@@ -153,9 +151,7 @@ def update_gains(X, D, Y, settings: SolverSettings, n_speech: int,
     eps = settings.epsilon
     if ratio is None:
         V = D @ X
-        ratio = kernels.refresh_ratio(np.ascontiguousarray(Y),
-                                      np.ascontiguousarray(V), eps,
-                                      np.empty_like(V))
+        ratio = kernels.refresh_ratio(Y, V, eps, np.empty_like(V))
     if ones is None:
         ones = np.ones_like(Y)
     num = D.T @ ratio
@@ -256,7 +252,7 @@ def solve(Y, dictionary: CompositeDictionary, settings: SolverSettings,
                     update_atom_lin(atom, ratio, xrow, eps, ones)
                 d_new = atom.realize()
                 dictionary.realized[:, j] = d_new
-                kernels.rank1_add(V, np.ascontiguousarray(d_new - d_old), xrow)
+                kernels.rank1_add(V, d_new - d_old, xrow)
         kernels.refresh_ratio(Y, V, eps, ratio)
         update_gains(X, dictionary.realized, Y, settings, dictionary.n_speech,
                      ratio=ratio, ones=ones)

@@ -4,6 +4,7 @@ Only 16-bit PCM mono WAV is supported; sample-rate conversion is out of scope.
 """
 from __future__ import annotations
 
+import struct
 import wave
 from dataclasses import dataclass
 
@@ -45,13 +46,19 @@ def read_wav(path) -> Signal:
         raise FileNotFoundError(f"no such file: {path}")
     except wave.Error as exc:
         raise AudioFormatError(f"unsupported encoding in {path}: {exc}")
+    except (EOFError, struct.error):
+        raise AudioFormatError(f"truncated WAV header in {path}")
     with wf:
         if wf.getnchannels() != 1:
             raise AudioFormatError(f"non-mono input: {path} has {wf.getnchannels()} channels")
         if wf.getsampwidth() != 2 or wf.getcomptype() != "NONE":
             raise AudioFormatError(f"unsupported encoding: {path} is not 16-bit PCM")
-        raw = wf.readframes(wf.getnframes())
+        n_frames = wf.getnframes()
+        raw = wf.readframes(n_frames)
         rate = wf.getframerate()
+    if len(raw) != 2 * n_frames:
+        raise AudioFormatError(f"truncated WAV data in {path}: {len(raw)} of "
+                               f"{2 * n_frames} bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return Signal(samples, rate)
 

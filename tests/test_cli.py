@@ -1,9 +1,15 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import harmonic_signal, white_noise
 
-from harmonmf.cli import CliError, main, parse_config_file
+from harmonmf.cli import CliError, main, make_parser, parse_config_file
 from harmonmf.dictionary import load_noise_shapes
 from harmonmf.signal_io import read_wav, write_wav
 
@@ -179,3 +185,50 @@ def test_missing_path_is_clean_error(capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["train-noise", "enhance", "evaluate"])
+def test_jobs_rejected_outside_sweep(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_sweep_parses_jobs():
+    args = make_parser().parse_args(["sweep", "out.csv", "--jobs", "3"])
+    assert args.jobs == 3
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A clean WAV and the .nshp trained from noise, for truncation tests."""
+    d = tmp_path_factory.mktemp("valid")
+    write_wav(harmonic_signal(seconds=1.0), d / "clean.wav")
+    write_wav(white_noise(seconds=3.0, seed=7), d / "noise.wav")
+    (d / "small.cfg").write_text(SMALL)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-noise", str(d / "noise.wav"), str(d / "shapes.nshp"),
+                     "--config", str(d / "small.cfg")]) == 0
+    return d
+
+
+@settings(deadline=None)
+@given(which=st.sampled_from(["clean.wav", "shapes.nshp"]), data=st.data())
+def test_truncated_input_is_one_line_error(valid_inputs, which, data):
+    blob = (valid_inputs / which).read_bytes()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = {name: valid_inputs / name for name in ("clean.wav", "shapes.nshp")}
+        inputs[which] = Path(tmp) / which
+        inputs[which].write_bytes(blob[:cut])
+        out = Path(tmp) / "out.wav"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["enhance", str(inputs["clean.wav"]),
+                       str(inputs["shapes.nshp"]), str(out),
+                       "--config", str(valid_inputs / "small.cfg")])
+        assert rc == 1
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()

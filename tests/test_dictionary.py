@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,39 @@ def test_shapes_file_bad_magic(tmp_path):
     path = tmp_path / "bad.nshp"
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ValueError, match="noise-shapes"):
+        load_noise_shapes(path)
+
+
+def _with_header(good, **fields):
+    """Shapes-file bytes with some header fields replaced."""
+    names = ("K", "r", "rate", "window_len", "hop")
+    values = dict(zip(names, struct.unpack_from("<IIdII", good, 4)))
+    values.update(fields)
+    return good[:4] + struct.pack("<IIdII", *values.values()) + good[28:]
+
+
+def _with_entry(good, value):
+    """Shapes-file bytes with the second stored entry replaced."""
+    return good[:36] + struct.pack("<d", value) + good[44:]
+
+
+SHAPES_CORRUPTIONS = {
+    "header cut": lambda good: good[:20],
+    "body cut": lambda good: good[:100],
+    "trailing byte": lambda good: good + b"\0",
+    "nan entry": lambda good: _with_entry(good, np.nan),
+    "negative entry": lambda good: _with_entry(good, -1e-3),
+    "no shapes": lambda good: _with_header(good, r=0)[:28],
+    "infinite rate": lambda good: _with_header(good, rate=np.inf),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(SHAPES_CORRUPTIONS))
+def test_shapes_file_corrupt_rejected(noise_shapes, tmp_path, corruption):
+    path = tmp_path / "shapes.nshp"
+    save_noise_shapes(noise_shapes, path)
+    path.write_bytes(SHAPES_CORRUPTIONS[corruption](path.read_bytes()))
+    with pytest.raises(ValueError, match="corrupt noise-shapes file"):
         load_noise_shapes(path)
 
 

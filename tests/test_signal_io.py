@@ -40,6 +40,16 @@ def test_8bit_rejected(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("cut, message", [(4, "truncated WAV header"),
+                                          (1001, "truncated WAV data")])
+def test_truncated_rejected(tmp_path, cut, message):
+    path = tmp_path / "cut.wav"
+    write_wav(Signal(np.zeros(8000), 8000), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(AudioFormatError, match=message):
+        read_wav(path)
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "nope.wav")
