@@ -71,8 +71,6 @@ def build_config(args) -> tuple[EnhanceConfig, dict]:
         if flag is not None:
             overrides[key] = flag
     config = dataclasses.replace(EnhanceConfig(), **{**file_values, **overrides})
-    if config.mode not in ("lin", "dense"):
-        raise CliError(f"mode must be 'lin' or 'dense', got {config.mode!r}")
     return config, paths
 
 
@@ -108,21 +106,22 @@ def cmd_train_noise(args) -> int:
                        f"({noise.duration:.2f} s < {MIN_NOISE_SECONDS} s)")
     mag = stft(noise, config.frame_params()).magnitude()
     shapes = train_noise_shapes(mag, config.r, seed=config.seed)
-    fit = nmf.kl_divergence(mag.values, _shapes_fit(shapes, mag, config))
+    fit = _shapes_fit(shapes, mag, config)
     _atomic(out_path, lambda tmp: save_noise_shapes(shapes, tmp))
     print(f"final KL divergence: {fit:.6g}")
     return 0
 
 
-def _shapes_fit(shapes, mag, config):
-    # refit gains only, to report how well the trained shapes span the noise
+def _shapes_fit(shapes, mag, config) -> float:
+    """KL divergence of a gains-only refit: how well the trained shapes
+    span the noise."""
     atoms = [nmf.ConstrainedAtom(psi=None, coeffs=shapes.n_matrix[:, j].copy(),
                                  kind="noise") for j in range(shapes.n_matrix.shape[1])]
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=config.iterations, seed=config.seed)
     result = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
-                       mode="lin", frozen_dictionary=True)
-    return result.dictionary.realized @ result.gains
+                       mode="lin", frozen_dictionary=True, trace=False)
+    return result.trace[-1].kl
 
 
 def cmd_enhance(args) -> int:

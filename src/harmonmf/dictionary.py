@@ -97,7 +97,7 @@ def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int, seed: int,
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=iterations, seed=seed)
     result = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
-                       mode="plain")
+                       mode="plain", trace=False)
     return result.dictionary.realized.copy()
 
 

@@ -4,6 +4,7 @@ the Oracle and unconstrained-NMF baselines and the atoms-vs-sparsity sweep.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +37,32 @@ class EnhanceConfig:
     iterations: int = 25
     mode: str = "dense"
     seed: int = 0
+
+    def __post_init__(self):
+        def require(ok, what, name):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
+        for name in ("window_ms", "overlap", "f_min", "f_max",
+                     "lambda_s", "lambda_n", "alpha"):
+            require(math.isfinite(getattr(self, name)), "finite", name)
+        require(self.sr >= 1, "positive", "sr")
+        require(self.window_ms > 0, "positive", "window_ms")
+        require(0 < self.overlap < 1, "in (0, 1)", "overlap")
+        require(0 < self.f_min, "positive", "f_min")
+        require(self.f_min < self.f_max < self.sr / 2, "in (f_min, sr/2)", "f_max")
+        require(self.L >= 2, "at least 2", "L")
+        for name in ("m", "p_star", "r", "m_n", "iterations"):
+            require(getattr(self, name) >= 1, "at least 1", name)
+        for name in ("lambda_s", "lambda_n", "alpha"):
+            require(getattr(self, name) >= 0, "non-negative", name)
+        require(self.mode in ("lin", "dense"), "'lin' or 'dense'", "mode")
+        require(self.seed >= 0, "non-negative", "seed")
+        try:
+            self.frame_params()
+        except ValueError:
+            raise ValueError(f"window_ms = {self.window_ms!r} with overlap = "
+                             f"{self.overlap!r} gives a degenerate frame") from None
 
     def frame_params(self) -> FrameParams:
         return default_frame_params(self.sr, self.window_ms, self.overlap)

@@ -7,9 +7,12 @@ Three multiplicative-update modes over one solver path:
 * ``dense`` — lin plus an l2 penalty on l1-normalized speech coefficients
   that discourages zero harmonic amplitudes.
 
-An unconstrained column is an atom with ``psi=None``: its coefficient vector
-is the column itself and the lin rule reduces to the classical KL dictionary
-update, so all modes share the same sweep.
+An unconstrained (free) column is an atom with ``psi=None``: its coefficient
+vector is the column itself.  Each iteration first updates all free columns
+jointly from one ratio refresh, by the Lee-Seung KL dictionary step
+W <- W * (R X^T) / (1 X^T) (Lee & Seung, NIPS 2000), then updates the
+constrained atoms one at a time, each from a freshly refreshed ratio, and
+last the gains.
 """
 from __future__ import annotations
 
@@ -204,14 +207,32 @@ def update_atom_dense(atom, ratio, xrow, alpha: float,
     return atom
 
 
+def update_free_columns(dictionary: CompositeDictionary, columns, ratio, X,
+                        ones, epsilon: float = EPSILON):
+    """W <- W * (R X_f^T) / (1 X_f^T) for the free columns W = D[:, columns]
+    with X fixed, in place; ``ratio`` is R = Y/DX.
+
+    The denominator uses an explicit ones-matrix product so that when
+    Y = DX both sides are bitwise equal and the fixed point holds exactly.
+    """
+    xt = X[columns].T
+    W = dictionary.realized[:, columns]
+    W *= np.maximum(ratio @ xt, epsilon) / np.maximum(ones @ xt, epsilon)
+    dictionary.realized[:, columns] = W
+    for j, column in zip(columns, W.T):
+        dictionary.atoms[j].coeffs[:] = column
+
+
 def solve(Y, dictionary: CompositeDictionary, settings: SolverSettings,
           mode: str, frozen_dictionary: bool = False,
-          initial_gains=None) -> SolveResult:
-    """Alternate atom updates and one gain update per iteration.
+          initial_gains=None, trace: bool = True) -> SolveResult:
+    """Alternate dictionary updates and one gain update per iteration.
 
-    plain/lin: every atom gets the lin rule (plain columns have psi=None).
-    dense: constrained speech atoms use the density rule, others lin.
+    Free columns (psi=None) take one joint Lee-Seung step; constrained atoms
+    then follow one at a time: in dense mode constrained speech atoms use the
+    density rule, all others the lin rule.
     With frozen_dictionary only the gains are updated (Oracle baseline).
+    With trace=False only the final objective point is computed.
     Deterministic given the settings seed.
     """
     if mode not in ("plain", "lin", "dense"):
@@ -235,14 +256,24 @@ def solve(Y, dictionary: CompositeDictionary, settings: SolverSettings,
                 atom.coeffs = atom.coeffs / atom.coeffs.sum()
         dictionary.refresh()
 
+    free = [j for j, atom in enumerate(dictionary.atoms) if atom.psi is None]
+    constrained = [j for j, atom in enumerate(dictionary.atoms)
+                   if atom.psi is not None]
     ones = np.ones_like(Y)
     ratio = np.empty_like(Y)
     V = dictionary.realized @ X
-    trace = [_objective_point(0, Y, dictionary, X, settings, mode, V=V)]
+    points = []
+    if trace:
+        points.append(_objective_point(0, Y, dictionary, X, settings, mode, V=V))
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
-            for j, atom in enumerate(dictionary.atoms):
+            if free:
+                kernels.refresh_ratio(Y, V, eps, ratio)
+                update_free_columns(dictionary, free, ratio, X, ones, eps)
+                V = dictionary.realized @ X
+            for j in constrained:
+                atom = dictionary.atoms[j]
                 kernels.refresh_ratio(Y, V, eps, ratio)
                 xrow = X[j]
                 d_old = dictionary.realized[:, j].copy()
@@ -257,9 +288,11 @@ def solve(Y, dictionary: CompositeDictionary, settings: SolverSettings,
         update_gains(X, dictionary.realized, Y, settings, dictionary.n_speech,
                      ratio=ratio, ones=ones)
         V = dictionary.realized @ X
-        trace.append(_objective_point(it, Y, dictionary, X, settings, mode, V=V))
+        if trace or it == settings.iterations:
+            points.append(_objective_point(it, Y, dictionary, X, settings, mode,
+                                           V=V))
 
-    return SolveResult(dictionary, X, trace)
+    return SolveResult(dictionary, X, points)
 
 
 def write_trace_csv(trace, path) -> None:

@@ -38,20 +38,29 @@ def random_problem(seed, K=32, T=40, m_s=12, m_n=4, p=8, r=4):
     return Y, CompositeDictionary(atoms)
 
 
+def free_problem(seed, K=32, T=40, n_s=4, n_n=2):
+    """Plain-mode problem: every column free (psi=None)."""
+    rng = np.random.default_rng(seed)
+    atoms = [ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1, kind=kind)
+             for kind in ["speech"] * n_s + ["noise"] * n_n]
+    Y = rng.random((K, T)) + 0.01
+    return Y, CompositeDictionary(atoms)
+
+
 def test_criterion_1_monotone_objective():
     settings = SolverSettings(lambda_speech=0.2, lambda_noise=0.0,
                               alpha=10.0, iterations=25, seed=0)
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        for mode in ("lin", "dense"):
-            Y, dic = random_problem(seed)
+        for mode in ("lin", "dense", "plain"):
+            Y, dic = (free_problem if mode == "plain" else random_problem)(seed)
             trace = solve(Y, dic, settings, mode).trace
             values = [pt.kl + pt.sparsity_term for pt in trace]
             for prev, cur in zip(values, values[1:]):
                 worst = max(worst, (cur - prev) / (1.0 + abs(prev)))
     elapsed = time.perf_counter() - start
-    report(1, "objective non-increasing, 20 seeds, lin and dense",
+    report(1, "objective non-increasing, 20 seeds, lin, dense and plain",
            worst <= 1e-9 and elapsed < 10.0)
 
 
@@ -59,10 +68,17 @@ def test_criterion_2_exact_fixed_points():
     rng = np.random.default_rng(3)
     K, T, p = 32, 40, 8
 
-    def consistent_problem(uniform):
+    def consistent_problem(mode):
+        if mode == "plain":
+            atoms = [ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1,
+                                     kind=kind)
+                     for kind in ["speech"] * 4 + ["noise"] * 2]
+            dic = CompositeDictionary(atoms)
+            X0 = rng.random((dic.n_atoms, T)) + 0.1
+            return dic.realized @ X0, dic, X0
         atoms = []
         for _ in range(12):
-            coeffs = np.full(p, 1.0 / p) if uniform else rng.random(p) + 0.1
+            coeffs = np.full(p, 1.0 / p) if mode == "dense" else rng.random(p) + 0.1
             atoms.append(ConstrainedAtom(psi=rng.random((K, p)), coeffs=coeffs,
                                          kind="speech"))
         shapes = rng.random((K, 4)) + 0.05
@@ -75,14 +91,15 @@ def test_criterion_2_exact_fixed_points():
     settings = SolverSettings(lambda_speech=0.0, lambda_noise=0.0,
                               alpha=10.0, iterations=5, seed=0)
     ok = True
-    for mode, uniform in (("lin", False), ("dense", True)):
-        Y, dic, X0 = consistent_problem(uniform)
+    for mode in ("lin", "dense", "plain"):
+        Y, dic, X0 = consistent_problem(mode)
         coeffs0 = [a.coeffs.copy() for a in dic.atoms]
         result = solve(Y, dic, settings, mode, initial_gains=X0)
         ok = ok and np.array_equal(result.gains, X0)
         ok = ok and all(np.array_equal(a.coeffs, c0)
                         for a, c0 in zip(dic.atoms, coeffs0))
-    report(2, "consistent Y = DX is an exact fixed point (lin and dense)", ok)
+    report(2, "consistent Y = DX is an exact fixed point (lin, dense and plain)",
+           ok)
 
 
 def test_criterion_3_constraint_invariants():

@@ -9,9 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import harmonic_signal, white_noise
 
-from harmonmf.cli import CliError, main, make_parser, parse_config_file
+from harmonmf import nmf
+from harmonmf.cli import (CliError, _shapes_fit, build_config, main, make_parser,
+                          parse_config_file)
 from harmonmf.dictionary import load_noise_shapes
 from harmonmf.signal_io import read_wav, write_wav
+from harmonmf.stft import stft
 
 SMALL = """
 L = 3
@@ -45,6 +48,25 @@ def test_train_noise_writes_shapes(workdir, capsys):
     shapes = load_noise_shapes(path)
     assert shapes.n_matrix.shape == (129, 2)
     assert "KL" in capsys.readouterr().out
+
+
+def test_train_noise_prints_refit_kl(workdir, capsys):
+    """The printed KL is that of a gains-only refit over the trained shapes."""
+    path = run_train(workdir)
+    printed = capsys.readouterr().out
+    config, _ = build_config(make_parser().parse_args(
+        ["train-noise", "--config", str(workdir / "small.cfg")]))
+    mag = stft(read_wav(workdir / "noise.wav"), config.frame_params()).magnitude()
+    shapes = load_noise_shapes(path)
+    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=col.copy(), kind="noise")
+             for col in shapes.n_matrix.T]
+    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
+                                  iterations=config.iterations, seed=config.seed)
+    refit = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
+                      mode="lin", frozen_dictionary=True)
+    kl = nmf.kl_divergence(mag.values, refit.dictionary.realized @ refit.gains)
+    assert _shapes_fit(shapes, mag, config) == kl
+    assert f"final KL divergence: {kl:.6g}" in printed
 
 
 def test_train_noise_full_r16_header(tmp_path):
@@ -232,3 +254,29 @@ def test_truncated_input_is_one_line_error(valid_inputs, which, data):
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
+
+
+BAD_CONFIG = [
+    ("sr", "0"), ("window_ms", "inf"), ("window_ms", "0.1"), ("overlap", "1.0"),
+    ("f_min", "0"), ("f_max", "4000"), ("L", "1"), ("m", "0"), ("m", "-1"),
+    ("p_star", "0"), ("r", "0"), ("m_n", "0"), ("lambda_s", "nan"),
+    ("lambda_n", "-0.5"), ("alpha", "inf"), ("iterations", "0"),
+    ("mode", "plain"), ("seed", "-1"),
+]
+
+
+@pytest.mark.parametrize("command", ["enhance", "train-noise"])
+@pytest.mark.parametrize("key, value", BAD_CONFIG,
+                         ids=[f"{k}={v}" for k, v in BAD_CONFIG])
+def test_bad_config_value_is_one_line_error(valid_inputs, tmp_path, capsys,
+                                            command, key, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{SMALL}{key} = {value}\n")
+    out = tmp_path / "out"
+    inputs = {"enhance": ["clean.wav", "shapes.nshp"], "train-noise": ["noise.wav"]}
+    rc = main([command, *(str(valid_inputs / name) for name in inputs[command]),
+               str(out), "--config", str(cfg)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+    assert not out.exists()

@@ -206,21 +206,96 @@ def test_solve_dense_normalization_invariant():
             assert abs(atom.coeffs.sum() - 1.0) <= 1e-10
 
 
+def lee_seung_step(Y, D, X, columns, eps=nmf.EPSILON):
+    """Lee-Seung KL step for the columns of D with X fixed, written out entry
+    by entry: d_kj <- d_kj * sum_t (Y/DX)_kt x_jt / sum_t x_jt."""
+    K, T = Y.shape
+    V = [[sum(D[k, i] * X[i, t] for i in range(D.shape[1])) for t in range(T)]
+         for k in range(K)]
+    out = D.copy()
+    for j in columns:
+        den = sum(X[j, t] for t in range(T))
+        for k in range(K):
+            num = sum(Y[k, t] / max(V[k][t], eps) * X[j, t] for t in range(T))
+            out[k, j] = D[k, j] * max(num, eps) / max(den, eps)
+    return out
+
+
+def test_free_block_step_is_lee_seung():
+    """Free columns take one joint step from the same ratio; a constrained
+    atom after them is updated from the refreshed model."""
+    K, T, n_free = 10, 7, 4
+    rng = np.random.default_rng(27)
+    Y = rng.random((K, T)) + 0.1
+    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1,
+                                 kind="speech") for _ in range(n_free)]
+    atoms.append(nmf.ConstrainedAtom(psi=rng.random((K, 3)) + 0.1,
+                                     coeffs=rng.random(3) + 0.1, kind="noise"))
+    d = nmf.CompositeDictionary(atoms)
+    D0, a0 = d.realized.copy(), atoms[-1].coeffs.copy()
+    X0 = rng.random((d.n_atoms, T)) + 0.1
+    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0, iterations=1)
+    result = nmf.solve(Y, d, s, mode="plain", initial_gains=X0)
+    expected = lee_seung_step(Y, D0, X0, range(n_free))
+    realized = result.dictionary.realized
+    assert np.allclose(realized[:, :n_free], expected[:, :n_free],
+                       rtol=1e-12, atol=0)
+    assert not np.allclose(realized[:, :n_free], D0[:, :n_free])
+    for j, atom in enumerate(result.dictionary.atoms):
+        assert np.array_equal(atom.realize(), realized[:, j])
+    psi, x = atoms[-1].psi, X0[n_free]
+    ratio = Y / (expected @ X0)
+    a1 = a0 * (psi.T @ (ratio @ x)) / (psi.T @ (np.ones_like(Y) @ x))
+    assert np.allclose(atoms[-1].coeffs, a1, rtol=1e-12, atol=0)
+
+
 def test_plain_equals_lin_with_identity_basis():
+    """One column: the joint free-column step and the per-atom lin step on an
+    identity basis coincide.  Three columns: the free step is the joint
+    Lee-Seung step, not the one-column-at-a-time lin sweep."""
     K, T = 8, 6
     rng = np.random.default_rng(23)
     Y = rng.random((K, T)) + 0.1
     cols = [rng.random(K) + 0.1 for _ in range(3)]
-    free = [nmf.ConstrainedAtom(psi=None, coeffs=c.copy(), kind="speech")
-            for c in cols]
-    ident = [nmf.ConstrainedAtom(psi=np.eye(K), coeffs=c.copy(), kind="speech")
-             for c in cols]
+    X0 = 1.0 - np.random.default_rng(24).random((3, T))
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                            iterations=1, seed=24)
-    r_free = nmf.solve(Y, nmf.CompositeDictionary(free), s, mode="plain")
-    r_ident = nmf.solve(Y, nmf.CompositeDictionary(ident), s, mode="lin")
-    assert np.max(np.abs(r_free.dictionary.realized
-                         - r_ident.dictionary.realized)) < 1e-10
+
+    def run(n, psi, mode):
+        atoms = [nmf.ConstrainedAtom(psi=psi, coeffs=c.copy(), kind="speech")
+                 for c in cols[:n]]
+        return nmf.solve(Y, nmf.CompositeDictionary(atoms), s, mode=mode,
+                         initial_gains=X0[:n]).dictionary.realized
+
+    assert np.max(np.abs(run(1, None, "plain") - run(1, np.eye(K), "lin"))) < 1e-10
+    expected = lee_seung_step(Y, np.column_stack(cols), X0, range(3))
+    assert np.allclose(run(3, None, "plain"), expected, rtol=1e-12, atol=0)
+
+
+def free_problem(seed, K=16, T=12, n_speech=3, n_noise=2):
+    rng = np.random.default_rng(seed)
+    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1, kind=kind)
+             for kind in ["speech"] * n_speech + ["noise"] * n_noise]
+    Y = rng.random((K, T)) + 0.01
+    return Y, nmf.CompositeDictionary(atoms)
+
+
+@pytest.mark.parametrize("mode, frozen", [("plain", False), ("lin", False),
+                                          ("dense", False), ("lin", True)])
+def test_trace_off_changes_only_the_trace(mode, frozen):
+    problem = free_problem if mode == "plain" else random_problem
+    s = nmf.SolverSettings(iterations=6, seed=29)
+    runs = []
+    for trace in (True, False):
+        Y, d = problem(29)
+        runs.append(nmf.solve(Y, d, s, mode=mode, frozen_dictionary=frozen,
+                              trace=trace))
+    on, off = runs
+    assert np.array_equal(on.gains, off.gains)
+    assert np.array_equal(on.dictionary.realized, off.dictionary.realized)
+    assert len(on.trace) == s.iterations + 1
+    assert off.trace == [on.trace[-1]]
+    assert off.trace[-1].iteration == s.iterations
 
 
 def test_solve_frozen_dictionary():

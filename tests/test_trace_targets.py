@@ -1,22 +1,49 @@
 """The benchmark's per-layer tracer wraps package functions by module
-attribute; a target that no longer resolves makes a traced run report
-``correct: false``, so every one must exist and be callable."""
+attribute; a target that no longer resolves, or a layer the CLI no longer
+calls, makes a traced run report ``correct: false``."""
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
 
+from conftest import harmonic_signal, white_noise
+
+from harmonmf.cli import main
+from harmonmf.signal_io import write_wav
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return [(module, attr) for _, module, attr, _ in tracing.TARGETS]
+    return tracing
 
 
-@pytest.mark.parametrize("module, attr", _targets())
+@pytest.mark.parametrize("module, attr",
+                         [(module, attr) for _, module, attr, _ in _tracing().TARGETS])
 def test_trace_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_every_traced_layer_is_called(tmp_path):
+    """One small train-noise and one enhance request call every layer."""
+    tracing = _tracing()
+    write_wav(white_noise(seconds=3.0, seed=7), tmp_path / "noise.wav")
+    write_wav(harmonic_signal(seconds=1.0), tmp_path / "clean.wav")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("L = 3\nm = 1\np_star = 6\nr = 2\nm_n = 2\niterations = 2\n")
+    shapes = tmp_path / "shapes.nshp"
+    with tracing.Tracer().request() as spans, \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-noise", str(tmp_path / "noise.wav"), str(shapes),
+                     "--config", str(cfg)]) == 0
+        assert main(["enhance", str(tmp_path / "clean.wav"), str(shapes),
+                     str(tmp_path / "out.wav"), "--config", str(cfg)]) == 0
+    uncalled = sorted({name for name, _, _, _ in tracing.TARGETS
+                       if spans.get(name, (0, 0, 0))[2] < 1})
+    assert uncalled == []
