@@ -8,8 +8,8 @@ from .dictionary import (FundamentalGrid, HarmonicAtomBasis, NoiseShapes,
                          train_noise_shapes)
 from .enhance import (EnhanceConfig, EnhanceResult, enhance, enhance_oracle,
                       enhance_plain, sweep_atoms_sparsity, wiener_reconstruct)
-from .nmf import (CompositeDictionary, ConstrainedAtom, SolverSettings,
-                  kl_divergence, objective, solve)
+from .nmf import (BasisGroup, SolverSettings, kl_divergence, objective, realize,
+                  solve)
 from .signal_io import Signal, mix_at_snr, read_wav, snr_db, write_wav
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    hann_window, istft, stft, window_magnitude_spectrum)

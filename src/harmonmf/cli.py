@@ -62,7 +62,9 @@ def _parse_value(key, raw):
     return raw
 
 
-def build_config(args) -> tuple[EnhanceConfig, dict]:
+def build_config(args, **defaults) -> tuple[EnhanceConfig, dict]:
+    """Config and paths from flags, the --config file, then ``defaults`` (a
+    subcommand's own protocol values), then EnhanceConfig's defaults."""
     file_values = parse_config_file(args.config) if args.config else {}
     paths = {k: file_values.pop(k) for k in list(file_values) if k in _PATH_KEYS}
     overrides = {}
@@ -70,7 +72,8 @@ def build_config(args) -> tuple[EnhanceConfig, dict]:
         flag = getattr(args, key, None)
         if flag is not None:
             overrides[key] = flag
-    config = dataclasses.replace(EnhanceConfig(), **{**file_values, **overrides})
+    config = dataclasses.replace(EnhanceConfig(),
+                                 **{**defaults, **file_values, **overrides})
     return config, paths
 
 
@@ -115,12 +118,11 @@ def cmd_train_noise(args) -> int:
 def _shapes_fit(shapes, mag, config) -> float:
     """KL divergence of a gains-only refit: how well the trained shapes
     span the noise."""
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=shapes.n_matrix[:, j].copy(),
-                                 kind="noise") for j in range(shapes.n_matrix.shape[1])]
+    group = nmf.BasisGroup(psi=None, coeffs=shapes.n_matrix.T, kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=config.iterations, seed=config.seed)
-    result = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
-                       mode="lin", frozen_dictionary=True, trace=False)
+    result = nmf.solve(mag.values, [group], settings, mode="lin",
+                       frozen_dictionary=True, trace=False)
     return result.trace[-1].kl
 
 
@@ -171,12 +173,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config, paths = build_config(args)
+    config, paths = build_config(args, m=5)  # sweep protocol default
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))
-    if getattr(args, "m", None) is None:
-        config = dataclasses.replace(config, m=5)  # sweep protocol default
     L_values = [int(v) for v in args.L_list.split(",")]
     lambda_values = [float(v) for v in args.lambda_list.split(",")]
     noisy, _ = mix_at_snr(clean, noise, args.input_snr)

@@ -15,6 +15,7 @@ from .stft import FrameParams, MagnitudeSpectrogram, WindowSpectrum
 AMPLITUDE_FLOOR = 1e-8
 COLUMN_TRUNCATION = 1e-4
 FREE_FIT_ITERATIONS = 100
+SHAPES_L1_TOLERANCE = 1e-9
 _SHAPES_MAGIC = b"NSHP"
 _SHAPES_HEADER = struct.Struct("<IIdII")  # K, r, sample_rate, window_len, hop
 
@@ -92,13 +93,12 @@ def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int, seed: int,
     without sparsity, from a seeded uniform (0, 1] start; returns K x n_atoms."""
     K = mag.values.shape[0]
     rng = np.random.default_rng(seed)
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(K), kind="noise")
-             for _ in range(n_atoms)]
+    group = nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((n_atoms, K)),
+                           kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=iterations, seed=seed)
-    result = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
-                       mode="plain", trace=False)
-    return result.dictionary.realized.copy()
+    result = nmf.solve(mag.values, [group], settings, mode="plain", trace=False)
+    return result.dictionary
 
 
 def train_noise_shapes(noise_mag: MagnitudeSpectrogram, r: int,
@@ -119,8 +119,8 @@ def train_noise_shapes(noise_mag: MagnitudeSpectrogram, r: int,
     return NoiseShapes(shapes / sums, noise_mag.params)
 
 
-def build_noise_bases(shapes: NoiseShapes, m_n: int, seed: int) -> list:
-    """m_n noise atoms sharing the trained shape matrix as basis.
+def build_noise_bases(shapes: NoiseShapes, m_n: int, seed: int) -> nmf.BasisGroup:
+    """One group of m_n noise atoms sharing the trained shape matrix as basis.
 
     With m_n equal to the shape count each atom starts near one shape
     (perturbed identity); otherwise coefficients start uniform random.
@@ -130,15 +130,11 @@ def build_noise_bases(shapes: NoiseShapes, m_n: int, seed: int) -> list:
         raise ValueError("need at least one noise atom")
     r = shapes.n_matrix.shape[1]
     rng = np.random.default_rng(seed)
-    atoms = []
-    for j in range(m_n):
-        if m_n == r:
-            b = rng.uniform(0.0, 0.01, r)
-            b[j] += 1.0
-        else:
-            b = 1.0 - rng.random(r)
-        atoms.append(nmf.ConstrainedAtom(psi=shapes.n_matrix, coeffs=b, kind="noise"))
-    return atoms
+    if m_n == r:
+        coeffs = rng.uniform(0.0, 0.01, (r, r)) + np.eye(r)
+    else:
+        coeffs = 1.0 - rng.random((m_n, r))
+    return nmf.BasisGroup(psi=shapes.n_matrix, coeffs=coeffs, kind="noise")
 
 
 def save_noise_shapes(shapes: NoiseShapes, path) -> None:
@@ -155,8 +151,10 @@ def save_noise_shapes(shapes: NoiseShapes, path) -> None:
 
 def load_noise_shapes(path) -> NoiseShapes:
     """Read a file written by save_noise_shapes.  A file with a short
-    header, a body that is not exactly K*r values, or an entry that is
-    negative or not finite raises ValueError."""
+    header, a body that is not exactly K*r values, an entry that is negative
+    or not finite, or a column whose sum differs from 1 by more than
+    SHAPES_L1_TOLERANCE (1e-9, the tolerance the benchmark's own .nshp
+    check uses) raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(_SHAPES_MAGIC)] != _SHAPES_MAGIC:
@@ -182,4 +180,8 @@ def load_noise_shapes(path) -> NoiseShapes:
     if not np.all(np.isfinite(data)) or np.any(data < 0):
         raise ValueError(f"corrupt noise-shapes file {path}: "
                          "negative or non-finite entries")
-    return NoiseShapes(data.reshape((K, r), order="F").copy(), params)
+    n_matrix = data.reshape((K, r), order="F").copy()
+    if np.any(np.abs(n_matrix.sum(axis=0) - 1.0) > SHAPES_L1_TOLERANCE):
+        raise ValueError(f"corrupt noise-shapes file {path}: "
+                         "a shape column does not sum to 1")
+    return NoiseShapes(n_matrix, params)

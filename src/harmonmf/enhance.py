@@ -84,20 +84,20 @@ class EnhanceResult:
 
 
 def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> list:
-    """L*m harmonic atoms: m per grid fundamental, shared basis, coefficients
-    started near-uniform and strictly positive."""
+    """L groups of m harmonic atoms, one group per grid fundamental sharing
+    its harmonic basis; coefficients started near-uniform and strictly
+    positive."""
     grid = fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
     wspec = window_magnitude_spectrum(params)
     rng = np.random.default_rng(config.seed)
-    atoms = []
+    groups = []
     for f0 in grid.frequencies:
         basis = build_harmonic_basis(f0, params, config.p_star, wspec)
         p = basis.harmonic_count
-        for _ in range(config.m):
-            coeffs = rng.uniform(1.0 / p - _COEFF_JITTER, 1.0 / p + _COEFF_JITTER, p)
-            atoms.append(nmf.ConstrainedAtom(psi=basis.psi, coeffs=coeffs,
-                                             kind="speech"))
-    return atoms
+        coeffs = rng.uniform(1.0 / p - _COEFF_JITTER, 1.0 / p + _COEFF_JITTER,
+                             (config.m, p))
+        groups.append(nmf.BasisGroup(psi=basis.psi, coeffs=coeffs, kind="speech"))
+    return groups
 
 
 def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogram,
@@ -119,9 +119,8 @@ def _check_shapes(shapes: NoiseShapes, params: FrameParams):
         raise ValueError("noise shapes were trained with different frame parameters")
 
 
-def _run(noisy: Signal, dictionary: nmf.CompositeDictionary,
-         config: EnhanceConfig, mode: str, frozen: bool = False,
-         settings: nmf.SolverSettings | None = None) -> EnhanceResult:
+def _run(noisy: Signal, groups: list, config: EnhanceConfig, mode: str,
+         frozen: bool = False) -> EnhanceResult:
     params = config.frame_params()
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
@@ -132,12 +131,10 @@ def _run(noisy: Signal, dictionary: nmf.CompositeDictionary,
     padded = Signal(np.pad(noisy.samples, (wl, wl)), config.sr)
     spec = stft(padded, params)
     Y = spec.magnitude()
-    if settings is None:
-        settings = config.solver_settings()
-    result = nmf.solve(Y.values, dictionary, settings, mode=mode,
+    result = nmf.solve(Y.values, groups, config.solver_settings(), mode=mode,
                        frozen_dictionary=frozen)
-    D, X = result.dictionary.realized, result.gains
-    ms = result.dictionary.n_speech
+    D, X = result.dictionary, result.gains
+    ms = nmf.speech_count(groups)
     speech = MagnitudeSpectrogram(D[:, :ms] @ X[:ms], params)
     noise = MagnitudeSpectrogram(D[:, ms:] @ X[ms:], params)
     total = MagnitudeSpectrogram(speech.values + noise.values, params)
@@ -153,9 +150,9 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig) -> Enhanc
     """Constrained enhancement with harmonic speech atoms (lin or dense mode)."""
     params = config.frame_params()
     _check_shapes(shapes, params)
-    atoms = build_speech_atoms(config, params)
-    atoms += build_noise_bases(shapes, config.m_n, config.seed)
-    return _run(noisy, nmf.CompositeDictionary(atoms), config, config.mode)
+    groups = build_speech_atoms(config, params)
+    groups.append(build_noise_bases(shapes, config.m_n, config.seed))
+    return _run(noisy, groups, config, config.mode)
 
 
 def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
@@ -168,10 +165,9 @@ def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     _check_shapes(shapes, params)
     clean_mag = stft(clean, params).magnitude()
     D_s = fit_free_dictionary(clean_mag, oracle_atoms, config.seed)
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=D_s[:, j].copy(), kind="speech")
-             for j in range(oracle_atoms)]
-    atoms += build_noise_bases(shapes, config.m_n, config.seed)
-    return _run(noisy, nmf.CompositeDictionary(atoms), config, "lin", frozen=True)
+    groups = [nmf.BasisGroup(psi=None, coeffs=D_s.T, kind="speech"),
+              build_noise_bases(shapes, config.m_n, config.seed)]
+    return _run(noisy, groups, config, "lin", frozen=True)
 
 
 def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
@@ -181,10 +177,10 @@ def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     _check_shapes(shapes, params)
     rng = np.random.default_rng(config.seed)
     K = params.n_bins
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(K), kind="speech")
-             for _ in range(free_atoms)]
-    atoms += build_noise_bases(shapes, config.m_n, config.seed)
-    return _run(noisy, nmf.CompositeDictionary(atoms), config, "lin")
+    groups = [nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((free_atoms, K)),
+                             kind="speech"),
+              build_noise_bases(shapes, config.m_n, config.seed)]
+    return _run(noisy, groups, config, "lin")
 
 
 def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,
@@ -193,13 +189,15 @@ def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     """Dense-mode output SNR for every (L, lambda_s) pair.
 
     Returns rows (L, lambda_s, total_atoms, output_snr_db) sorted by (L, lambda).
+    Uses at most one worker process per cell.
     """
     cells = [(int(L), float(lam)) for L in L_values for lam in lambda_values]
     args = [(noisy, clean, shapes, config, L, lam) for L, lam in cells]
-    if jobs > 1:
+    workers = min(jobs, len(cells))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, args))
     else:
         rows = [_sweep_cell(a) for a in args]

@@ -1,18 +1,22 @@
-"""KL-divergence NMF with linearly constrained atoms.
+"""KL-divergence NMF over shared-basis groups of dictionary atoms.
+
+A dictionary is an ordered list of basis groups, speech groups first.  A
+group holds m atoms that share one non-negative basis Psi (K x p) and one
+m x p coefficient array A: atom i is the column d_i = Psi A[i].  A group
+without a basis (Psi = None) holds free columns, d_i = A[i].
 
 Three multiplicative-update modes over one solver path:
 
-* ``plain`` — unconstrained columns (noise-shape training, baselines),
-* ``lin``   — each atom confined to the span of its basis, d_j = Psi_j a_j,
+* ``plain`` — free columns only (noise-shape training, baselines),
+* ``lin``   — each atom confined to the span of its group's basis,
 * ``dense`` — lin plus an l2 penalty on l1-normalized speech coefficients
   that discourages zero harmonic amplitudes.
 
-An unconstrained (free) column is an atom with ``psi=None``: its coefficient
-vector is the column itself.  Each iteration first updates all free columns
-jointly from one ratio refresh, by the Lee-Seung KL dictionary step
-W <- W * (R X^T) / (1 X^T) (Lee & Seung, NIPS 2000), then updates the
-constrained atoms one at a time, each from a freshly refreshed ratio, and
-last the gains.
+Each iteration first updates all free columns jointly from one ratio
+refresh, by the Lee-Seung KL dictionary step W <- W * (R X^T) / (1 X^T)
+(Lee & Seung, NIPS 2000), then updates the constrained columns one at a
+time in dictionary order, each from a freshly refreshed ratio, and last the
+gains.
 """
 from __future__ import annotations
 
@@ -27,59 +31,46 @@ EPSILON = 1e-12
 
 
 @dataclass
-class ConstrainedAtom:
-    """One dictionary column d_j = psi @ coeffs (psi=None means d_j = coeffs)."""
+class BasisGroup:
+    """m atoms sharing one basis: atom i is psi @ coeffs[i], or coeffs[i]
+    itself when psi is None.  coeffs is stored as a C-ordered m x p copy, so
+    each atom's coefficients are one contiguous row."""
     psi: np.ndarray | None
     coeffs: np.ndarray
     kind: str  # "speech" | "noise"
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        self.coeffs = np.array(self.coeffs, dtype=np.float64, order="C")
         if self.kind not in ("speech", "noise"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
+        if self.coeffs.ndim != 2 or self.coeffs.shape[0] < 1:
+            raise ValueError("coefficients must be an m x p array with m >= 1")
         if np.any(self.coeffs < 0):
             raise ValueError("coefficients must be non-negative")
         if self.psi is not None and np.any(self.psi < 0):
             raise ValueError("basis must be non-negative")
 
-    def realize(self) -> np.ndarray:
-        if self.psi is None:
-            return self.coeffs
-        return self.psi @ self.coeffs
-
-
-class CompositeDictionary:
-    """Ordered atoms (speech first, then noise) with a cached realized matrix."""
-
-    def __init__(self, atoms):
-        atoms = list(atoms)
-        if not atoms:
-            raise ValueError("dictionary needs at least one atom")
-        first_noise = next((i for i, a in enumerate(atoms) if a.kind == "noise"),
-                           len(atoms))
-        if any(a.kind == "speech" for a in atoms[first_noise:]):
-            raise ValueError("speech atoms must precede noise atoms")
-        self.atoms = atoms
-        self.n_speech = first_noise
-        self.realized = np.column_stack([a.realize() for a in atoms])
-
     @property
-    def n_atoms(self):
-        return len(self.atoms)
+    def m(self):
+        return self.coeffs.shape[0]
 
-    @property
-    def n_noise(self):
-        return len(self.atoms) - self.n_speech
 
-    def refresh(self):
-        for j, atom in enumerate(self.atoms):
-            self.realized[:, j] = atom.realize()
+def realize(groups) -> np.ndarray:
+    """The K x n dictionary of ordered groups; speech groups must precede
+    noise groups.  Each constrained column is its own matrix-vector product
+    psi @ coeffs[i], the product solve uses after updating that column."""
+    kinds = [g.kind for g in groups]
+    if not kinds:
+        raise ValueError("dictionary needs at least one group")
+    if any(a == "noise" and b == "speech" for a, b in zip(kinds, kinds[1:])):
+        raise ValueError("speech groups must precede noise groups")
+    return np.column_stack([a if g.psi is None else g.psi @ a
+                            for g in groups for a in g.coeffs])
 
-    def speech_rows(self, X):
-        return X[: self.n_speech]
 
-    def noise_rows(self, X):
-        return X[self.n_speech:]
+def speech_count(groups) -> int:
+    """Number of speech columns, which lead the dictionary."""
+    return sum(g.m for g in groups if g.kind == "speech")
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,8 @@ class ObjectivePoint:
 
 @dataclass
 class SolveResult:
-    dictionary: CompositeDictionary
+    groups: list
+    dictionary: np.ndarray  # K x n, realized from the groups
     gains: np.ndarray
     trace: list = field(default_factory=list)
 
@@ -126,25 +118,22 @@ def kl_divergence(Y, V, epsilon: float = EPSILON) -> float:
     return kernels.kl_divergence_floored(Y, V, epsilon)
 
 
-def objective(Y, dictionary: CompositeDictionary, X, settings: SolverSettings,
-              mode: str) -> float:
+def objective(Y, groups, X, settings: SolverSettings, mode: str) -> float:
     """KL + sparsity penalty, plus the density penalty in dense mode."""
-    point = _objective_point(0, Y, dictionary, X, settings, mode)
-    return point.total
+    return _objective_point(0, Y, realize(groups) @ X, groups, X, settings,
+                            mode).total
 
 
-def _objective_point(iteration, Y, dictionary, X, settings, mode,
-                     V=None) -> ObjectivePoint:
-    if V is None:
-        V = dictionary.realized @ X
+def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoint:
     kl = kernels.kl_divergence_floored(Y, V, settings.epsilon)
-    sparsity = (settings.lambda_speech * float(dictionary.speech_rows(X).sum())
-                + settings.lambda_noise * float(dictionary.noise_rows(X).sum()))
+    n_speech = speech_count(groups)
+    sparsity = (settings.lambda_speech * float(X[:n_speech].sum())
+                + settings.lambda_noise * float(X[n_speech:].sum()))
     density = 0.0
     if mode == "dense":
         density = settings.alpha * sum(
-            float(a.coeffs @ a.coeffs)
-            for a in dictionary.atoms if a.kind == "speech" and a.psi is not None)
+            float((g.coeffs * g.coeffs).sum())
+            for g in groups if g.kind == "speech" and g.psi is not None)
     return ObjectivePoint(iteration, kl, sparsity, density)
 
 
@@ -165,72 +154,74 @@ def update_gains(X, D, Y, settings: SolverSettings, n_speech: int,
     return X
 
 
-def _atom_projections(atom, ratio, xrow, ones):
+def _atom_projections(psi, ratio, xrow, ones):
     """Numerator/denominator vectors of the lin rule for one atom.
 
     The denominator uses an explicit ones-matrix product so that when
     Y = DX (ratio all ones) both sides are bitwise equal and the fixed
     point holds exactly.
     """
-    rv = ratio @ xrow
-    ov = ones @ xrow
-    if atom.psi is None:
-        return rv, ov
-    return atom.psi.T @ rv, atom.psi.T @ ov
+    return psi.T @ (ratio @ xrow), psi.T @ (ones @ xrow)
 
 
-def update_atom_lin(atom, ratio, xrow, epsilon: float = EPSILON, ones=None):
-    """a_j <- a_j * (Psi^T (Y/DX) x_j^T) / (Psi^T 1 x_j^T), in place."""
+def update_atom_lin(group: BasisGroup, i: int, ratio, xrow,
+                    epsilon: float = EPSILON, ones=None):
+    """a_i <- a_i * (Psi^T (Y/DX) x_i^T) / (Psi^T 1 x_i^T) for row i of the
+    group's coefficients, in place."""
     if ones is None:
         ones = np.ones_like(ratio)
-    num, den = _atom_projections(atom, ratio, xrow, ones)
-    atom.coeffs *= np.maximum(num, epsilon) / np.maximum(den, epsilon)
-    return atom
+    num, den = _atom_projections(group.psi, ratio, xrow, ones)
+    a = group.coeffs[i]
+    a *= np.maximum(num, epsilon) / np.maximum(den, epsilon)
+    return a
 
 
-def update_atom_dense(atom, ratio, xrow, alpha: float,
+def update_atom_dense(group: BasisGroup, i: int, ratio, xrow, alpha: float,
                       epsilon: float = EPSILON, ones=None):
-    """Density-regularized update on l1-normalized coefficients; the result is
-    renormalized so the simplex constraint holds exactly."""
+    """Density-regularized update of row i on l1-normalized coefficients, in
+    place; the row is renormalized so the simplex constraint holds exactly."""
     if ones is None:
         ones = np.ones_like(ratio)
-    a = atom.coeffs
+    a = group.coeffs[i]
     norm = a.sum()
     if norm <= 0:
         raise ValueError("dense update requires a nonzero coefficient vector")
     a_tilde = a / norm
-    num_lin, den_lin = _atom_projections(atom, ratio, xrow, ones)
+    num_lin, den_lin = _atom_projections(group.psi, ratio, xrow, ones)
     num = (a_tilde @ den_lin) + num_lin + alpha * (a_tilde @ a_tilde)
     den = den_lin + (a_tilde @ num_lin) + alpha * a_tilde
     new = a_tilde * (np.maximum(num, epsilon) / np.maximum(den, epsilon))
-    atom.coeffs = new / new.sum()
-    return atom
+    a[:] = new / new.sum()
+    return a
 
 
-def update_free_columns(dictionary: CompositeDictionary, columns, ratio, X,
-                        ones, epsilon: float = EPSILON):
-    """W <- W * (R X_f^T) / (1 X_f^T) for the free columns W = D[:, columns]
-    with X fixed, in place; ``ratio`` is R = Y/DX.
+def update_free_columns(free, D, ratio, X, ones, epsilon: float = EPSILON):
+    """W <- W * (R X_f^T) / (1 X_f^T) jointly over the columns W of all
+    identity groups, with X fixed; ``ratio`` is R = Y/DX and ``free`` lists
+    (group, its column range in D).  Updates the groups' coefficients and
+    their columns of D in place.
 
     The denominator uses an explicit ones-matrix product so that when
     Y = DX both sides are bitwise equal and the fixed point holds exactly.
     """
-    xt = X[columns].T
-    W = dictionary.realized[:, columns]
-    W *= np.maximum(ratio @ xt, epsilon) / np.maximum(ones @ xt, epsilon)
-    dictionary.realized[:, columns] = W
-    for j, column in zip(columns, W.T):
-        dictionary.atoms[j].coeffs[:] = column
+    xt = X[[j for _, cols in free for j in cols]].T
+    step = np.maximum(ratio @ xt, epsilon) / np.maximum(ones @ xt, epsilon)
+    k = 0
+    for group, cols in free:
+        group.coeffs *= step[:, k:k + group.m].T
+        D[:, cols] = group.coeffs.T
+        k += group.m
 
 
-def solve(Y, dictionary: CompositeDictionary, settings: SolverSettings,
-          mode: str, frozen_dictionary: bool = False,
-          initial_gains=None, trace: bool = True) -> SolveResult:
+def solve(Y, groups, settings: SolverSettings, mode: str,
+          frozen_dictionary: bool = False, initial_gains=None,
+          trace: bool = True) -> SolveResult:
     """Alternate dictionary updates and one gain update per iteration.
 
-    Free columns (psi=None) take one joint Lee-Seung step; constrained atoms
-    then follow one at a time: in dense mode constrained speech atoms use the
-    density rule, all others the lin rule.
+    Free columns (identity groups) take one joint Lee-Seung step; the
+    columns of groups with a basis then follow one at a time: in dense mode
+    speech columns use the density rule, all others the lin rule.  The
+    groups' coefficients are updated in place.
     With frozen_dictionary only the gains are updated (Oracle baseline).
     With trace=False only the final objective point is computed.
     Deterministic given the settings seed.
@@ -239,60 +230,62 @@ def solve(Y, dictionary: CompositeDictionary, settings: SolverSettings,
         raise ValueError(f"unknown mode {mode!r}")
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     K, T = Y.shape
-    if dictionary.realized.shape[0] != K:
+    if mode == "dense":
+        for g in groups:
+            if g.kind == "speech" and g.psi is not None:
+                for a in g.coeffs:
+                    a /= a.sum()
+    D = realize(groups)
+    if D.shape[0] != K:
         raise ValueError("dictionary row count does not match spectrogram")
     eps = settings.epsilon
     if initial_gains is not None:
         X = np.array(initial_gains, dtype=np.float64)
-        if X.shape != (dictionary.n_atoms, T):
+        if X.shape != (D.shape[1], T):
             raise ValueError("initial gains shape mismatch")
     else:
         rng = np.random.default_rng(settings.seed)
-        X = 1.0 - rng.random((dictionary.n_atoms, T))  # uniform (0, 1]
+        X = 1.0 - rng.random((D.shape[1], T))  # uniform (0, 1]
 
-    if mode == "dense":
-        for atom in dictionary.atoms:
-            if atom.kind == "speech" and atom.psi is not None:
-                atom.coeffs = atom.coeffs / atom.coeffs.sum()
-        dictionary.refresh()
-
-    free = [j for j, atom in enumerate(dictionary.atoms) if atom.psi is None]
-    constrained = [j for j, atom in enumerate(dictionary.atoms)
-                   if atom.psi is not None]
+    starts = np.cumsum([0] + [g.m for g in groups])
+    layout = [(g, range(s, s + g.m)) for g, s in zip(groups, starts)]
+    free = [(g, cols) for g, cols in layout if g.psi is None]
+    constrained = [(g, cols) for g, cols in layout if g.psi is not None]
+    n_speech = speech_count(groups)
     ones = np.ones_like(Y)
     ratio = np.empty_like(Y)
-    V = dictionary.realized @ X
+    V = D @ X
     points = []
     if trace:
-        points.append(_objective_point(0, Y, dictionary, X, settings, mode, V=V))
+        points.append(_objective_point(0, Y, V, groups, X, settings, mode))
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
             if free:
                 kernels.refresh_ratio(Y, V, eps, ratio)
-                update_free_columns(dictionary, free, ratio, X, ones, eps)
-                V = dictionary.realized @ X
-            for j in constrained:
-                atom = dictionary.atoms[j]
-                kernels.refresh_ratio(Y, V, eps, ratio)
-                xrow = X[j]
-                d_old = dictionary.realized[:, j].copy()
-                if mode == "dense" and atom.kind == "speech" and atom.psi is not None:
-                    update_atom_dense(atom, ratio, xrow, settings.alpha, eps, ones)
-                else:
-                    update_atom_lin(atom, ratio, xrow, eps, ones)
-                d_new = atom.realize()
-                dictionary.realized[:, j] = d_new
-                kernels.rank1_add(V, d_new - d_old, xrow)
+                update_free_columns(free, D, ratio, X, ones, eps)
+                V = D @ X
+            for g, cols in constrained:
+                dense = mode == "dense" and g.kind == "speech"
+                for i, j in enumerate(cols):
+                    kernels.refresh_ratio(Y, V, eps, ratio)
+                    xrow = X[j]
+                    d_old = D[:, j].copy()
+                    if dense:
+                        update_atom_dense(g, i, ratio, xrow, settings.alpha, eps,
+                                          ones)
+                    else:
+                        update_atom_lin(g, i, ratio, xrow, eps, ones)
+                    d_new = g.psi @ g.coeffs[i]
+                    D[:, j] = d_new
+                    kernels.rank1_add(V, d_new - d_old, xrow)
         kernels.refresh_ratio(Y, V, eps, ratio)
-        update_gains(X, dictionary.realized, Y, settings, dictionary.n_speech,
-                     ratio=ratio, ones=ones)
-        V = dictionary.realized @ X
+        update_gains(X, D, Y, settings, n_speech, ratio=ratio, ones=ones)
+        V = D @ X
         if trace or it == settings.iterations:
-            points.append(_objective_point(it, Y, dictionary, X, settings, mode,
-                                           V=V))
+            points.append(_objective_point(it, Y, V, groups, X, settings, mode))
 
-    return SolveResult(dictionary, X, points)
+    return SolveResult(groups, D, X, points)
 
 
 def write_trace_csv(trace, path) -> None:

@@ -13,8 +13,7 @@ import pytest
 from harmonmf.dictionary import build_noise_bases, harmonic_count
 from harmonmf.enhance import (EnhanceConfig, build_speech_atoms, enhance,
                               sweep_atoms_sparsity)
-from harmonmf.nmf import (CompositeDictionary, ConstrainedAtom, SolverSettings,
-                          kl_divergence, solve)
+from harmonmf.nmf import BasisGroup, SolverSettings, kl_divergence, realize, solve
 from harmonmf.signal_io import Signal, snr_db, write_wav
 from harmonmf.stft import default_frame_params, istft, stft
 
@@ -27,24 +26,26 @@ def report(number, description, ok):
 
 
 def random_problem(seed, K=32, T=40, m_s=12, m_n=4, p=8, r=4):
+    """m_s speech groups of one atom, each with its own basis, and one
+    group of m_n noise atoms sharing one shape matrix."""
     rng = np.random.default_rng(seed)
-    atoms = [ConstrainedAtom(psi=rng.random((K, p)),
-                             coeffs=rng.random(p) + 0.1, kind="speech")
-             for _ in range(m_s)]
+    groups = [BasisGroup(psi=rng.random((K, p)),
+                         coeffs=[rng.random(p) + 0.1], kind="speech")
+              for _ in range(m_s)]
     shapes = rng.random((K, r)) + 0.05
-    atoms += [ConstrainedAtom(psi=shapes, coeffs=rng.random(r) + 0.1,
-                              kind="noise") for _ in range(m_n)]
+    groups.append(BasisGroup(psi=shapes, coeffs=rng.random((m_n, r)) + 0.1,
+                             kind="noise"))
     Y = rng.random((K, T)) + 0.01
-    return Y, CompositeDictionary(atoms)
+    return Y, groups
 
 
 def free_problem(seed, K=32, T=40, n_s=4, n_n=2):
-    """Plain-mode problem: every column free (psi=None)."""
+    """Plain-mode problem: every column free (identity groups)."""
     rng = np.random.default_rng(seed)
-    atoms = [ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1, kind=kind)
-             for kind in ["speech"] * n_s + ["noise"] * n_n]
+    groups = [BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind=kind)
+              for kind in ["speech"] * n_s + ["noise"] * n_n]
     Y = rng.random((K, T)) + 0.01
-    return Y, CompositeDictionary(atoms)
+    return Y, groups
 
 
 def test_criterion_1_monotone_objective():
@@ -70,34 +71,31 @@ def test_criterion_2_exact_fixed_points():
 
     def consistent_problem(mode):
         if mode == "plain":
-            atoms = [ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1,
-                                     kind=kind)
-                     for kind in ["speech"] * 4 + ["noise"] * 2]
-            dic = CompositeDictionary(atoms)
-            X0 = rng.random((dic.n_atoms, T)) + 0.1
-            return dic.realized @ X0, dic, X0
-        atoms = []
+            dic = [BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind=kind)
+                   for kind in ["speech"] * 4 + ["noise"] * 2]
+            X0 = rng.random((len(dic), T)) + 0.1
+            return realize(dic) @ X0, dic, X0
+        dic = []
         for _ in range(12):
             coeffs = np.full(p, 1.0 / p) if mode == "dense" else rng.random(p) + 0.1
-            atoms.append(ConstrainedAtom(psi=rng.random((K, p)), coeffs=coeffs,
-                                         kind="speech"))
+            dic.append(BasisGroup(psi=rng.random((K, p)), coeffs=[coeffs],
+                                  kind="speech"))
         shapes = rng.random((K, 4)) + 0.05
-        atoms += [ConstrainedAtom(psi=shapes, coeffs=rng.random(4) + 0.1,
-                                  kind="noise") for _ in range(4)]
-        dic = CompositeDictionary(atoms)
-        X0 = rng.random((dic.n_atoms, T)) + 0.1
-        return dic.realized @ X0, dic, X0
+        dic.append(BasisGroup(psi=shapes, coeffs=rng.random((4, 4)) + 0.1,
+                              kind="noise"))
+        X0 = rng.random((sum(g.m for g in dic), T)) + 0.1
+        return realize(dic) @ X0, dic, X0
 
     settings = SolverSettings(lambda_speech=0.0, lambda_noise=0.0,
                               alpha=10.0, iterations=5, seed=0)
     ok = True
     for mode in ("lin", "dense", "plain"):
         Y, dic, X0 = consistent_problem(mode)
-        coeffs0 = [a.coeffs.copy() for a in dic.atoms]
+        coeffs0 = [g.coeffs.copy() for g in dic]
         result = solve(Y, dic, settings, mode, initial_gains=X0)
         ok = ok and np.array_equal(result.gains, X0)
-        ok = ok and all(np.array_equal(a.coeffs, c0)
-                        for a, c0 in zip(dic.atoms, coeffs0))
+        ok = ok and all(np.array_equal(g.coeffs, c0)
+                        for g, c0 in zip(result.groups, coeffs0))
     report(2, "consistent Y = DX is an exact fixed point (lin, dense and plain)",
            ok)
 
@@ -109,12 +107,13 @@ def test_criterion_3_constraint_invariants():
         for mode in ("lin", "dense"):
             Y, dic = random_problem(seed + 100)
             result = solve(Y, dic, settings, mode)
-            for j, atom in enumerate(dic.atoms):
-                realized = dic.realized[:, j]
-                ok = ok and np.max(np.abs(realized - atom.psi @ atom.coeffs)) <= 1e-12
-                ok = ok and np.all(atom.coeffs >= 0)
-                if mode == "dense" and atom.kind == "speech":
-                    ok = ok and abs(atom.coeffs.sum() - 1.0) <= 1e-10
+            atoms = [(g, a) for g in result.groups for a in g.coeffs]
+            for j, (group, a) in enumerate(atoms):
+                realized = result.dictionary[:, j]
+                ok = ok and np.max(np.abs(realized - group.psi @ a)) <= 1e-12
+                ok = ok and np.all(a >= 0)
+                if mode == "dense" and group.kind == "speech":
+                    ok = ok and abs(a.sum() - 1.0) <= 1e-10
             ok = ok and np.all(result.gains >= 0)
     report(3, "realized columns, l1 normalization, non-negativity", ok)
 
@@ -143,8 +142,7 @@ def test_criterion_5_plain_rank1_recovery():
     d = rng.random(16) + 0.1
     x = rng.random(30) + 0.1
     Y = np.outer(d, x)
-    dic = CompositeDictionary(
-        [ConstrainedAtom(psi=None, coeffs=rng.random(16) + 0.1, kind="speech")])
+    dic = [BasisGroup(psi=None, coeffs=[rng.random(16) + 0.1], kind="speech")]
     settings = SolverSettings(lambda_speech=0.0, iterations=100, seed=0)
     start = time.perf_counter()
     trace = solve(Y, dic, settings, "plain").trace
@@ -183,7 +181,8 @@ def test_criterion_8_dictionary_sizing(noise_shapes):
     speech = build_speech_atoms(config, config.frame_params())
     noise = build_noise_bases(noise_shapes, config.m_n, config.seed)
     report(8, "132 speech + 16 noise atoms, p = 10 @ 400 Hz and 30 @ 80 Hz",
-           len(speech) == 132 and len(noise) == 16
+           len(speech) == 33 and sum(g.m for g in speech) == 132
+           and noise.m == 16
            and harmonic_count(400.0, SR, 30) == 10
            and harmonic_count(80.0, SR, 30) == 30)
 

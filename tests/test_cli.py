@@ -58,13 +58,13 @@ def test_train_noise_prints_refit_kl(workdir, capsys):
         ["train-noise", "--config", str(workdir / "small.cfg")]))
     mag = stft(read_wav(workdir / "noise.wav"), config.frame_params()).magnitude()
     shapes = load_noise_shapes(path)
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=col.copy(), kind="noise")
-             for col in shapes.n_matrix.T]
+    groups = [nmf.BasisGroup(psi=None, coeffs=[col], kind="noise")
+              for col in shapes.n_matrix.T]
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=config.iterations, seed=config.seed)
-    refit = nmf.solve(mag.values, nmf.CompositeDictionary(atoms), settings,
-                      mode="lin", frozen_dictionary=True)
-    kl = nmf.kl_divergence(mag.values, refit.dictionary.realized @ refit.gains)
+    refit = nmf.solve(mag.values, groups, settings, mode="lin",
+                      frozen_dictionary=True)
+    kl = nmf.kl_divergence(mag.values, refit.dictionary @ refit.gains)
     assert _shapes_fit(shapes, mag, config) == kl
     assert f"final KL divergence: {kl:.6g}" in printed
 
@@ -174,6 +174,66 @@ def test_sweep_rows(workdir):
     assert len(lines) == 5
     lams = [float(l.split(",")[1]) for l in lines[1:]]
     assert lams == [0.2, 1.0, 0.2, 1.0]
+
+
+@pytest.mark.parametrize("m_line, m", [("m = 3", 3), ("", 5)])
+def test_sweep_m_from_config_file(workdir, m_line, m):
+    """The sweep's own default m = 5 sits below the config file."""
+    shapes = run_train(workdir)
+    cfg = workdir / "sweep.cfg"
+    cfg.write_text(SMALL.replace("\nm = 1\n", f"\n{m_line}\n"))
+    out = workdir / "sweep.csv"
+    rc = main(["sweep", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+               str(shapes), str(out), "--config", str(cfg),
+               "--L-list", "2,4", "--lambda-list", "0.2"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(n) for _, _, n, _ in rows] == [int(L) * m + 2 for L, _, _, _ in rows]
+
+
+@pytest.mark.parametrize("L_list, pools", [("2,4", [2]), ("2", [])])
+def test_sweep_jobs_capped_at_cell_count(workdir, monkeypatch, L_list, pools):
+    """--jobs 8 starts one worker per cell at most, and no pool for one cell."""
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    shapes = run_train(workdir)
+    out = workdir / "sweep.csv"
+    rc = main(["sweep", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+               str(shapes), str(out), "--config", str(workdir / "small.cfg"),
+               "--L-list", L_list, "--lambda-list", "0.2", "--jobs", "8"])
+    assert rc == 0
+    assert started == pools
+    assert len(out.read_text().splitlines()) == 1 + len(L_list.split(","))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_rejected(workdir, capsys, jobs):
+    shapes = run_train(workdir)
+    capsys.readouterr()  # drop train-noise output
+    out = workdir / "sweep.csv"
+    rc = main(["sweep", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+               str(shapes), str(out), "--config", str(workdir / "small.cfg"),
+               "--jobs", jobs])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--jobs" in lines[0]
+    assert not out.exists()
 
 
 def test_config_unknown_key(tmp_path):

@@ -96,11 +96,11 @@ def test_train_rank1_converges():
     rng = np.random.default_rng(0)
     Y = np.outer(rng.random(params.n_bins) + 0.1, rng.random(8) + 0.1)
     mag = MagnitudeSpectrogram(Y, params)
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(params.n_bins),
-                                 kind="noise")]
+    groups = [nmf.BasisGroup(psi=None, coeffs=[1.0 - rng.random(params.n_bins)],
+                             kind="noise")]
     settings = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                                   iterations=100, seed=0)
-    result = nmf.solve(Y, nmf.CompositeDictionary(atoms), settings, mode="plain")
+    result = nmf.solve(Y, groups, settings, mode="plain")
     assert result.trace[-1].kl < 1e-6 * result.trace[0].kl
     shapes = train_noise_shapes(mag, 1, seed=0)
     assert shapes.n_matrix.shape == (params.n_bins, 1)
@@ -118,12 +118,12 @@ def test_train_constant_frames():
     rng = np.random.default_rng(1)
     col = rng.random(params.n_bins) + 0.5
     Y = np.tile(col[:, None], (1, 10))
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(params.n_bins),
-                                 kind="noise") for _ in range(2)]
+    groups = [nmf.BasisGroup(psi=None, coeffs=[1.0 - rng.random(params.n_bins)],
+                             kind="noise") for _ in range(2)]
     settings = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                                   iterations=300, seed=3)
-    result = nmf.solve(Y, nmf.CompositeDictionary(atoms), settings, mode="plain")
-    V = result.dictionary.realized @ result.gains
+    result = nmf.solve(Y, groups, settings, mode="plain")
+    V = result.dictionary @ result.gains
     rel = np.abs(V - V[:, :1]) / np.maximum(V[:, :1], 1e-12)
     assert np.max(rel) < 1e-4
 
@@ -139,20 +139,21 @@ def test_train_rejects_degenerate():
 
 
 def test_noise_bases_identity_init(noise_shapes):
-    atoms = build_noise_bases(noise_shapes, 16, seed=0)
-    assert len(atoms) == 16
-    for j, atom in enumerate(atoms):
-        assert np.all(atom.coeffs > 0)
-        d = atom.realize()
+    group = build_noise_bases(noise_shapes, 16, seed=0)
+    assert group.m == 16
+    D = nmf.realize([group])
+    for j, a in enumerate(group.coeffs):
+        assert np.all(a > 0)
+        d = D[:, j]
         ref = noise_shapes.n_matrix[:, j]
         assert np.linalg.norm(d - ref) / np.linalg.norm(ref) < 0.15
-        assert np.allclose(d, noise_shapes.n_matrix @ atom.coeffs)
+        assert np.allclose(d, noise_shapes.n_matrix @ a)
 
 
 def test_noise_bases_single(noise_shapes):
-    atoms = build_noise_bases(noise_shapes, 1, seed=5)
-    assert len(atoms) == 1
-    assert np.all(atoms[0].coeffs > 0)
+    group = build_noise_bases(noise_shapes, 1, seed=5)
+    assert group.m == 1
+    assert np.all(group.coeffs > 0)
 
 
 def test_shapes_file_roundtrip(noise_shapes, tmp_path):
@@ -193,6 +194,8 @@ SHAPES_CORRUPTIONS = {
     "negative entry": lambda good: _with_entry(good, -1e-3),
     "no shapes": lambda good: _with_header(good, r=0)[:28],
     "infinite rate": lambda good: _with_header(good, rate=np.inf),
+    "column not unit-l1": lambda good: _with_entry(
+        good, struct.unpack_from("<d", good, 36)[0] + 1e-6),
 }
 
 

@@ -27,8 +27,8 @@ def test_config_defaults_match_protocol():
 
 
 def test_default_dictionary_sizing(frame_params):
-    atoms = build_speech_atoms(EnhanceConfig(), frame_params)
-    assert len(atoms) == 132
+    groups = build_speech_atoms(EnhanceConfig(), frame_params)
+    assert len(groups) == 33 and sum(g.m for g in groups) == 132
 
 
 def random_spec(frame_params, seed=0):

@@ -6,15 +6,16 @@ from harmonmf import nmf
 
 
 def random_problem(seed, K=16, T=12, n_speech=4, n_noise=2, p=5):
+    """One m = 1 group, with its own basis, per atom."""
     rng = np.random.default_rng(seed)
-    atoms = [nmf.ConstrainedAtom(psi=rng.random((K, p)) + 0.01,
-                                 coeffs=rng.random(p) + 0.1, kind="speech")
-             for _ in range(n_speech)]
-    atoms += [nmf.ConstrainedAtom(psi=rng.random((K, p)) + 0.01,
-                                  coeffs=rng.random(p) + 0.1, kind="noise")
-              for _ in range(n_noise)]
+    groups = [nmf.BasisGroup(psi=rng.random((K, p)) + 0.01,
+                             coeffs=[rng.random(p) + 0.1], kind="speech")
+              for _ in range(n_speech)]
+    groups += [nmf.BasisGroup(psi=rng.random((K, p)) + 0.01,
+                              coeffs=[rng.random(p) + 0.1], kind="noise")
+               for _ in range(n_noise)]
     Y = rng.random((K, T)) + 0.01
-    return Y, nmf.CompositeDictionary(atoms)
+    return Y, groups
 
 
 def test_kl_identity():
@@ -50,21 +51,20 @@ def test_kl_matches_brute_force():
 
 def test_objective_reduces_to_kl_without_regularizers():
     Y, d = random_problem(0)
-    X = np.random.default_rng(1).random((d.n_atoms, Y.shape[1]))
+    X = np.random.default_rng(1).random((len(d), Y.shape[1]))
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0)
     assert nmf.objective(Y, d, X, s, "lin") == \
-        pytest.approx(nmf.kl_divergence(Y, d.realized @ X), rel=1e-12)
+        pytest.approx(nmf.kl_divergence(Y, nmf.realize(d) @ X), rel=1e-12)
 
 
 def test_objective_density_term_uniform():
     K, p, m_s = 8, 4, 3
     rng = np.random.default_rng(2)
-    atoms = [nmf.ConstrainedAtom(psi=rng.random((K, p)) + 0.1,
-                                 coeffs=np.full(p, 1.0 / p), kind="speech")
-             for _ in range(m_s)]
-    d = nmf.CompositeDictionary(atoms)
+    d = [nmf.BasisGroup(psi=rng.random((K, p)) + 0.1,
+                        coeffs=[np.full(p, 1.0 / p)], kind="speech")
+         for _ in range(m_s)]
     X = np.zeros((m_s, 2))
-    Y = np.maximum(d.realized @ X, 1e-12)
+    Y = np.maximum(nmf.realize(d) @ X, 1e-12)
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0)
     density = nmf.objective(Y, d, X, s, "dense") - nmf.objective(Y, d, X, s, "lin")
     assert density == pytest.approx(10.0 * m_s / p, rel=1e-12)
@@ -81,90 +81,86 @@ def test_update_gains_scalar_case():
 
 def test_update_gains_fixed_point_exact():
     Y, d = random_problem(3)
-    X = np.random.default_rng(4).random((d.n_atoms, Y.shape[1])) + 0.5
-    Y = d.realized @ X
+    X = np.random.default_rng(4).random((len(d), Y.shape[1])) + 0.5
+    Y = nmf.realize(d) @ X
     X0 = X.copy()
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0)
-    nmf.update_gains(X, d.realized, Y, s, n_speech=d.n_speech)
+    nmf.update_gains(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
     assert np.array_equal(X, X0)
 
 
 def test_update_gains_zero_locking():
     Y, d = random_problem(5)
-    X = np.random.default_rng(6).random((d.n_atoms, Y.shape[1]))
+    X = np.random.default_rng(6).random((len(d), Y.shape[1]))
     X[2, :] = 0.0
     s = nmf.SolverSettings()
-    nmf.update_gains(X, d.realized, Y, s, n_speech=d.n_speech)
+    nmf.update_gains(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
     assert np.all(X[2, :] == 0.0)
     assert np.all(X >= 0)
 
 
 def test_update_atom_lin_scalar_case():
-    atom = nmf.ConstrainedAtom(psi=np.array([[1.0]]), coeffs=np.array([1.0]),
-                               kind="speech")
+    group = nmf.BasisGroup(psi=np.array([[1.0]]), coeffs=[[1.0]], kind="speech")
     ratio = np.array([[3.0]])  # Y/DX with Y=3, DX=1
-    nmf.update_atom_lin(atom, ratio, np.array([1.0]))
-    assert atom.coeffs[0] == pytest.approx(3.0, rel=1e-12)
+    nmf.update_atom_lin(group, 0, ratio, np.array([1.0]))
+    assert group.coeffs[0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_update_atom_lin_fixed_point_exact():
     Y, d = random_problem(7)
-    X = np.random.default_rng(8).random((d.n_atoms, Y.shape[1])) + 0.5
-    Y = d.realized @ X
+    X = np.random.default_rng(8).random((len(d), Y.shape[1])) + 0.5
+    Y = nmf.realize(d) @ X
     ones = np.ones_like(Y)
-    ratio = Y / np.maximum(d.realized @ X, 1e-12)
-    for j, atom in enumerate(d.atoms):
-        before = atom.coeffs.copy()
-        nmf.update_atom_lin(atom, ratio, X[j], ones=ones)
-        assert np.array_equal(atom.coeffs, before)
+    ratio = Y / np.maximum(nmf.realize(d) @ X, 1e-12)
+    for j, group in enumerate(d):
+        before = group.coeffs.copy()
+        nmf.update_atom_lin(group, 0, ratio, X[j], ones=ones)
+        assert np.array_equal(group.coeffs, before)
 
 
 def test_update_atom_lin_inactive_row_unchanged():
     Y, d = random_problem(9)
-    atom = d.atoms[0]
-    before = atom.coeffs.copy()
+    group = d[0]
+    before = group.coeffs.copy()
     ratio = np.random.default_rng(10).random(Y.shape) + 0.1
-    nmf.update_atom_lin(atom, ratio, np.zeros(Y.shape[1]))
-    assert np.array_equal(atom.coeffs, before)
+    nmf.update_atom_lin(group, 0, ratio, np.zeros(Y.shape[1]))
+    assert np.array_equal(group.coeffs, before)
 
 
 def test_update_atom_dense_uniform_fixed_point_exact():
     K, T, p = 16, 10, 8  # p a power of two keeps the simplex arithmetic exact
     rng = np.random.default_rng(12)
-    atom = nmf.ConstrainedAtom(psi=rng.random((K, p)) + 0.1,
-                               coeffs=np.full(p, 1.0 / p), kind="speech")
-    d = nmf.CompositeDictionary([atom])
+    group = nmf.BasisGroup(psi=rng.random((K, p)) + 0.1,
+                           coeffs=[np.full(p, 1.0 / p)], kind="speech")
     X = rng.random((1, T)) + 0.5
-    Y = d.realized @ X
-    ratio = Y / np.maximum(d.realized @ X, 1e-12)
-    nmf.update_atom_dense(atom, ratio, X[0], alpha=10.0, ones=np.ones_like(Y))
-    assert np.array_equal(atom.coeffs, np.full(p, 1.0 / p))
+    Y = nmf.realize([group]) @ X
+    ratio = Y / np.maximum(nmf.realize([group]) @ X, 1e-12)
+    nmf.update_atom_dense(group, 0, ratio, X[0], alpha=10.0, ones=np.ones_like(Y))
+    assert np.array_equal(group.coeffs[0], np.full(p, 1.0 / p))
 
 
 def test_update_atom_dense_keeps_simplex():
     rng = np.random.default_rng(13)
-    atom = nmf.ConstrainedAtom(psi=rng.random((8, 5)) + 0.1,
-                               coeffs=rng.random(5) + 0.1, kind="speech")
+    group = nmf.BasisGroup(psi=rng.random((8, 5)) + 0.1,
+                           coeffs=[rng.random(5) + 0.1], kind="speech")
     ratio = rng.random((8, 6)) + 0.1
     for _ in range(10):
-        nmf.update_atom_dense(atom, ratio, rng.random(6) + 0.1, alpha=10.0)
-        assert abs(atom.coeffs.sum() - 1.0) <= 1e-10
-        assert np.all(atom.coeffs >= 0)
+        nmf.update_atom_dense(group, 0, ratio, rng.random(6) + 0.1, alpha=10.0)
+        assert abs(group.coeffs[0].sum() - 1.0) <= 1e-10
+        assert np.all(group.coeffs >= 0)
 
 
 def test_update_atom_dense_large_alpha_goes_uniform():
     rng = np.random.default_rng(14)
     K, T, p = 16, 12, 6
-    atom = nmf.ConstrainedAtom(psi=rng.random((K, p)) + 0.1,
-                               coeffs=rng.random(p) + 0.1, kind="speech")
-    d = nmf.CompositeDictionary([atom])
+    group = nmf.BasisGroup(psi=rng.random((K, p)) + 0.1,
+                           coeffs=[rng.random(p) + 0.1], kind="speech")
     X = rng.random((1, T)) + 0.1
     Y = rng.random((K, T)) + 0.1
     for _ in range(200):
-        ratio = Y / np.maximum(d.realized @ X, 1e-12)
-        nmf.update_atom_dense(atom, ratio, X[0], alpha=1e6)
-        d.refresh()
-    assert np.max(np.abs(atom.coeffs - 1.0 / p)) < 1e-3
+        ratio = Y / np.maximum(nmf.realize([group]) @ X, 1e-12)
+        nmf.update_atom_dense(group, 0, ratio, X[0], alpha=1e6)
+    assert np.max(np.abs(group.coeffs[0] - 1.0 / p)) < 1e-3
 
 
 @pytest.mark.parametrize("mode", ["lin", "dense"])
@@ -190,10 +186,10 @@ def test_solve_constraint_preserved_and_nonnegative():
     Y, d = random_problem(21)
     s = nmf.SolverSettings(iterations=10, seed=21)
     result = nmf.solve(Y, d, s, mode="dense")
-    for j, atom in enumerate(result.dictionary.atoms):
-        realized = result.dictionary.realized[:, j]
-        assert np.max(np.abs(realized - atom.psi @ atom.coeffs)) < 1e-12
-        assert np.all(atom.coeffs >= 0)
+    for j, group in enumerate(result.groups):
+        realized = result.dictionary[:, j]
+        assert np.max(np.abs(realized - group.psi @ group.coeffs[0])) < 1e-12
+        assert np.all(group.coeffs >= 0)
     assert np.all(result.gains >= 0)
 
 
@@ -201,9 +197,9 @@ def test_solve_dense_normalization_invariant():
     Y, d = random_problem(22)
     s = nmf.SolverSettings(iterations=10, seed=22)
     result = nmf.solve(Y, d, s, mode="dense")
-    for atom in result.dictionary.atoms:
-        if atom.kind == "speech":
-            assert abs(atom.coeffs.sum() - 1.0) <= 1e-10
+    for group in result.groups:
+        if group.kind == "speech":
+            assert abs(group.coeffs[0].sum() - 1.0) <= 1e-10
 
 
 def lee_seung_step(Y, D, X, columns, eps=nmf.EPSILON):
@@ -227,26 +223,24 @@ def test_free_block_step_is_lee_seung():
     K, T, n_free = 10, 7, 4
     rng = np.random.default_rng(27)
     Y = rng.random((K, T)) + 0.1
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1,
-                                 kind="speech") for _ in range(n_free)]
-    atoms.append(nmf.ConstrainedAtom(psi=rng.random((K, 3)) + 0.1,
-                                     coeffs=rng.random(3) + 0.1, kind="noise"))
-    d = nmf.CompositeDictionary(atoms)
-    D0, a0 = d.realized.copy(), atoms[-1].coeffs.copy()
-    X0 = rng.random((d.n_atoms, T)) + 0.1
+    d = [nmf.BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind="speech")
+         for _ in range(n_free)]
+    d.append(nmf.BasisGroup(psi=rng.random((K, 3)) + 0.1,
+                            coeffs=[rng.random(3) + 0.1], kind="noise"))
+    D0, a0 = nmf.realize(d), d[-1].coeffs[0].copy()
+    X0 = rng.random((len(d), T)) + 0.1
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0, iterations=1)
     result = nmf.solve(Y, d, s, mode="plain", initial_gains=X0)
     expected = lee_seung_step(Y, D0, X0, range(n_free))
-    realized = result.dictionary.realized
+    realized = result.dictionary
     assert np.allclose(realized[:, :n_free], expected[:, :n_free],
                        rtol=1e-12, atol=0)
     assert not np.allclose(realized[:, :n_free], D0[:, :n_free])
-    for j, atom in enumerate(result.dictionary.atoms):
-        assert np.array_equal(atom.realize(), realized[:, j])
-    psi, x = atoms[-1].psi, X0[n_free]
+    assert np.array_equal(nmf.realize(result.groups), realized)
+    psi, x = d[-1].psi, X0[n_free]
     ratio = Y / (expected @ X0)
     a1 = a0 * (psi.T @ (ratio @ x)) / (psi.T @ (np.ones_like(Y) @ x))
-    assert np.allclose(atoms[-1].coeffs, a1, rtol=1e-12, atol=0)
+    assert np.allclose(d[-1].coeffs[0], a1, rtol=1e-12, atol=0)
 
 
 def test_plain_equals_lin_with_identity_basis():
@@ -262,10 +256,10 @@ def test_plain_equals_lin_with_identity_basis():
                            iterations=1, seed=24)
 
     def run(n, psi, mode):
-        atoms = [nmf.ConstrainedAtom(psi=psi, coeffs=c.copy(), kind="speech")
-                 for c in cols[:n]]
-        return nmf.solve(Y, nmf.CompositeDictionary(atoms), s, mode=mode,
-                         initial_gains=X0[:n]).dictionary.realized
+        groups = [nmf.BasisGroup(psi=psi, coeffs=[c], kind="speech")
+                  for c in cols[:n]]
+        return nmf.solve(Y, groups, s, mode=mode,
+                         initial_gains=X0[:n]).dictionary
 
     assert np.max(np.abs(run(1, None, "plain") - run(1, np.eye(K), "lin"))) < 1e-10
     expected = lee_seung_step(Y, np.column_stack(cols), X0, range(3))
@@ -274,10 +268,10 @@ def test_plain_equals_lin_with_identity_basis():
 
 def free_problem(seed, K=16, T=12, n_speech=3, n_noise=2):
     rng = np.random.default_rng(seed)
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=rng.random(K) + 0.1, kind=kind)
-             for kind in ["speech"] * n_speech + ["noise"] * n_noise]
+    groups = [nmf.BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind=kind)
+              for kind in ["speech"] * n_speech + ["noise"] * n_noise]
     Y = rng.random((K, T)) + 0.01
-    return Y, nmf.CompositeDictionary(atoms)
+    return Y, groups
 
 
 @pytest.mark.parametrize("mode, frozen", [("plain", False), ("lin", False),
@@ -292,7 +286,7 @@ def test_trace_off_changes_only_the_trace(mode, frozen):
                               trace=trace))
     on, off = runs
     assert np.array_equal(on.gains, off.gains)
-    assert np.array_equal(on.dictionary.realized, off.dictionary.realized)
+    assert np.array_equal(on.dictionary, off.dictionary)
     assert len(on.trace) == s.iterations + 1
     assert off.trace == [on.trace[-1]]
     assert off.trace[-1].iteration == s.iterations
@@ -300,10 +294,10 @@ def test_trace_off_changes_only_the_trace(mode, frozen):
 
 def test_solve_frozen_dictionary():
     Y, d = random_problem(25)
-    before = d.realized.copy()
+    before = nmf.realize(d)
     s = nmf.SolverSettings(iterations=5, seed=25)
     result = nmf.solve(Y, d, s, mode="lin", frozen_dictionary=True)
-    assert np.array_equal(result.dictionary.realized, before)
+    assert np.array_equal(result.dictionary, before)
     obj = [p.total for p in result.trace]
     for a, b in zip(obj, obj[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
@@ -313,10 +307,10 @@ def test_solve_plain_rank1_recovery():
     rng = np.random.default_rng(26)
     K, T = 12, 10
     Y = np.outer(rng.random(K) + 0.1, rng.random(T) + 0.1)
-    atoms = [nmf.ConstrainedAtom(psi=None, coeffs=1.0 - rng.random(K), kind="speech")]
+    groups = [nmf.BasisGroup(psi=None, coeffs=[1.0 - rng.random(K)], kind="speech")]
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                            iterations=100, seed=26)
-    result = nmf.solve(Y, nmf.CompositeDictionary(atoms), s, mode="plain")
+    result = nmf.solve(Y, groups, s, mode="plain")
     assert result.trace[-1].kl < 1e-6 * result.trace[0].kl
 
 
@@ -327,8 +321,8 @@ def test_updates_preserve_nonnegativity(seed):
     s = nmf.SolverSettings(iterations=3, seed=seed)
     result = nmf.solve(Y, d, s, mode="lin")
     assert np.all(result.gains >= 0)
-    for atom in result.dictionary.atoms:
-        assert np.all(atom.coeffs >= 0)
+    for group in result.groups:
+        assert np.all(group.coeffs >= 0)
 
 
 def test_trace_csv(tmp_path):
@@ -353,7 +347,100 @@ def test_solver_settings_validation():
 
 
 def test_dictionary_ordering_enforced():
-    a = nmf.ConstrainedAtom(psi=None, coeffs=np.ones(4), kind="noise")
-    b = nmf.ConstrainedAtom(psi=None, coeffs=np.ones(4), kind="speech")
+    a = nmf.BasisGroup(psi=None, coeffs=[np.ones(4)], kind="noise")
+    b = nmf.BasisGroup(psi=None, coeffs=[np.ones(4)], kind="speech")
     with pytest.raises(ValueError, match="precede"):
-        nmf.CompositeDictionary([a, b])
+        nmf.realize([a, b])
+
+
+@st.composite
+def group_problems(draw, identity="optional", p_values=st.integers(1, 5)):
+    """Y and ordered groups of random K, T, group count and per-group m and p.
+    identity: "optional" may add one identity group (first if speech, last
+    if noise), "none" adds none, "only" makes every group an identity group."""
+    K = draw(st.integers(2, 10), label="K")
+    T = draw(st.integers(1, 8), label="T")
+    sizes = draw(st.lists(st.tuples(st.integers(1, 3), p_values),
+                          min_size=1, max_size=4), label="(m, p) per group")
+    n_speech = draw(st.integers(0, len(sizes)), label="speech groups")
+    free = draw(st.sampled_from([None, "speech", "noise"])
+                if identity == "optional" else st.none(), label="identity group")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    groups = []
+    for i, (m, p) in enumerate(sizes):
+        psi = None if identity == "only" else rng.random((K, p)) + 0.01
+        groups.append(nmf.BasisGroup(
+            psi=psi, coeffs=rng.random((m, K if psi is None else p)) + 0.1,
+            kind="speech" if i < n_speech else "noise"))
+    if free is not None:
+        group = nmf.BasisGroup(psi=None, kind=free,
+                               coeffs=rng.random((draw(st.integers(1, 3)), K)) + 0.1)
+        groups.insert(0 if free == "speech" else len(groups), group)
+    return rng.random((K, T)) + 0.01, groups
+
+
+@pytest.mark.parametrize("mode", ["lin", "plain"])
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_kl_sparsity_monotone(mode, data):
+    Y, groups = data.draw(group_problems("only" if mode == "plain" else "optional"))
+    s = nmf.SolverSettings(lambda_speech=0.2, lambda_noise=0.1, iterations=10)
+    trace = nmf.solve(Y, groups, s, mode=mode).trace
+    obj = [p.kl + p.sparsity_term for p in trace]
+    for a, b in zip(obj, obj[1:]):
+        assert b <= a + 1e-9 * (1 + abs(a))
+
+
+@pytest.mark.parametrize("mode", ["plain", "lin", "dense"])
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_exact_fixed_point(mode, data):
+    """Y = DX is a bitwise-exact fixed point; in dense mode from uniform
+    speech coefficients with p a power of two, so the simplex is exact."""
+    _, groups = data.draw(group_problems("only" if mode == "plain" else "optional",
+                                         p_values=st.sampled_from([1, 2, 4, 8])))
+    if mode == "dense":
+        for g in groups:
+            if g.kind == "speech" and g.psi is not None:
+                g.coeffs[:] = 1.0 / g.coeffs.shape[1]
+    D = nmf.realize(groups)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="X seed"))
+    X0 = rng.random((D.shape[1], data.draw(st.integers(1, 8), label="T"))) + 0.1
+    coeffs0 = [g.coeffs.copy() for g in groups]
+    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0, iterations=3)
+    result = nmf.solve(D @ X0, groups, s, mode=mode, initial_gains=X0)
+    assert np.array_equal(result.gains, X0)
+    assert np.array_equal(result.dictionary, D)
+    for g, c0 in zip(result.groups, coeffs0):
+        assert np.array_equal(g.coeffs, c0)
+
+
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_dense_keeps_simplex(data):
+    Y, groups = data.draw(group_problems())
+    result = nmf.solve(Y, groups, nmf.SolverSettings(iterations=5), mode="dense")
+    for g in result.groups:
+        assert np.all(g.coeffs >= 0)
+        if g.kind == "speech" and g.psi is not None:
+            assert np.all(np.abs(g.coeffs.sum(axis=1) - 1.0) <= 1e-10)
+
+
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_plain_equals_lin_with_identity_basis(data):
+    """A leading m = 1 free column in plain mode matches the same column
+    under an identity basis in lin mode, ahead of the generated groups."""
+    Y, rest = data.draw(group_problems("none"))
+    K = Y.shape[0]
+    column = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(K) + 0.1
+    s = nmf.SolverSettings(iterations=5)
+    results = []
+    for psi, mode in ((None, "plain"), (np.eye(K), "lin")):
+        groups = [nmf.BasisGroup(psi=psi, coeffs=[column], kind="speech")]
+        groups += [nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
+                   for g in rest]  # BasisGroup copies the coefficients
+        results.append(nmf.solve(Y, groups, s, mode=mode))
+    plain, lin = results
+    assert np.allclose(plain.dictionary, lin.dictionary, rtol=1e-9, atol=0)
+    assert np.allclose(plain.gains, lin.gains, rtol=1e-9, atol=0)
