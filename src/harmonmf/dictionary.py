@@ -21,35 +21,19 @@ _SHAPES_HEADER = struct.Struct("<IIdII")  # K, r, sample_rate, window_len, hop
 
 
 @dataclass(frozen=True)
-class FundamentalGrid:
-    frequencies: np.ndarray  # Hz, strictly increasing, equally spaced
-    bounds: tuple
-
-    def __len__(self):
-        return self.frequencies.size
-
-
-@dataclass(frozen=True)
-class HarmonicAtomBasis:
-    psi: np.ndarray        # K x p, non-negative; column k is |w_hat(. - k*w0)| * c_k
-    fundamental: float     # rad/sample
-    harmonic_count: int
-
-
-@dataclass(frozen=True)
 class NoiseShapes:
     n_matrix: np.ndarray   # K x r, columns unit l1
     params: FrameParams
 
 
 def fundamental_grid(f_min: float, f_max: float, count: int,
-                     sample_rate: float) -> FundamentalGrid:
+                     sample_rate: float) -> np.ndarray:
     """count equally spaced fundamentals in Hz, endpoints inclusive."""
     if not (0 < f_min < f_max < sample_rate / 2):
         raise ValueError("fundamental bounds must satisfy 0 < f_min < f_max < sr/2")
     if count < 2:
         raise ValueError("grid needs at least 2 points")
-    return FundamentalGrid(np.linspace(f_min, f_max, count), (f_min, f_max))
+    return np.linspace(f_min, f_max, count)
 
 
 def harmonic_amplitudes(fundamental: float, p: int) -> np.ndarray:
@@ -72,37 +56,35 @@ def harmonic_count(fundamental_hz: float, sample_rate: float, p_star: int) -> in
 
 
 def build_harmonic_basis(fundamental_hz: float, params: FrameParams, p_star: int,
-                         window_spectrum: WindowSpectrum) -> HarmonicAtomBasis:
-    """Basis whose column k is the window spectrum centered on harmonic k,
-    scaled by the sinc^2 amplitude profile; small entries zeroed for sparsity."""
+                         window_spectrum: WindowSpectrum) -> np.ndarray:
+    """K x p basis whose column k is the window spectrum centered on harmonic
+    k, scaled by the sinc^2 amplitude profile; entries below COLUMN_TRUNCATION
+    of their column's peak are zeroed for sparsity."""
     p = harmonic_count(fundamental_hz, params.sample_rate, p_star)
     w0 = 2.0 * np.pi * fundamental_hz / params.sample_rate
     c = harmonic_amplitudes(w0, p)
     omegas = 2.0 * np.pi * np.arange(params.n_bins) / params.fft_len
-    psi = np.empty((params.n_bins, p))
-    for k in range(1, p + 1):
-        col = window_spectrum.evaluate(omegas - k * w0) * c[k - 1]
-        col[col < COLUMN_TRUNCATION * col.max()] = 0.0
-        psi[:, k - 1] = col
-    return HarmonicAtomBasis(psi, w0, p)
+    psi = window_spectrum.evaluate(omegas[:, None] - np.arange(1, p + 1) * w0) * c
+    psi[psi < COLUMN_TRUNCATION * psi.max(axis=0)] = 0.0
+    return psi
 
 
-def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int, seed: int,
-                        iterations: int = FREE_FIT_ITERATIONS) -> np.ndarray:
-    """Fit n_atoms unconstrained columns to a spectrogram by plain KL-NMF
-    without sparsity, from a seeded uniform (0, 1] start; returns K x n_atoms."""
+def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int,
+                        seed: int) -> np.ndarray:
+    """Fit n_atoms unconstrained columns to a spectrogram by KL-NMF without
+    sparsity, FREE_FIT_ITERATIONS iterations from a seeded uniform (0, 1]
+    start; returns K x n_atoms."""
     K = mag.values.shape[0]
     rng = np.random.default_rng(seed)
     group = nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((n_atoms, K)),
                            kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=iterations, seed=seed)
-    result = nmf.solve(mag.values, [group], settings, mode="plain", trace=False)
+                                  iterations=FREE_FIT_ITERATIONS, seed=seed)
+    result = nmf.solve(mag.values, [group], settings, mode="lin", trace=False)
     return result.dictionary
 
 
 def train_noise_shapes(noise_mag: MagnitudeSpectrogram, r: int,
-                       iterations: int = FREE_FIT_ITERATIONS,
                        seed: int = 0) -> NoiseShapes:
     """Fit r spectral shapes to a noise spectrogram by unconstrained KL-NMF;
     columns are returned l1-normalized."""
@@ -112,7 +94,7 @@ def train_noise_shapes(noise_mag: MagnitudeSpectrogram, r: int,
         raise ValueError("noise spectrogram has fewer frames than shapes")
     if not np.any(noise_mag.values > 0):
         raise ValueError("noise spectrogram is identically zero")
-    shapes = fit_free_dictionary(noise_mag, r, seed, iterations)
+    shapes = fit_free_dictionary(noise_mag, r, seed)
     sums = shapes.sum(axis=0)
     if np.any(sums <= 0):
         raise ValueError("noise training produced an empty shape")

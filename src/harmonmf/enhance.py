@@ -5,6 +5,7 @@ the Oracle and unconstrained-NMF baselines and the atoms-vs-sparsity sweep.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -14,9 +15,10 @@ from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
                          fit_free_dictionary, fundamental_grid)
 from .signal_io import Signal, snr_db
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
-                   default_frame_params, istft, stft, window_magnitude_spectrum)
+                   WindowSpectrum, default_frame_params, istft, stft)
 
 _COEFF_JITTER = 0.001
+_PGM_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,9 @@ class EnhanceConfig:
         for name in ("window_ms", "overlap", "f_min", "f_max",
                      "lambda_s", "lambda_n", "alpha"):
             require(math.isfinite(getattr(self, name)), "finite", name)
-        require(self.sr >= 1, "positive", "sr")
+        # sr must also fit a float: sr / 2 below overflows otherwise
+        require(1 <= self.sr <= sys.float_info.max,
+                f"in [1, {sys.float_info.max:.3g}]", "sr")
         require(self.window_ms > 0, "positive", "window_ms")
         require(0 < self.overlap < 1, "in (0, 1)", "overlap")
         require(0 < self.f_min, "positive", "f_min")
@@ -60,9 +64,10 @@ class EnhanceConfig:
         require(self.seed >= 0, "non-negative", "seed")
         try:
             self.frame_params()
-        except ValueError:
+        except (ValueError, OverflowError):  # OverflowError: sr * window_ms is inf
             raise ValueError(f"window_ms = {self.window_ms!r} with overlap = "
-                             f"{self.overlap!r} gives a degenerate frame") from None
+                             f"{self.overlap!r} gives a degenerate frame at "
+                             f"sr = {self.sr!r}") from None
 
     def frame_params(self) -> FrameParams:
         return default_frame_params(self.sr, self.window_ms, self.overlap)
@@ -87,27 +92,25 @@ def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> list:
     """L groups of m harmonic atoms, one group per grid fundamental sharing
     its harmonic basis; coefficients started near-uniform and strictly
     positive."""
-    grid = fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
-    wspec = window_magnitude_spectrum(params)
+    wspec = WindowSpectrum(params)
     rng = np.random.default_rng(config.seed)
     groups = []
-    for f0 in grid.frequencies:
-        basis = build_harmonic_basis(f0, params, config.p_star, wspec)
-        p = basis.harmonic_count
+    for f0 in fundamental_grid(config.f_min, config.f_max, config.L, config.sr):
+        psi = build_harmonic_basis(f0, params, config.p_star, wspec)
+        p = psi.shape[1]
         coeffs = rng.uniform(1.0 / p - _COEFF_JITTER, 1.0 / p + _COEFF_JITTER,
                              (config.m, p))
-        groups.append(nmf.BasisGroup(psi=basis.psi, coeffs=coeffs, kind="speech"))
+        groups.append(nmf.BasisGroup(psi=psi, coeffs=coeffs, kind="speech"))
     return groups
 
 
 def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogram,
-                       total_mag: MagnitudeSpectrogram,
-                       epsilon: float = nmf.EPSILON) -> ComplexSpectrogram:
+                       total_mag: MagnitudeSpectrogram) -> ComplexSpectrogram:
     """Scale each noisy bin by speech/(speech+noise); gains clipped to [0, 1]."""
     if speech_mag.values.shape != noisy.values.shape or \
             total_mag.values.shape != noisy.values.shape:
         raise ValueError("spectrogram shape mismatch")
-    gains = speech_mag.values / np.maximum(total_mag.values, epsilon)
+    gains = speech_mag.values / np.maximum(total_mag.values, nmf.EPSILON)
     np.clip(gains, 0.0, 1.0, out=gains)
     return ComplexSpectrogram(noisy.values * gains, noisy.params)
 
@@ -219,10 +222,10 @@ def write_sweep_csv(rows, path) -> None:
             fh.write(f"{L},{lam!r},{n_atoms},{out_snr!r}\n")
 
 
-def write_pgm(mag: MagnitudeSpectrogram, path, floor: float = 1e-10) -> None:
-    """Log-magnitude spectrogram as binary 8-bit PGM, min-max normalized,
-    frequency increasing from the bottom row up."""
-    logm = np.log10(np.maximum(mag.values, floor))
+def write_pgm(mag: MagnitudeSpectrogram, path) -> None:
+    """Log-magnitude spectrogram, floored at _PGM_FLOOR, as binary 8-bit PGM,
+    min-max normalized, frequency increasing from the bottom row up."""
+    logm = np.log10(np.maximum(mag.values, _PGM_FLOOR))
     lo, hi = logm.min(), logm.max()
     scaled = np.zeros_like(logm) if hi == lo else (logm - lo) / (hi - lo)
     img = np.flipud(np.round(scaled * 255).astype(np.uint8))

@@ -5,18 +5,26 @@ group holds m atoms that share one non-negative basis Psi (K x p) and one
 m x p coefficient array A: atom i is the column d_i = Psi A[i].  A group
 without a basis (Psi = None) holds free columns, d_i = A[i].
 
-Three multiplicative-update modes over one solver path:
+Two multiplicative-update modes over one solver path:
 
-* ``plain`` — free columns only (noise-shape training, baselines),
 * ``lin``   — each atom confined to the span of its group's basis,
-* ``dense`` — lin plus an l2 penalty on l1-normalized speech coefficients
-  that discourages zero harmonic amplitudes.
+* ``dense`` — lin plus an l2 penalty on the l1-normalized coefficients of
+  speech groups with a basis, which discourages zero harmonic amplitudes.
+
+Free columns need no mode of their own: they are the groups with
+``psi=None``, and they take the same step in either mode.
 
 Each iteration first updates all free columns jointly from one ratio
 refresh, by the Lee-Seung KL dictionary step W <- W * (R X^T) / (1 X^T)
 (Lee & Seung, NIPS 2000), then updates the constrained columns one at a
 time in dictionary order, each from a freshly refreshed ratio, and last the
-gains.
+gains.  The free-column and lin steps (X fixed) and the gain step (D fixed)
+each do not increase KL + sparsity.  The dense rule has no such guarantee:
+with Y = [[0.8674], [0.0436]] (2 bins, 1 frame), one speech atom on a 2 x 4
+basis, alpha = 2 and lambda = 0, its total objective rises over some
+iterations (README, "Python API").
+
+Ratios, divergences and update quotients floor their operands at EPSILON.
 """
 from __future__ import annotations
 
@@ -80,13 +88,12 @@ class SolverSettings:
     alpha: float = 10.0
     iterations: int = 25
     seed: int = 0
-    epsilon: float = EPSILON
 
     def __post_init__(self):
         if self.lambda_speech < 0 or self.lambda_noise < 0 or self.alpha < 0:
             raise ValueError("regularization weights must be non-negative")
-        if self.iterations < 1 or self.epsilon <= 0:
-            raise ValueError("bad iteration count or epsilon")
+        if self.iterations < 1:
+            raise ValueError("need at least one iteration")
 
 
 @dataclass(frozen=True)
@@ -109,13 +116,13 @@ class SolveResult:
     trace: list = field(default_factory=list)
 
 
-def kl_divergence(Y, V, epsilon: float = EPSILON) -> float:
+def kl_divergence(Y, V) -> float:
     """Generalized KL divergence between same-shape non-negative matrices."""
     Y = np.asarray(Y, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if Y.shape != V.shape:
         raise ValueError("shape mismatch")
-    return kernels.kl_divergence_floored(Y, V, epsilon)
+    return kernels.kl_divergence_floored(Y, V, EPSILON)
 
 
 def objective(Y, groups, X, settings: SolverSettings, mode: str) -> float:
@@ -125,7 +132,7 @@ def objective(Y, groups, X, settings: SolverSettings, mode: str) -> float:
 
 
 def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoint:
-    kl = kernels.kl_divergence_floored(Y, V, settings.epsilon)
+    kl = kernels.kl_divergence_floored(Y, V, EPSILON)
     n_speech = speech_count(groups)
     sparsity = (settings.lambda_speech * float(X[:n_speech].sum())
                 + settings.lambda_noise * float(X[n_speech:].sum()))
@@ -140,17 +147,16 @@ def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoi
 def update_gains(X, D, Y, settings: SolverSettings, n_speech: int,
                  ratio=None, ones=None):
     """X <- X * (D^T (Y/DX)) / (D^T 1 + lambda), lambda per row block, in place."""
-    eps = settings.epsilon
     if ratio is None:
         V = D @ X
-        ratio = kernels.refresh_ratio(Y, V, eps, np.empty_like(V))
+        ratio = kernels.refresh_ratio(Y, V, EPSILON, np.empty_like(V))
     if ones is None:
         ones = np.ones_like(Y)
     num = D.T @ ratio
     den = D.T @ ones
     den[:n_speech] += settings.lambda_speech
     den[n_speech:] += settings.lambda_noise
-    X *= np.maximum(num, eps) / np.maximum(den, eps)
+    X *= np.maximum(num, EPSILON) / np.maximum(den, EPSILON)
     return X
 
 
@@ -164,20 +170,19 @@ def _atom_projections(psi, ratio, xrow, ones):
     return psi.T @ (ratio @ xrow), psi.T @ (ones @ xrow)
 
 
-def update_atom_lin(group: BasisGroup, i: int, ratio, xrow,
-                    epsilon: float = EPSILON, ones=None):
+def update_atom_lin(group: BasisGroup, i: int, ratio, xrow, ones=None):
     """a_i <- a_i * (Psi^T (Y/DX) x_i^T) / (Psi^T 1 x_i^T) for row i of the
     group's coefficients, in place."""
     if ones is None:
         ones = np.ones_like(ratio)
     num, den = _atom_projections(group.psi, ratio, xrow, ones)
     a = group.coeffs[i]
-    a *= np.maximum(num, epsilon) / np.maximum(den, epsilon)
+    a *= np.maximum(num, EPSILON) / np.maximum(den, EPSILON)
     return a
 
 
 def update_atom_dense(group: BasisGroup, i: int, ratio, xrow, alpha: float,
-                      epsilon: float = EPSILON, ones=None):
+                      ones=None):
     """Density-regularized update of row i on l1-normalized coefficients, in
     place; the row is renormalized so the simplex constraint holds exactly."""
     if ones is None:
@@ -190,12 +195,12 @@ def update_atom_dense(group: BasisGroup, i: int, ratio, xrow, alpha: float,
     num_lin, den_lin = _atom_projections(group.psi, ratio, xrow, ones)
     num = (a_tilde @ den_lin) + num_lin + alpha * (a_tilde @ a_tilde)
     den = den_lin + (a_tilde @ num_lin) + alpha * a_tilde
-    new = a_tilde * (np.maximum(num, epsilon) / np.maximum(den, epsilon))
+    new = a_tilde * (np.maximum(num, EPSILON) / np.maximum(den, EPSILON))
     a[:] = new / new.sum()
     return a
 
 
-def update_free_columns(free, D, ratio, X, ones, epsilon: float = EPSILON):
+def update_free_columns(free, D, ratio, X, ones):
     """W <- W * (R X_f^T) / (1 X_f^T) jointly over the columns W of all
     identity groups, with X fixed; ``ratio`` is R = Y/DX and ``free`` lists
     (group, its column range in D).  Updates the groups' coefficients and
@@ -205,7 +210,7 @@ def update_free_columns(free, D, ratio, X, ones, epsilon: float = EPSILON):
     Y = DX both sides are bitwise equal and the fixed point holds exactly.
     """
     xt = X[[j for _, cols in free for j in cols]].T
-    step = np.maximum(ratio @ xt, epsilon) / np.maximum(ones @ xt, epsilon)
+    step = np.maximum(ratio @ xt, EPSILON) / np.maximum(ones @ xt, EPSILON)
     k = 0
     for group, cols in free:
         group.coeffs *= step[:, k:k + group.m].T
@@ -226,7 +231,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     With trace=False only the final objective point is computed.
     Deterministic given the settings seed.
     """
-    if mode not in ("plain", "lin", "dense"):
+    if mode not in ("lin", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     K, T = Y.shape
@@ -238,7 +243,6 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     D = realize(groups)
     if D.shape[0] != K:
         raise ValueError("dictionary row count does not match spectrogram")
-    eps = settings.epsilon
     if initial_gains is not None:
         X = np.array(initial_gains, dtype=np.float64)
         if X.shape != (D.shape[1], T):
@@ -262,24 +266,23 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
             if free:
-                kernels.refresh_ratio(Y, V, eps, ratio)
-                update_free_columns(free, D, ratio, X, ones, eps)
+                kernels.refresh_ratio(Y, V, EPSILON, ratio)
+                update_free_columns(free, D, ratio, X, ones)
                 V = D @ X
             for g, cols in constrained:
                 dense = mode == "dense" and g.kind == "speech"
                 for i, j in enumerate(cols):
-                    kernels.refresh_ratio(Y, V, eps, ratio)
+                    kernels.refresh_ratio(Y, V, EPSILON, ratio)
                     xrow = X[j]
                     d_old = D[:, j].copy()
                     if dense:
-                        update_atom_dense(g, i, ratio, xrow, settings.alpha, eps,
-                                          ones)
+                        update_atom_dense(g, i, ratio, xrow, settings.alpha, ones)
                     else:
-                        update_atom_lin(g, i, ratio, xrow, eps, ones)
+                        update_atom_lin(g, i, ratio, xrow, ones)
                     d_new = g.psi @ g.coeffs[i]
                     D[:, j] = d_new
                     kernels.rank1_add(V, d_new - d_old, xrow)
-        kernels.refresh_ratio(Y, V, eps, ratio)
+        kernels.refresh_ratio(Y, V, EPSILON, ratio)
         update_gains(X, D, Y, settings, n_speech, ratio=ratio, ones=ones)
         V = D @ X
         if trace or it == settings.iterations:

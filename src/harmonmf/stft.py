@@ -10,6 +10,7 @@ import numpy as np
 from .signal_io import Signal
 
 _WSUM_FLOOR = 1e-12
+WINDOW_OVERSAMPLE = 8
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,12 @@ def istft(spec: ComplexSpectrogram) -> Signal:
 
 
 class WindowSpectrum:
-    """Oversampled magnitude spectrum of the analysis window, |w_hat(omega)|,
-    evaluated on [-pi, pi] by linear interpolation."""
+    """Magnitude spectrum of the analysis window, |w_hat(omega)|, with unit
+    peak, oversampled WINDOW_OVERSAMPLE times and evaluated on [-pi, pi] by
+    linear interpolation."""
 
-    def __init__(self, params: FrameParams, oversample: int = 8):
-        if oversample < 4:
-            raise ValueError("oversample must be >= 4")
-        n = oversample * params.fft_len
+    def __init__(self, params: FrameParams):
+        n = WINDOW_OVERSAMPLE * params.fft_len
         w = hann_window(params.window_len)
         mags = np.abs(np.fft.fft(w, n=n))
         mags /= mags.max()  # unit peak, so atom columns are O(1) and the
@@ -118,12 +118,7 @@ class WindowSpectrum:
         self.omegas = 2.0 * np.pi * (np.arange(n + 1) - n // 2) / n
         self.mags = np.concatenate(
             [np.fft.fftshift(mags), [mags[n // 2]]])
-        self.peak = float(self.mags.max())
 
     def evaluate(self, omega) -> np.ndarray:
         """|w_hat| at arbitrary omega in rad/sample, linear interpolation."""
         return np.interp(omega, self.omegas, self.mags, left=0.0, right=0.0)
-
-
-def window_magnitude_spectrum(params: FrameParams, oversample: int = 8) -> WindowSpectrum:
-    return WindowSpectrum(params, oversample)

@@ -40,7 +40,7 @@ def random_problem(seed, K=32, T=40, m_s=12, m_n=4, p=8, r=4):
 
 
 def free_problem(seed, K=32, T=40, n_s=4, n_n=2):
-    """Plain-mode problem: every column free (identity groups)."""
+    """Unconstrained-NMF problem: every column free (identity groups)."""
     rng = np.random.default_rng(seed)
     groups = [BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind=kind)
               for kind in ["speech"] * n_s + ["noise"] * n_n]
@@ -54,14 +54,15 @@ def test_criterion_1_monotone_objective():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(20):
-        for mode in ("lin", "dense", "plain"):
-            Y, dic = (free_problem if mode == "plain" else random_problem)(seed)
+        for problem, mode in ((random_problem, "lin"), (random_problem, "dense"),
+                              (free_problem, "lin")):
+            Y, dic = problem(seed)
             trace = solve(Y, dic, settings, mode).trace
             values = [pt.kl + pt.sparsity_term for pt in trace]
             for prev, cur in zip(values, values[1:]):
                 worst = max(worst, (cur - prev) / (1.0 + abs(prev)))
     elapsed = time.perf_counter() - start
-    report(1, "objective non-increasing, 20 seeds, lin, dense and plain",
+    report(1, "objective non-increasing, 20 seeds, lin, dense and free columns",
            worst <= 1e-9 and elapsed < 10.0)
 
 
@@ -69,15 +70,15 @@ def test_criterion_2_exact_fixed_points():
     rng = np.random.default_rng(3)
     K, T, p = 32, 40, 8
 
-    def consistent_problem(mode):
-        if mode == "plain":
+    def consistent_problem(problem):
+        if problem == "free":
             dic = [BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind=kind)
                    for kind in ["speech"] * 4 + ["noise"] * 2]
             X0 = rng.random((len(dic), T)) + 0.1
             return realize(dic) @ X0, dic, X0
         dic = []
         for _ in range(12):
-            coeffs = np.full(p, 1.0 / p) if mode == "dense" else rng.random(p) + 0.1
+            coeffs = np.full(p, 1.0 / p) if problem == "dense" else rng.random(p) + 0.1
             dic.append(BasisGroup(psi=rng.random((K, p)), coeffs=[coeffs],
                                   kind="speech"))
         shapes = rng.random((K, 4)) + 0.05
@@ -89,14 +90,14 @@ def test_criterion_2_exact_fixed_points():
     settings = SolverSettings(lambda_speech=0.0, lambda_noise=0.0,
                               alpha=10.0, iterations=5, seed=0)
     ok = True
-    for mode in ("lin", "dense", "plain"):
-        Y, dic, X0 = consistent_problem(mode)
+    for problem, mode in (("lin", "lin"), ("dense", "dense"), ("free", "lin")):
+        Y, dic, X0 = consistent_problem(problem)
         coeffs0 = [g.coeffs.copy() for g in dic]
         result = solve(Y, dic, settings, mode, initial_gains=X0)
         ok = ok and np.array_equal(result.gains, X0)
         ok = ok and all(np.array_equal(g.coeffs, c0)
                         for g, c0 in zip(result.groups, coeffs0))
-    report(2, "consistent Y = DX is an exact fixed point (lin, dense and plain)",
+    report(2, "consistent Y = DX is an exact fixed point (lin, dense and free)",
            ok)
 
 
@@ -145,9 +146,9 @@ def test_criterion_5_plain_rank1_recovery():
     dic = [BasisGroup(psi=None, coeffs=[rng.random(16) + 0.1], kind="speech")]
     settings = SolverSettings(lambda_speech=0.0, iterations=100, seed=0)
     start = time.perf_counter()
-    trace = solve(Y, dic, settings, "plain").trace
+    trace = solve(Y, dic, settings, "lin").trace
     elapsed = time.perf_counter() - start
-    report(5, "plain mode drives rank-1 KL below 1e-6 of its start",
+    report(5, "a free column drives rank-1 KL below 1e-6 of its start",
            trace[-1].kl < 1e-6 * trace[0].kl and elapsed < 1.0)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
@@ -13,6 +14,7 @@ from harmonmf import nmf
 from harmonmf.cli import (CliError, _shapes_fit, build_config, main, make_parser,
                           parse_config_file)
 from harmonmf.dictionary import load_noise_shapes
+from harmonmf.enhance import EnhanceConfig
 from harmonmf.signal_io import read_wav, write_wav
 from harmonmf.stft import stft
 
@@ -322,12 +324,14 @@ BAD_CONFIG = [
     ("p_star", "0"), ("r", "0"), ("m_n", "0"), ("lambda_s", "nan"),
     ("lambda_n", "-0.5"), ("alpha", "inf"), ("iterations", "0"),
     ("mode", "plain"), ("seed", "-1"),
+    ("window_ms", "1e306"),  # sr * window_ms overflows to inf
+    ("sr", "1" + "0" * 400),  # sr / 2 overflows
 ]
 
 
 @pytest.mark.parametrize("command", ["enhance", "train-noise"])
 @pytest.mark.parametrize("key, value", BAD_CONFIG,
-                         ids=[f"{k}={v}" for k, v in BAD_CONFIG])
+                         ids=[f"{k}={v:.20}" for k, v in BAD_CONFIG])
 def test_bad_config_value_is_one_line_error(valid_inputs, tmp_path, capsys,
                                             command, key, value):
     cfg = tmp_path / "bad.cfg"
@@ -340,3 +344,54 @@ def test_bad_config_value_is_one_line_error(valid_inputs, tmp_path, capsys,
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
     assert not out.exists()
+
+
+CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(EnhanceConfig)}
+# 0 is a valid weight or seed; a huge weight or seed is valid, and a huge L,
+# m, m_n, p_star, r or iterations is valid but costs memory or time.
+ZERO_VALID = {"lambda_s", "lambda_n", "alpha", "seed"}
+HUGE_INVALID = {"sr", "window_ms", "overlap", "f_min", "f_max", "mode"}
+
+
+@st.composite
+def bad_config_values(draw):
+    """(key, value text) with a value that EnhanceConfig or the parser must
+    reject: non-finite, negative or zero, huge, or unparsable."""
+    key = draw(st.sampled_from(sorted(CONFIG_TYPES)))
+    kind = draw(st.sampled_from(["non-finite", "non-positive", "unparsable"]
+                                + (["huge"] if key in HUGE_INVALID else [])))
+    if kind == "non-finite":
+        return key, draw(st.sampled_from(["inf", "-inf", "nan"]))
+    if kind == "unparsable":  # no digits, and no letters of inf, nan, lin, dense
+        return key, draw(st.text(alphabet="abcxyz.-+_", min_size=1))
+    if kind == "huge":
+        if CONFIG_TYPES[key] == "int":
+            return key, str(draw(st.integers(min_value=2**1024, max_value=10**400)))
+        return key, repr(draw(st.floats(min_value=1e305, allow_infinity=False)))
+    if CONFIG_TYPES[key] == "int":
+        return key, str(draw(st.integers(max_value=-1 if key in ZERO_VALID else 0)))
+    value = draw(st.floats(max_value=0.0, allow_nan=False, allow_infinity=False))
+    if key in ZERO_VALID and value == 0:
+        value = -1.0
+    return key, repr(value)
+
+
+@pytest.mark.parametrize("command", ["enhance", "train-noise"])
+@settings(deadline=None)
+@given(bad=bad_config_values())
+def test_generated_bad_config_is_one_line_error(valid_inputs, command, bad):
+    key, value = bad
+    inputs = {"enhance": ["clean.wav", "shapes.nshp"], "train-noise": ["noise.wav"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "bad.cfg"
+        cfg.write_text(f"{SMALL}{key} = {value}\n")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, *(str(valid_inputs / n) for n in inputs[command]),
+                       str(out), "--config", str(cfg)])
+        assert rc == 1
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()

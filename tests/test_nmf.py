@@ -230,7 +230,7 @@ def test_free_block_step_is_lee_seung():
     D0, a0 = nmf.realize(d), d[-1].coeffs[0].copy()
     X0 = rng.random((len(d), T)) + 0.1
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0, iterations=1)
-    result = nmf.solve(Y, d, s, mode="plain", initial_gains=X0)
+    result = nmf.solve(Y, d, s, mode="lin", initial_gains=X0)
     expected = lee_seung_step(Y, D0, X0, range(n_free))
     realized = result.dictionary
     assert np.allclose(realized[:, :n_free], expected[:, :n_free],
@@ -255,15 +255,15 @@ def test_plain_equals_lin_with_identity_basis():
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                            iterations=1, seed=24)
 
-    def run(n, psi, mode):
+    def run(n, psi):
         groups = [nmf.BasisGroup(psi=psi, coeffs=[c], kind="speech")
                   for c in cols[:n]]
-        return nmf.solve(Y, groups, s, mode=mode,
+        return nmf.solve(Y, groups, s, mode="lin",
                          initial_gains=X0[:n]).dictionary
 
-    assert np.max(np.abs(run(1, None, "plain") - run(1, np.eye(K), "lin"))) < 1e-10
+    assert np.max(np.abs(run(1, None) - run(1, np.eye(K)))) < 1e-10
     expected = lee_seung_step(Y, np.column_stack(cols), X0, range(3))
-    assert np.allclose(run(3, None, "plain"), expected, rtol=1e-12, atol=0)
+    assert np.allclose(run(3, None), expected, rtol=1e-12, atol=0)
 
 
 def free_problem(seed, K=16, T=12, n_speech=3, n_noise=2):
@@ -274,10 +274,13 @@ def free_problem(seed, K=16, T=12, n_speech=3, n_noise=2):
     return Y, groups
 
 
-@pytest.mark.parametrize("mode, frozen", [("plain", False), ("lin", False),
-                                          ("dense", False), ("lin", True)])
-def test_trace_off_changes_only_the_trace(mode, frozen):
-    problem = free_problem if mode == "plain" else random_problem
+# id "plain": a problem of free columns only (unconstrained NMF)
+@pytest.mark.parametrize("problem, mode, frozen", [
+    pytest.param(free_problem, "lin", False, id="plain-False"),
+    pytest.param(random_problem, "lin", False, id="lin-False"),
+    pytest.param(random_problem, "dense", False, id="dense-False"),
+    pytest.param(random_problem, "lin", True, id="lin-True")])
+def test_trace_off_changes_only_the_trace(problem, mode, frozen):
     s = nmf.SolverSettings(iterations=6, seed=29)
     runs = []
     for trace in (True, False):
@@ -310,7 +313,7 @@ def test_solve_plain_rank1_recovery():
     groups = [nmf.BasisGroup(psi=None, coeffs=[1.0 - rng.random(K)], kind="speech")]
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                            iterations=100, seed=26)
-    result = nmf.solve(Y, groups, s, mode="plain")
+    result = nmf.solve(Y, groups, s, mode="lin")
     assert result.trace[-1].kl < 1e-6 * result.trace[0].kl
 
 
@@ -354,10 +357,12 @@ def test_dictionary_ordering_enforced():
 
 
 @st.composite
-def group_problems(draw, identity="optional", p_values=st.integers(1, 5)):
+def group_problems(draw, identity="optional", p_values=st.integers(1, 5),
+                   zero_lines=False):
     """Y and ordered groups of random K, T, group count and per-group m and p.
     identity: "optional" may add one identity group (first if speech, last
-    if noise), "none" adds none, "only" makes every group an identity group."""
+    if noise), "none" adds none, "only" makes every group an identity group.
+    zero_lines: set random rows and columns of Y, possibly all, to 0."""
     K = draw(st.integers(2, 10), label="K")
     T = draw(st.integers(1, 8), label="T")
     sizes = draw(st.lists(st.tuples(st.integers(1, 3), p_values),
@@ -376,28 +381,48 @@ def group_problems(draw, identity="optional", p_values=st.integers(1, 5)):
         group = nmf.BasisGroup(psi=None, kind=free,
                                coeffs=rng.random((draw(st.integers(1, 3)), K)) + 0.1)
         groups.insert(0 if free == "speech" else len(groups), group)
-    return rng.random((K, T)) + 0.01, groups
+    Y = rng.random((K, T)) + 0.01
+    if zero_lines:
+        Y[draw(st.lists(st.integers(0, K - 1)), label="zero rows"), :] = 0.0
+        Y[:, draw(st.lists(st.integers(0, T - 1)), label="zero columns")] = 0.0
+    return Y, groups
 
 
-@pytest.mark.parametrize("mode", ["lin", "plain"])
+def solve_finite(Y, groups, settings, mode):
+    """solve with overflow, invalid and divide-by-zero raised (underflow is
+    expected); gains and dictionary must come out finite and non-negative."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        result = nmf.solve(Y, groups, settings, mode=mode)
+    for a in (result.gains, result.dictionary):
+        assert np.all(np.isfinite(a)) and np.all(a >= 0)
+    return result
+
+
+# id "plain": free columns only (unconstrained NMF), solved in lin mode
+@pytest.mark.parametrize("identity", [pytest.param("optional", id="lin"),
+                                      pytest.param("only", id="plain")])
 @given(data=st.data())
 @hsettings(max_examples=25, deadline=None)
-def test_generated_kl_sparsity_monotone(mode, data):
-    Y, groups = data.draw(group_problems("only" if mode == "plain" else "optional"))
+def test_generated_kl_sparsity_monotone(identity, data):
+    Y, groups = data.draw(group_problems(identity, zero_lines=True))
     s = nmf.SolverSettings(lambda_speech=0.2, lambda_noise=0.1, iterations=10)
-    trace = nmf.solve(Y, groups, s, mode=mode).trace
+    trace = solve_finite(Y, groups, s, "lin").trace
     obj = [p.kl + p.sparsity_term for p in trace]
     for a, b in zip(obj, obj[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
 
 
-@pytest.mark.parametrize("mode", ["plain", "lin", "dense"])
+@pytest.mark.parametrize("identity, mode", [
+    pytest.param("only", "lin", id="plain"),
+    pytest.param("optional", "lin", id="lin"),
+    pytest.param("optional", "dense", id="dense")])
 @given(data=st.data())
 @hsettings(max_examples=25, deadline=None)
-def test_generated_exact_fixed_point(mode, data):
+def test_generated_exact_fixed_point(identity, mode, data):
     """Y = DX is a bitwise-exact fixed point; in dense mode from uniform
-    speech coefficients with p a power of two, so the simplex is exact."""
-    _, groups = data.draw(group_problems("only" if mode == "plain" else "optional",
+    speech coefficients with p a power of two, so the simplex is exact.
+    Id "plain" draws free columns only."""
+    _, groups = data.draw(group_problems(identity,
                                          p_values=st.sampled_from([1, 2, 4, 8])))
     if mode == "dense":
         for g in groups:
@@ -418,8 +443,8 @@ def test_generated_exact_fixed_point(mode, data):
 @given(data=st.data())
 @hsettings(max_examples=25, deadline=None)
 def test_generated_dense_keeps_simplex(data):
-    Y, groups = data.draw(group_problems())
-    result = nmf.solve(Y, groups, nmf.SolverSettings(iterations=5), mode="dense")
+    Y, groups = data.draw(group_problems(zero_lines=True))
+    result = solve_finite(Y, groups, nmf.SolverSettings(iterations=5), "dense")
     for g in result.groups:
         assert np.all(g.coeffs >= 0)
         if g.kind == "speech" and g.psi is not None:
@@ -429,18 +454,18 @@ def test_generated_dense_keeps_simplex(data):
 @given(data=st.data())
 @hsettings(max_examples=25, deadline=None)
 def test_generated_plain_equals_lin_with_identity_basis(data):
-    """A leading m = 1 free column in plain mode matches the same column
-    under an identity basis in lin mode, ahead of the generated groups."""
+    """A leading m = 1 free column matches the same column under an identity
+    basis, ahead of the generated groups."""
     Y, rest = data.draw(group_problems("none"))
     K = Y.shape[0]
     column = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(K) + 0.1
     s = nmf.SolverSettings(iterations=5)
     results = []
-    for psi, mode in ((None, "plain"), (np.eye(K), "lin")):
+    for psi in (None, np.eye(K)):
         groups = [nmf.BasisGroup(psi=psi, coeffs=[column], kind="speech")]
         groups += [nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
                    for g in rest]  # BasisGroup copies the coefficients
-        results.append(nmf.solve(Y, groups, s, mode=mode))
+        results.append(nmf.solve(Y, groups, s, mode="lin"))
     plain, lin = results
     assert np.allclose(plain.dictionary, lin.dictionary, rtol=1e-9, atol=0)
     assert np.allclose(plain.gains, lin.gains, rtol=1e-9, atol=0)

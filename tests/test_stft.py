@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from harmonmf.signal_io import Signal
-from harmonmf.stft import (FrameParams, default_frame_params, hann_window,
-                           istft, stft, window_magnitude_spectrum)
+from harmonmf.stft import (FrameParams, WindowSpectrum, default_frame_params,
+                           hann_window, istft, stft)
 
 
 def test_hann_small():
@@ -107,22 +107,17 @@ def test_magnitude_is_abs():
 
 
 def test_window_spectrum_peak_and_symmetry():
-    ws = window_magnitude_spectrum(default_frame_params(8000))
-    assert ws.evaluate(0.0) == ws.peak
+    ws = WindowSpectrum(default_frame_params(8000))
+    assert ws.evaluate(0.0) == 1.0  # unit peak
     omegas = np.linspace(0.01, 3.0, 50)
     assert np.max(np.abs(ws.evaluate(omegas) - ws.evaluate(-omegas))) < 1e-12
 
 
 def test_window_spectrum_first_zero():
     p = default_frame_params(8000)
-    ws = window_magnitude_spectrum(p)
+    ws = WindowSpectrum(p)
     # two DFT bins from center for the unpadded length
-    assert ws.evaluate(8 * np.pi / p.window_len) < 1e-3 * ws.peak
-
-
-def test_window_spectrum_oversample_check():
-    with pytest.raises(ValueError):
-        window_magnitude_spectrum(default_frame_params(8000), oversample=2)
+    assert ws.evaluate(8 * np.pi / p.window_len) < 1e-3
 
 
 def test_frame_params_validation():
