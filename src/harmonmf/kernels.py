@@ -1,5 +1,5 @@
 """Numeric kernels of the multiplicative-update solver: the ratio refresh,
-the rank-1 model update and the floored KL divergence.
+the model update after a dictionary step and the floored KL divergence.
 
 They stay in their own module, called as ``kernels.<name>``, so that a
 profiler can wrap each one by its module attribute.
@@ -15,8 +15,10 @@ def refresh_ratio(Y, V, eps, out):
 
 
 def rank1_add(V, d, x):
-    """V += outer(d, x), in place."""
-    V += d[:, None] * x[None, :]
+    """V += d @ x, in place, for the K x n dictionary change d and the n x T
+    gains x.  The name is older than this form: profilers wrap the function
+    by it."""
+    V += d @ x
     return V
 
 

@@ -14,13 +14,16 @@ Two multiplicative-update modes over one solver path:
 Free columns need no mode of their own: they are the groups with
 ``psi=None``, and they take the same step in either mode.
 
-Each iteration first updates all free columns jointly from one ratio
-refresh, by the Lee-Seung KL dictionary step W <- W * (R X^T) / (1 X^T)
-(Lee & Seung, NIPS 2000), then updates the constrained columns one at a
-time in dictionary order, each from a freshly refreshed ratio, and last the
-gains.  The free-column and lin steps (X fixed) and the gain step (D fixed)
-each do not increase KL + sparsity.  The dense rule has no such guarantee:
-with Y = [[0.8674], [0.0436]] (2 bins, 1 frame), one speech atom on a 2 x 4
+Each iteration takes one joint dictionary step and then one gain step.
+The dictionary step refreshes the ratio R = Y / DX once, forms R X^T and
+1 X^T, and updates every group from those two products (a Jacobi step):
+free columns by the Lee-Seung KL step W <- W * (R X^T) / (1 X^T) (Lee &
+Seung, NIPS 2000), groups with a basis by its projection onto Psi.  Because
+DX = sum_g Psi_g A_g^T X_g is linear in all the coefficients stacked
+together, one auxiliary function covers the joint step, so the lin and
+free-column steps (X fixed) and the gain step (D fixed) each do not
+increase KL + sparsity.  The dense rule has no such guarantee: with
+Y = [[0.8674], [0.0436]] (2 bins, 1 frame), one speech atom on a 2 x 4
 basis, alpha = 2 and lambda = 0, its total objective rises over some
 iterations (README, "Python API").
 
@@ -65,15 +68,15 @@ class BasisGroup:
 
 def realize(groups) -> np.ndarray:
     """The K x n dictionary of ordered groups; speech groups must precede
-    noise groups.  Each constrained column is its own matrix-vector product
-    psi @ coeffs[i], the product solve uses after updating that column."""
+    noise groups.  Each group's columns are one product psi @ coeffs.T, the
+    product solve uses after updating the group."""
     kinds = [g.kind for g in groups]
     if not kinds:
         raise ValueError("dictionary needs at least one group")
     if any(a == "noise" and b == "speech" for a, b in zip(kinds, kinds[1:])):
         raise ValueError("speech groups must precede noise groups")
-    return np.column_stack([a if g.psi is None else g.psi @ a
-                            for g in groups for a in g.coeffs])
+    return np.hstack([g.coeffs.T if g.psi is None else g.psi @ g.coeffs.T
+                      for g in groups])
 
 
 def speech_count(groups) -> int:
@@ -160,101 +163,86 @@ def update_gains(X, D, Y, settings: SolverSettings, n_speech: int,
     return X
 
 
-def _atom_projections(psi, ratio, xrow, ones):
-    """Numerator/denominator vectors of the lin rule for one atom.
-
-    The denominator uses an explicit ones-matrix product so that when
-    Y = DX (ratio all ones) both sides are bitwise equal and the fixed
-    point holds exactly.
-    """
-    return psi.T @ (ratio @ xrow), psi.T @ (ones @ xrow)
-
-
-def update_atom_lin(group: BasisGroup, i: int, ratio, xrow, ones=None):
-    """a_i <- a_i * (Psi^T (Y/DX) x_i^T) / (Psi^T 1 x_i^T) for row i of the
-    group's coefficients, in place."""
-    if ones is None:
-        ones = np.ones_like(ratio)
-    num, den = _atom_projections(group.psi, ratio, xrow, ones)
-    a = group.coeffs[i]
-    a *= np.maximum(num, EPSILON) / np.maximum(den, EPSILON)
-    return a
+def update_atom_lin(group: BasisGroup, RX, OX):
+    """A <- A * (Psi^T R X_g^T) / (Psi^T 1 X_g^T), transposed to m x p, in
+    place.  RX = R X_g^T and OX = 1 X_g^T are the group's K x m column
+    slices of the ratio and ones products; with psi None the projection is
+    skipped, which is the Lee-Seung step W <- W * (R X^T) / (1 X^T)."""
+    num, den = (RX, OX) if group.psi is None else (group.psi.T @ RX,
+                                                  group.psi.T @ OX)
+    group.coeffs *= (np.maximum(num, EPSILON) / np.maximum(den, EPSILON)).T
+    return group.coeffs
 
 
-def update_atom_dense(group: BasisGroup, i: int, ratio, xrow, alpha: float,
-                      ones=None):
-    """Density-regularized update of row i on l1-normalized coefficients, in
-    place; the row is renormalized so the simplex constraint holds exactly."""
-    if ones is None:
-        ones = np.ones_like(ratio)
-    a = group.coeffs[i]
-    norm = a.sum()
-    if norm <= 0:
-        raise ValueError("dense update requires a nonzero coefficient vector")
-    a_tilde = a / norm
-    num_lin, den_lin = _atom_projections(group.psi, ratio, xrow, ones)
-    num = (a_tilde @ den_lin) + num_lin + alpha * (a_tilde @ a_tilde)
-    den = den_lin + (a_tilde @ num_lin) + alpha * a_tilde
+def update_atom_dense(group: BasisGroup, RX, OX, alpha: float):
+    """Density-regularized update of every row on l1-normalized
+    coefficients, in place; each row is renormalized so the simplex
+    constraint holds exactly.  RX and OX are as in update_atom_lin.  Every
+    row must have a positive sum (solve checks this)."""
+    A = group.coeffs
+    a_tilde = A / A.sum(axis=1, keepdims=True)
+    num_lin, den_lin = (group.psi.T @ RX).T, (group.psi.T @ OX).T
+    num = (_rowdot(a_tilde, den_lin) + num_lin
+           + alpha * _rowdot(a_tilde, a_tilde))
+    den = den_lin + _rowdot(a_tilde, num_lin) + alpha * a_tilde
     new = a_tilde * (np.maximum(num, EPSILON) / np.maximum(den, EPSILON))
-    a[:] = new / new.sum()
-    return a
+    A[:] = new / new.sum(axis=1, keepdims=True)
+    return A
 
 
-def update_free_columns(free, D, ratio, X, ones):
-    """W <- W * (R X_f^T) / (1 X_f^T) jointly over the columns W of all
-    identity groups, with X fixed; ``ratio`` is R = Y/DX and ``free`` lists
-    (group, its column range in D).  Updates the groups' coefficients and
-    their columns of D in place.
+def _rowdot(a, b):
+    """Row-wise dot products of two m x p arrays, as an m x 1 column."""
+    return np.einsum("ij,ij->i", a, b)[:, None]
 
-    The denominator uses an explicit ones-matrix product so that when
-    Y = DX both sides are bitwise equal and the fixed point holds exactly.
-    """
-    xt = X[[j for _, cols in free for j in cols]].T
-    step = np.maximum(ratio @ xt, EPSILON) / np.maximum(ones @ xt, EPSILON)
-    k = 0
-    for group, cols in free:
-        group.coeffs *= step[:, k:k + group.m].T
-        D[:, cols] = group.coeffs.T
-        k += group.m
+
+def _is_dense(group, mode):
+    return mode == "dense" and group.kind == "speech" and group.psi is not None
 
 
 def solve(Y, groups, settings: SolverSettings, mode: str,
           frozen_dictionary: bool = False, initial_gains=None,
           trace: bool = True) -> SolveResult:
-    """Alternate dictionary updates and one gain update per iteration.
+    """Alternate one joint dictionary step and one gain update per iteration.
 
-    Free columns (identity groups) take one joint Lee-Seung step; the
-    columns of groups with a basis then follow one at a time: in dense mode
-    speech columns use the density rule, all others the lin rule.  The
+    The dictionary step refreshes the ratio once and updates every group
+    from it: in dense mode speech groups with a basis use the density rule,
+    all others the lin rule (free columns: the Lee-Seung step).  The
     groups' coefficients are updated in place.
     With frozen_dictionary only the gains are updated (Oracle baseline).
     With trace=False only the final objective point is computed.
     Deterministic given the settings seed.
+    Raises ValueError before the first iteration on a non-finite or
+    negative Y or initial gains, or a dense-mode speech row summing to 0.
     """
     if mode not in ("lin", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
     Y = np.ascontiguousarray(Y, dtype=np.float64)
     K, T = Y.shape
-    if mode == "dense":
-        for g in groups:
-            if g.kind == "speech" and g.psi is not None:
-                for a in g.coeffs:
-                    a /= a.sum()
+    if not np.all(np.isfinite(Y) & (Y >= 0)):
+        raise ValueError("spectrogram must be finite and non-negative")
+    n = sum(g.m for g in groups)
+    if initial_gains is not None:
+        X = np.array(initial_gains, dtype=np.float64)
+        if X.shape != (n, T):
+            raise ValueError("initial gains shape mismatch")
+        if not np.all(np.isfinite(X) & (X >= 0)):
+            raise ValueError("initial gains must be finite and non-negative")
+    else:
+        rng = np.random.default_rng(settings.seed)
+        X = 1.0 - rng.random((n, T))  # uniform (0, 1]
+    dense_groups = [g for g in groups if _is_dense(g, mode)]
+    if any(np.any(g.coeffs.sum(axis=1) <= 0) for g in dense_groups):
+        raise ValueError("dense mode needs every speech coefficient row "
+                         "to have a positive sum")
+    for g in dense_groups:
+        g.coeffs /= g.coeffs.sum(axis=1, keepdims=True)
     D = realize(groups)
     if D.shape[0] != K:
         raise ValueError("dictionary row count does not match spectrogram")
-    if initial_gains is not None:
-        X = np.array(initial_gains, dtype=np.float64)
-        if X.shape != (D.shape[1], T):
-            raise ValueError("initial gains shape mismatch")
-    else:
-        rng = np.random.default_rng(settings.seed)
-        X = 1.0 - rng.random((D.shape[1], T))  # uniform (0, 1]
 
     starts = np.cumsum([0] + [g.m for g in groups])
-    layout = [(g, range(s, s + g.m)) for g, s in zip(groups, starts)]
-    free = [(g, cols) for g, cols in layout if g.psi is None]
-    constrained = [(g, cols) for g, cols in layout if g.psi is not None]
+    layout = [(g, slice(s, s + g.m), _is_dense(g, mode))
+              for g, s in zip(groups, starts)]
     n_speech = speech_count(groups)
     ones = np.ones_like(Y)
     ratio = np.empty_like(Y)
@@ -265,23 +253,18 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
-            if free:
-                kernels.refresh_ratio(Y, V, EPSILON, ratio)
-                update_free_columns(free, D, ratio, X, ones)
-                V = D @ X
-            for g, cols in constrained:
-                dense = mode == "dense" and g.kind == "speech"
-                for i, j in enumerate(cols):
-                    kernels.refresh_ratio(Y, V, EPSILON, ratio)
-                    xrow = X[j]
-                    d_old = D[:, j].copy()
-                    if dense:
-                        update_atom_dense(g, i, ratio, xrow, settings.alpha, ones)
-                    else:
-                        update_atom_lin(g, i, ratio, xrow, ones)
-                    d_new = g.psi @ g.coeffs[i]
-                    D[:, j] = d_new
-                    kernels.rank1_add(V, d_new - d_old, xrow)
+            kernels.refresh_ratio(Y, V, EPSILON, ratio)
+            # 1 X^T is an explicit ones product, so that at Y = DX both
+            # quotients are bitwise equal and the fixed point is exact.
+            RX, OX = ratio @ X.T, ones @ X.T
+            for g, cols, dense in layout:
+                if dense:
+                    update_atom_dense(g, RX[:, cols], OX[:, cols], settings.alpha)
+                else:
+                    update_atom_lin(g, RX[:, cols], OX[:, cols])
+            D_new = realize(groups)
+            kernels.rank1_add(V, D_new - D, X)
+            D = D_new
         kernels.refresh_ratio(Y, V, EPSILON, ratio)
         update_gains(X, D, Y, settings, n_speech, ratio=ratio, ones=ones)
         V = D @ X

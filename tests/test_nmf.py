@@ -5,14 +5,14 @@ from hypothesis import given, settings as hsettings, strategies as st
 from harmonmf import nmf
 
 
-def random_problem(seed, K=16, T=12, n_speech=4, n_noise=2, p=5):
-    """One m = 1 group, with its own basis, per atom."""
+def random_problem(seed, K=16, T=12, n_speech=4, n_noise=2, p=5, m=1):
+    """One group of m atoms, with its own basis, per speech or noise group."""
     rng = np.random.default_rng(seed)
     groups = [nmf.BasisGroup(psi=rng.random((K, p)) + 0.01,
-                             coeffs=[rng.random(p) + 0.1], kind="speech")
+                             coeffs=rng.random((m, p)) + 0.1, kind="speech")
               for _ in range(n_speech)]
     groups += [nmf.BasisGroup(psi=rng.random((K, p)) + 0.01,
-                              coeffs=[rng.random(p) + 0.1], kind="noise")
+                              coeffs=rng.random((m, p)) + 0.1, kind="noise")
                for _ in range(n_noise)]
     Y = rng.random((K, T)) + 0.01
     return Y, groups
@@ -99,68 +99,83 @@ def test_update_gains_zero_locking():
     assert np.all(X >= 0)
 
 
+def products(ratio, X):
+    """The step's K x n products R X^T and 1 X^T (explicit ones matrix)."""
+    return ratio @ X.T, np.ones_like(ratio) @ X.T
+
+
+def basis_group(rng, K, p, m, coeffs=None):
+    return nmf.BasisGroup(psi=rng.random((K, p)) + 0.1, kind="speech",
+                          coeffs=rng.random((m, p)) + 0.1 if coeffs is None
+                          else np.tile(coeffs, (m, 1)))
+
+
 def test_update_atom_lin_scalar_case():
     group = nmf.BasisGroup(psi=np.array([[1.0]]), coeffs=[[1.0]], kind="speech")
     ratio = np.array([[3.0]])  # Y/DX with Y=3, DX=1
-    nmf.update_atom_lin(group, 0, ratio, np.array([1.0]))
+    nmf.update_atom_lin(group, *products(ratio, np.array([[1.0]])))
     assert group.coeffs[0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_update_atom_lin_fixed_point_exact():
-    Y, d = random_problem(7)
-    X = np.random.default_rng(8).random((len(d), Y.shape[1])) + 0.5
+    Y, d = random_problem(7, m=3)
+    X = np.random.default_rng(8).random((3 * len(d), Y.shape[1])) + 0.5
     Y = nmf.realize(d) @ X
-    ones = np.ones_like(Y)
-    ratio = Y / np.maximum(nmf.realize(d) @ X, 1e-12)
+    RX, OX = products(Y / np.maximum(nmf.realize(d) @ X, 1e-12), X)
     for j, group in enumerate(d):
         before = group.coeffs.copy()
-        nmf.update_atom_lin(group, 0, ratio, X[j], ones=ones)
+        nmf.update_atom_lin(group, RX[:, 3 * j:3 * j + 3], OX[:, 3 * j:3 * j + 3])
         assert np.array_equal(group.coeffs, before)
 
 
 def test_update_atom_lin_inactive_row_unchanged():
-    Y, d = random_problem(9)
-    group = d[0]
+    """A row whose gains are all zero keeps its coefficients while the
+    other rows of its group move."""
+    rng = np.random.default_rng(9)
+    K, T = 16, 12
+    group = basis_group(rng, K, 5, m=3)
     before = group.coeffs.copy()
-    ratio = np.random.default_rng(10).random(Y.shape) + 0.1
-    nmf.update_atom_lin(group, 0, ratio, np.zeros(Y.shape[1]))
-    assert np.array_equal(group.coeffs, before)
+    ratio = np.random.default_rng(10).random((K, T)) + 0.1
+    X = rng.random((3, T)) + 0.1
+    X[1] = 0.0
+    nmf.update_atom_lin(group, *products(ratio, X))
+    assert np.array_equal(group.coeffs[1], before[1])
+    for i in (0, 2):
+        assert not np.array_equal(group.coeffs[i], before[i])
 
 
 def test_update_atom_dense_uniform_fixed_point_exact():
     K, T, p = 16, 10, 8  # p a power of two keeps the simplex arithmetic exact
     rng = np.random.default_rng(12)
-    group = nmf.BasisGroup(psi=rng.random((K, p)) + 0.1,
-                           coeffs=[np.full(p, 1.0 / p)], kind="speech")
-    X = rng.random((1, T)) + 0.5
+    group = basis_group(rng, K, p, m=3, coeffs=np.full(p, 1.0 / p))
+    X = rng.random((3, T)) + 0.5
     Y = nmf.realize([group]) @ X
     ratio = Y / np.maximum(nmf.realize([group]) @ X, 1e-12)
-    nmf.update_atom_dense(group, 0, ratio, X[0], alpha=10.0, ones=np.ones_like(Y))
-    assert np.array_equal(group.coeffs[0], np.full(p, 1.0 / p))
+    nmf.update_atom_dense(group, *products(ratio, X), alpha=10.0)
+    assert np.array_equal(group.coeffs, np.full((3, p), 1.0 / p))
 
 
 def test_update_atom_dense_keeps_simplex():
     rng = np.random.default_rng(13)
-    group = nmf.BasisGroup(psi=rng.random((8, 5)) + 0.1,
-                           coeffs=[rng.random(5) + 0.1], kind="speech")
+    group = basis_group(rng, 8, 5, m=3)
     ratio = rng.random((8, 6)) + 0.1
     for _ in range(10):
-        nmf.update_atom_dense(group, 0, ratio, rng.random(6) + 0.1, alpha=10.0)
-        assert abs(group.coeffs[0].sum() - 1.0) <= 1e-10
+        nmf.update_atom_dense(group, *products(ratio, rng.random((3, 6)) + 0.1),
+                              alpha=10.0)
+        assert np.all(np.abs(group.coeffs.sum(axis=1) - 1.0) <= 1e-10)
         assert np.all(group.coeffs >= 0)
 
 
 def test_update_atom_dense_large_alpha_goes_uniform():
     rng = np.random.default_rng(14)
     K, T, p = 16, 12, 6
-    group = nmf.BasisGroup(psi=rng.random((K, p)) + 0.1,
-                           coeffs=[rng.random(p) + 0.1], kind="speech")
-    X = rng.random((1, T)) + 0.1
+    group = basis_group(rng, K, p, m=3)
+    X = rng.random((3, T)) + 0.1
     Y = rng.random((K, T)) + 0.1
     for _ in range(200):
         ratio = Y / np.maximum(nmf.realize([group]) @ X, 1e-12)
-        nmf.update_atom_dense(group, 0, ratio, X[0], alpha=1e6)
-    assert np.max(np.abs(group.coeffs[0] - 1.0 / p)) < 1e-3
+        nmf.update_atom_dense(group, *products(ratio, X), alpha=1e6)
+    assert np.max(np.abs(group.coeffs - 1.0 / p)) < 1e-3
 
 
 @pytest.mark.parametrize("mode", ["lin", "dense"])
@@ -218,17 +233,18 @@ def lee_seung_step(Y, D, X, columns, eps=nmf.EPSILON):
 
 
 def test_free_block_step_is_lee_seung():
-    """Free columns take one joint step from the same ratio; a constrained
-    atom after them is updated from the refreshed model."""
+    """One dictionary step updates a free group and a constrained group from
+    the same ratio: the free columns by the Lee-Seung step, the constrained
+    atoms by the lin rule."""
     K, T, n_free = 10, 7, 4
     rng = np.random.default_rng(27)
     Y = rng.random((K, T)) + 0.1
-    d = [nmf.BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind="speech")
-         for _ in range(n_free)]
-    d.append(nmf.BasisGroup(psi=rng.random((K, 3)) + 0.1,
-                            coeffs=[rng.random(3) + 0.1], kind="noise"))
-    D0, a0 = nmf.realize(d), d[-1].coeffs[0].copy()
-    X0 = rng.random((len(d), T)) + 0.1
+    d = [nmf.BasisGroup(psi=None, coeffs=rng.random((n_free, K)) + 0.1,
+                        kind="speech"),
+         nmf.BasisGroup(psi=rng.random((K, 3)) + 0.1,
+                        coeffs=rng.random((2, 3)) + 0.1, kind="noise")]
+    D0, A0 = nmf.realize(d), d[-1].coeffs.copy()
+    X0 = rng.random((n_free + 2, T)) + 0.1
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0, iterations=1)
     result = nmf.solve(Y, d, s, mode="lin", initial_gains=X0)
     expected = lee_seung_step(Y, D0, X0, range(n_free))
@@ -237,10 +253,12 @@ def test_free_block_step_is_lee_seung():
                        rtol=1e-12, atol=0)
     assert not np.allclose(realized[:, :n_free], D0[:, :n_free])
     assert np.array_equal(nmf.realize(result.groups), realized)
-    psi, x = d[-1].psi, X0[n_free]
-    ratio = Y / (expected @ X0)
-    a1 = a0 * (psi.T @ (ratio @ x)) / (psi.T @ (np.ones_like(Y) @ x))
-    assert np.allclose(d[-1].coeffs[0], a1, rtol=1e-12, atol=0)
+    psi, ratio = d[-1].psi, Y / (D0 @ X0)
+    for i, a0 in enumerate(A0):
+        x = X0[n_free + i]
+        a1 = a0 * (psi.T @ (ratio @ x)) / (psi.T @ (np.ones_like(Y) @ x))
+        assert np.allclose(d[-1].coeffs[i], a1, rtol=1e-12, atol=0)
+        assert np.allclose(realized[:, n_free + i], psi @ a1, rtol=1e-12, atol=0)
 
 
 def test_plain_equals_lin_with_identity_basis():
@@ -469,3 +487,68 @@ def test_generated_plain_equals_lin_with_identity_basis(data):
     plain, lin = results
     assert np.allclose(plain.dictionary, lin.dictionary, rtol=1e-9, atol=0)
     assert np.allclose(plain.gains, lin.gains, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_group_step_equals_single_atom_rule(mode, data):
+    """Row i of one per-group step equals the single-atom rule, written out
+    from that row's own projections Psi^T R x_i^T and Psi^T 1 x_i^T."""
+    Y, groups = data.draw(group_problems())
+    D = nmf.realize(groups)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="X seed"))
+    X = rng.random((D.shape[1], Y.shape[1])) + 0.1
+    X[rng.random(D.shape[1]) < 0.2] = 0.0  # some inactive rows
+    ratio = Y / np.maximum(D @ X, nmf.EPSILON)
+    RX, OX = products(ratio, X)
+    ones, eps, alpha = np.ones_like(Y), nmf.EPSILON, 3.0
+    start = 0
+    for g in groups:
+        psi = np.eye(Y.shape[0]) if g.psi is None else g.psi
+        dense = mode == "dense" and g.psi is not None
+        expected = []
+        for i, a in enumerate(g.coeffs):
+            x = X[start + i]
+            num, den = psi.T @ (ratio @ x), psi.T @ (ones @ x)
+            if dense:
+                at = a / a.sum()
+                num, den = (at @ den + num + alpha * (at @ at),
+                            den + at @ num + alpha * at)
+                new = at * np.maximum(num, eps) / np.maximum(den, eps)
+                expected.append(new / new.sum())
+            else:
+                expected.append(a * np.maximum(num, eps) / np.maximum(den, eps))
+        cols = slice(start, start + g.m)
+        if dense:
+            nmf.update_atom_dense(g, RX[:, cols], OX[:, cols], alpha)
+        else:
+            nmf.update_atom_lin(g, RX[:, cols], OX[:, cols])
+        assert np.allclose(g.coeffs, expected, rtol=1e-12, atol=0)
+        start += g.m
+
+
+# case -> (what is corrupted, index, value); a speech row of zeros is bad in
+# dense mode only
+BAD_INPUT = {"Y nan": ("Y", (3, 4), np.nan), "Y inf": ("Y", (0, 0), np.inf),
+             "Y negative": ("Y", (2, 1), -1e-3),
+             "gains nan": ("gains", (1, 2), np.nan),
+             "gains inf": ("gains", (0, 0), np.inf),
+             "gains negative": ("gains", (5, 3), -0.5),
+             "dense zero row": ("coeffs", 1, 0.0)}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_solve_rejects_bad_input(case, monkeypatch):
+    """Rejected before the first iteration: no ratio is ever refreshed."""
+    Y, groups = random_problem(31, m=2)
+    X = np.random.default_rng(32).random((2 * len(groups), Y.shape[1])) + 0.1
+    target, index, value = BAD_INPUT[case]
+    {"Y": Y, "gains": X, "coeffs": groups[1].coeffs}[target][index] = value
+    refreshes = []
+    monkeypatch.setattr(nmf.kernels, "refresh_ratio",
+                        lambda *args: refreshes.append(args))
+    with pytest.raises(ValueError):
+        nmf.solve(Y, groups, nmf.SolverSettings(iterations=3),
+                  "dense" if target == "coeffs" else "lin", initial_gains=X)
+    assert refreshes == []

@@ -47,3 +47,32 @@ def test_every_traced_layer_is_called(tmp_path):
     uncalled = sorted({name for name, _, _, _ in tracing.TARGETS
                        if spans.get(name, (0, 0, 0))[2] < 1})
     assert uncalled == []
+
+
+@pytest.mark.parametrize("mode", ["dense", "lin"])
+def test_enhance_call_structure(tmp_path, mode):
+    """Per iteration the solve refreshes the ratio twice, updates the model
+    once after the dictionary step, updates each of the G groups once and
+    the gains once: G = L harmonic groups plus one noise group."""
+    L, iterations = 3, 3
+    write_wav(white_noise(seconds=3.0, seed=7), tmp_path / "noise.wav")
+    write_wav(harmonic_signal(seconds=1.0), tmp_path / "clean.wav")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"L = {L}\nm = 2\np_star = 6\nr = 2\nm_n = 2\n"
+                   f"iterations = {iterations}\n")
+    shapes = tmp_path / "shapes.nshp"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-noise", str(tmp_path / "noise.wav"), str(shapes),
+                     "--config", str(cfg)]) == 0
+        with _tracing().Tracer().request() as spans:
+            assert main(["enhance", str(tmp_path / "clean.wav"), str(shapes),
+                         str(tmp_path / "out.wav"), "--config", str(cfg),
+                         "--mode", mode]) == 0
+    calls = {name: spans[name][2] for name in
+             ("kernels.refresh_ratio", "kernels.rank1_add", "nmf.atom_update",
+              "nmf.update_gains", "nmf.solve")}
+    assert calls == {"kernels.refresh_ratio": 2 * iterations,
+                     "kernels.rank1_add": iterations,
+                     "nmf.atom_update": (L + 1) * iterations,
+                     "nmf.update_gains": iterations,
+                     "nmf.solve": 1}
