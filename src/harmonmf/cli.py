@@ -133,7 +133,7 @@ def cmd_enhance(args) -> int:
     out_path = args.out_wav or os.path.join(paths.get("out_dir", "."), "denoised.wav")
     noisy = read_wav(noisy_path)
     shapes = load_noise_shapes(shapes_path)
-    result = run_enhance(noisy, shapes, config)
+    result = run_enhance(noisy, shapes, config, trace=args.dump_diagnostics)
     _atomic(out_path, lambda tmp: write_wav(result.denoised, tmp))
     if args.dump_diagnostics:
         base = os.path.splitext(out_path)[0]
@@ -158,9 +158,11 @@ def cmd_evaluate(args) -> int:
         noisy, _ = mix_at_snr(clean, noise, target)
         results = {
             "lin": run_enhance(noisy, shapes,
-                               dataclasses.replace(config, mode="lin")),
+                               dataclasses.replace(config, mode="lin"),
+                               trace=False),
             "dense": run_enhance(noisy, shapes,
-                                 dataclasses.replace(config, mode="dense")),
+                                 dataclasses.replace(config, mode="dense"),
+                                 trace=False),
             "plain": enhance_plain(noisy, shapes, config,
                                        free_atoms=args.free_atoms),
             "oracle": enhance_oracle(noisy, clean, shapes, config,

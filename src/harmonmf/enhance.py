@@ -63,7 +63,9 @@ class EnhanceConfig:
         require(self.mode in ("lin", "dense"), "'lin' or 'dense'", "mode")
         require(self.seed >= 0, "non-negative", "seed")
         try:
-            self.frame_params()
+            # the .nshp header stores window_len and hop (<= window_len) as u32
+            if self.frame_params().window_len >= 2**32:
+                raise ValueError
         except (ValueError, OverflowError):  # OverflowError: sr * window_ms is inf
             raise ValueError(f"window_ms = {self.window_ms!r} with overlap = "
                              f"{self.overlap!r} gives a degenerate frame at "
@@ -123,7 +125,7 @@ def _check_shapes(shapes: NoiseShapes, params: FrameParams):
 
 
 def _run(noisy: Signal, groups: list, config: EnhanceConfig, mode: str,
-         frozen: bool = False) -> EnhanceResult:
+         frozen: bool = False, trace: bool = True) -> EnhanceResult:
     params = config.frame_params()
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
@@ -135,7 +137,7 @@ def _run(noisy: Signal, groups: list, config: EnhanceConfig, mode: str,
     spec = stft(padded, params)
     Y = spec.magnitude()
     result = nmf.solve(Y.values, groups, config.solver_settings(), mode=mode,
-                       frozen_dictionary=frozen)
+                       frozen_dictionary=frozen, trace=trace)
     D, X = result.dictionary, result.gains
     ms = nmf.speech_count(groups)
     speech = MagnitudeSpectrogram(D[:, :ms] @ X[:ms], params)
@@ -149,13 +151,16 @@ def _run(noisy: Signal, groups: list, config: EnhanceConfig, mode: str,
     return EnhanceResult(denoised, speech, noise, result.trace)
 
 
-def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig) -> EnhanceResult:
-    """Constrained enhancement with harmonic speech atoms (lin or dense mode)."""
+def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
+            trace: bool = True) -> EnhanceResult:
+    """Constrained enhancement with harmonic speech atoms (lin or dense mode).
+    With trace=False the objective trace holds only the final point; the
+    output is the same."""
     params = config.frame_params()
     _check_shapes(shapes, params)
     groups = build_speech_atoms(config, params)
     groups.append(build_noise_bases(shapes, config.m_n, config.seed))
-    return _run(noisy, groups, config, config.mode)
+    return _run(noisy, groups, config, config.mode, trace=trace)
 
 
 def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
@@ -210,7 +215,7 @@ def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,
 def _sweep_cell(arg):
     noisy, clean, shapes, config, L, lam = arg
     cell_config = replace(config, L=L, lambda_s=lam, mode="dense")
-    result = enhance(noisy, shapes, cell_config)
+    result = enhance(noisy, shapes, cell_config, trace=False)
     return (L, lam, L * config.m + config.m_n,
             snr_db(clean, result.denoised))
 

@@ -18,7 +18,11 @@ Each iteration takes one joint dictionary step and then one gain step.
 The dictionary step refreshes the ratio R = Y / DX once, forms R X^T and
 1 X^T, and updates every group from those two products (a Jacobi step):
 free columns by the Lee-Seung KL step W <- W * (R X^T) / (1 X^T) (Lee &
-Seung, NIPS 2000), groups with a basis by its projection onto Psi.  Because
+Seung, NIPS 2000), groups with a basis by its projection onto Psi.  The
+denominators 1 X^T and D^T 1 are row and column sums; each numerator is its
+denominator plus a product with E = R - 1 (R X^T = 1 X^T + E X^T, D^T R =
+D^T 1 + D^T E).  At Y = DX, E is exactly 0, so every numerator equals its
+denominator bitwise and the fixed point is exact for any BLAS.  Because
 DX = sum_g Psi_g A_g^T X_g is linear in all the coefficients stacked
 together, one auxiliary function covers the joint step, so the lin and
 free-column steps (X fixed) and the gain step (D fixed) each do not
@@ -147,16 +151,21 @@ def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoi
     return ObjectivePoint(iteration, kl, sparsity, density)
 
 
-def update_gains(X, D, Y, settings: SolverSettings, n_speech: int,
-                 ratio=None, ones=None):
-    """X <- X * (D^T (Y/DX)) / (D^T 1 + lambda), lambda per row block, in place."""
-    if ratio is None:
-        V = D @ X
-        ratio = kernels.refresh_ratio(Y, V, EPSILON, np.empty_like(V))
-    if ones is None:
-        ones = np.ones_like(Y)
-    num = D.T @ ratio
-    den = D.T @ ones
+def _refresh_excess(Y, V, E):
+    """E = Y / max(V, EPSILON) - 1, in place: the ratio minus one."""
+    kernels.refresh_ratio(Y, V, EPSILON, E)
+    E -= 1.0
+    return E
+
+
+def update_gains(X, D, Y, settings: SolverSettings, n_speech: int, E=None):
+    """X <- X * (D^T 1 + D^T E) / (D^T 1 + lambda), lambda per row block, in
+    place.  E = Y/DX - 1 is computed when not given; D^T 1 is the column sums
+    of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly 1."""
+    if E is None:
+        E = _refresh_excess(Y, D @ X, np.empty_like(Y))
+    den = D.sum(axis=0)[:, None]
+    num = den + D.T @ E
     den[:n_speech] += settings.lambda_speech
     den[n_speech:] += settings.lambda_noise
     X *= np.maximum(num, EPSILON) / np.maximum(den, EPSILON)
@@ -166,7 +175,7 @@ def update_gains(X, D, Y, settings: SolverSettings, n_speech: int,
 def update_atom_lin(group: BasisGroup, RX, OX):
     """A <- A * (Psi^T R X_g^T) / (Psi^T 1 X_g^T), transposed to m x p, in
     place.  RX = R X_g^T and OX = 1 X_g^T are the group's K x m column
-    slices of the ratio and ones products; with psi None the projection is
+    slices of those two products; with psi None the projection is
     skipped, which is the Lee-Seung step W <- W * (R X^T) / (1 X^T)."""
     num, den = (RX, OX) if group.psi is None else (group.psi.T @ RX,
                                                   group.psi.T @ OX)
@@ -244,8 +253,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     layout = [(g, slice(s, s + g.m), _is_dense(g, mode))
               for g, s in zip(groups, starts)]
     n_speech = speech_count(groups)
-    ones = np.ones_like(Y)
-    ratio = np.empty_like(Y)
+    E = np.empty_like(Y)
     V = D @ X
     points = []
     if trace:
@@ -253,10 +261,9 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
-            kernels.refresh_ratio(Y, V, EPSILON, ratio)
-            # 1 X^T is an explicit ones product, so that at Y = DX both
-            # quotients are bitwise equal and the fixed point is exact.
-            RX, OX = ratio @ X.T, ones @ X.T
+            _refresh_excess(Y, V, E)
+            OX = np.tile(X.sum(axis=1), (K, 1))
+            RX = OX + E @ X.T
             for g, cols, dense in layout:
                 if dense:
                     update_atom_dense(g, RX[:, cols], OX[:, cols], settings.alpha)
@@ -265,8 +272,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
             D_new = realize(groups)
             kernels.rank1_add(V, D_new - D, X)
             D = D_new
-        kernels.refresh_ratio(Y, V, EPSILON, ratio)
-        update_gains(X, D, Y, settings, n_speech, ratio=ratio, ones=ones)
+        update_gains(X, D, Y, settings, n_speech, E=_refresh_excess(Y, V, E))
         V = D @ X
         if trace or it == settings.iterations:
             points.append(_objective_point(it, Y, V, groups, X, settings, mode))

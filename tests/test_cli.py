@@ -326,6 +326,8 @@ BAD_CONFIG = [
     ("mode", "plain"), ("seed", "-1"),
     ("window_ms", "1e306"),  # sr * window_ms overflows to inf
     ("sr", "1" + "0" * 400),  # sr / 2 overflows
+    # window_len >= 2**32 samples does not fit the .nshp header's u32
+    ("window_ms", "1e300"), ("window_ms", "1e9"),
 ]
 
 

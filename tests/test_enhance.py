@@ -94,6 +94,28 @@ def test_enhance_deterministic(noise_shapes, desk_mixture):
     assert np.array_equal(a.denoised.samples, b.denoised.samples)
 
 
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+def test_enhance_trace_off_same_output(noise_shapes, desk_mixture, mode):
+    """trace=False skips the objective until the final point; the output
+    does not change."""
+    _, noisy = desk_mixture
+    on = enhance(noisy, noise_shapes, small_config(mode=mode))
+    off = enhance(noisy, noise_shapes, small_config(mode=mode), trace=False)
+    assert np.array_equal(off.denoised.samples, on.denoised.samples)
+    assert np.array_equal(off.speech_magnitude.values, on.speech_magnitude.values)
+    assert np.array_equal(off.noise_magnitude.values, on.noise_magnitude.values)
+    assert off.objective_trace == on.objective_trace[-1:]
+
+
+def test_config_frame_fits_shapes_header():
+    """The .nshp header stores window_len as u32: at 8 kHz a window of
+    2**32 - 1 samples is accepted and one of 2**32 is a degenerate frame."""
+    longest = EnhanceConfig(window_ms=(2**32 - 1) / 8)
+    assert longest.frame_params().window_len == 2**32 - 1
+    with pytest.raises(ValueError, match="degenerate frame"):
+        EnhanceConfig(window_ms=2**32 / 8)
+
+
 def test_enhance_rate_mismatch(noise_shapes):
     bad = Signal(np.zeros(16000), 16000)
     with pytest.raises(ValueError, match="sample rate"):

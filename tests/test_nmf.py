@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from harmonmf import nmf
+from harmonmf.enhance import EnhanceConfig, build_speech_atoms
 
 
 def random_problem(seed, K=16, T=12, n_speech=4, n_noise=2, p=5, m=1):
@@ -452,6 +453,26 @@ def test_generated_exact_fixed_point(identity, mode, data):
     coeffs0 = [g.coeffs.copy() for g in groups]
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0, iterations=3)
     result = nmf.solve(D @ X0, groups, s, mode=mode, initial_gains=X0)
+    assert np.array_equal(result.gains, X0)
+    assert np.array_equal(result.dictionary, D)
+    for g, c0 in zip(result.groups, coeffs0):
+        assert np.array_equal(g.coeffs, c0)
+
+
+def test_exact_fixed_point_at_production_size(frame_params):
+    """The default 33 harmonic groups plus 16 noise atoms over 1255 frames
+    (10 s): with more than one BLAS thread, products this large take the
+    threaded GEMM path, and Y = DX must still be a bitwise-exact fixed
+    point."""
+    rng = np.random.default_rng(31)
+    groups = build_speech_atoms(EnhanceConfig(), frame_params)
+    groups.append(nmf.BasisGroup(psi=rng.random((frame_params.n_bins, 16)) + 0.01,
+                                 coeffs=rng.random((16, 16)) + 0.1, kind="noise"))
+    D = nmf.realize(groups)
+    X0 = rng.random((D.shape[1], 1255)) + 0.1
+    coeffs0 = [g.coeffs.copy() for g in groups]
+    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, iterations=3)
+    result = nmf.solve(D @ X0, groups, s, mode="lin", initial_gains=X0)
     assert np.array_equal(result.gains, X0)
     assert np.array_equal(result.dictionary, D)
     for g, c0 in zip(result.groups, coeffs0):

@@ -53,7 +53,10 @@ def test_every_traced_layer_is_called(tmp_path):
 def test_enhance_call_structure(tmp_path, mode):
     """Per iteration the solve refreshes the ratio twice, updates the model
     once after the dictionary step, updates each of the G groups once and
-    the gains once: G = L harmonic groups plus one noise group."""
+    the gains once: G = L harmonic groups plus one noise group.  The
+    objective is computed at the final point only, unless
+    --dump-diagnostics asks for the trace: then also at the start and after
+    every iteration, one CSV row each."""
     L, iterations = 3, 3
     write_wav(white_noise(seconds=3.0, seed=7), tmp_path / "noise.wav")
     write_wav(harmonic_signal(seconds=1.0), tmp_path / "clean.wav")
@@ -64,15 +67,24 @@ def test_enhance_call_structure(tmp_path, mode):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train-noise", str(tmp_path / "noise.wav"), str(shapes),
                      "--config", str(cfg)]) == 0
-        with _tracing().Tracer().request() as spans:
+    for diagnostics, points in ((False, 1), (True, iterations + 1)):
+        out = tmp_path / f"out_{diagnostics}.wav"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                _tracing().Tracer().request() as spans:
             assert main(["enhance", str(tmp_path / "clean.wav"), str(shapes),
-                         str(tmp_path / "out.wav"), "--config", str(cfg),
-                         "--mode", mode]) == 0
-    calls = {name: spans[name][2] for name in
-             ("kernels.refresh_ratio", "kernels.rank1_add", "nmf.atom_update",
-              "nmf.update_gains", "nmf.solve")}
-    assert calls == {"kernels.refresh_ratio": 2 * iterations,
-                     "kernels.rank1_add": iterations,
-                     "nmf.atom_update": (L + 1) * iterations,
-                     "nmf.update_gains": iterations,
-                     "nmf.solve": 1}
+                         str(out), "--config", str(cfg), "--mode", mode]
+                        + ["--dump-diagnostics"] * diagnostics) == 0
+        calls = {name: spans[name][2] for name in
+                 ("kernels.refresh_ratio", "kernels.rank1_add",
+                  "nmf.atom_update", "nmf.update_gains", "nmf.solve",
+                  "kernels.kl_divergence_floored")}
+        assert calls == {"kernels.refresh_ratio": 2 * iterations,
+                         "kernels.rank1_add": iterations,
+                         "nmf.atom_update": (L + 1) * iterations,
+                         "nmf.update_gains": iterations,
+                         "nmf.solve": 1,
+                         "kernels.kl_divergence_floored": points}
+        trace_csv = tmp_path / f"out_{diagnostics}_trace.csv"
+        assert trace_csv.exists() == diagnostics
+        if diagnostics:  # a header, then one row per point
+            assert len(trace_csv.read_text().splitlines()) == 1 + points
