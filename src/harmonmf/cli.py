@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import tempfile
@@ -147,12 +148,31 @@ def cmd_enhance(args) -> int:
     return 0
 
 
+def _parse_list(flag, text, kind):
+    """Comma-separated finite values of one flag; a bad value names the flag."""
+    try:
+        values = [kind(v) for v in text.split(",")]
+        if all(math.isfinite(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise CliError(f"{flag}: bad value in {text!r}")
+
+
+def _require_positive(flag, value):
+    if value < 1:
+        raise CliError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_evaluate(args) -> int:
+    _require_positive("--free-atoms", args.free_atoms)
+    _require_positive("--oracle-atoms", args.oracle_atoms)
+    snr_values = (_parse_list("--snr-list", args.snr_list, float)
+                  if args.snr_list else [])
     config, paths = build_config(args)
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))
-    snr_values = [float(v) for v in args.snr_list.split(",")] if args.snr_list else []
     print("method,input_snr_db,output_snr_db")
     for target in snr_values:
         noisy, _ = mix_at_snr(clean, noise, target)
@@ -164,9 +184,10 @@ def cmd_evaluate(args) -> int:
                                  dataclasses.replace(config, mode="dense"),
                                  trace=False),
             "plain": enhance_plain(noisy, shapes, config,
-                                       free_atoms=args.free_atoms),
+                                   free_atoms=args.free_atoms, trace=False),
             "oracle": enhance_oracle(noisy, clean, shapes, config,
-                                         oracle_atoms=args.oracle_atoms),
+                                     oracle_atoms=args.oracle_atoms,
+                                     trace=False),
         }
         for method, result in results.items():
             out = snr_db(clean, result.denoised)
@@ -175,14 +196,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require_positive("--jobs", args.jobs)
+    L_values = _parse_list("--L-list", args.L_list, int)
+    lambda_values = _parse_list("--lambda-list", args.lambda_list, float)
     config, paths = build_config(args, m=5)  # sweep protocol default
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))
-    L_values = [int(v) for v in args.L_list.split(",")]
-    lambda_values = [float(v) for v in args.lambda_list.split(",")]
     noisy, _ = mix_at_snr(clean, noise, args.input_snr)
     rows = sweep_atoms_sparsity(noisy, clean, shapes, config,
                                     L_values, lambda_values, jobs=args.jobs)
@@ -249,6 +269,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a config size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -136,9 +136,11 @@ def _run(noisy: Signal, groups: list, config: EnhanceConfig, mode: str,
     padded = Signal(np.pad(noisy.samples, (wl, wl)), config.sr)
     spec = stft(padded, params)
     Y = spec.magnitude()
-    result = nmf.solve(Y.values, groups, config.solver_settings(), mode=mode,
+    # the solve runs in float32; the Wiener mask and the ISTFT in float64
+    result = nmf.solve(Y.values.astype(np.float32), groups,
+                       config.solver_settings(), mode=mode,
                        frozen_dictionary=frozen, trace=trace)
-    D, X = result.dictionary, result.gains
+    D, X = result.dictionary.astype(np.float64), result.gains.astype(np.float64)
     ms = nmf.speech_count(groups)
     speech = MagnitudeSpectrogram(D[:, :ms] @ X[:ms], params)
     noise = MagnitudeSpectrogram(D[:, ms:] @ X[ms:], params)
@@ -154,6 +156,7 @@ def _run(noisy: Signal, groups: list, config: EnhanceConfig, mode: str,
 def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
             trace: bool = True) -> EnhanceResult:
     """Constrained enhancement with harmonic speech atoms (lin or dense mode).
+    The factorization runs in float32, the Wiener filter in float64.
     With trace=False the objective trace holds only the final point; the
     output is the same."""
     params = config.frame_params()
@@ -164,9 +167,10 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
 
 
 def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
-                   config: EnhanceConfig, oracle_atoms: int = 32) -> EnhanceResult:
+                   config: EnhanceConfig, oracle_atoms: int = 32,
+                   trace: bool = True) -> EnhanceResult:
     """Baseline with the speech dictionary fit on the clean signal and frozen;
-    only the gains adapt."""
+    only the gains adapt.  trace is as in enhance."""
     if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
         raise ValueError("clean and noisy signals must be aligned")
     params = config.frame_params()
@@ -175,12 +179,13 @@ def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     D_s = fit_free_dictionary(clean_mag, oracle_atoms, config.seed)
     groups = [nmf.BasisGroup(psi=None, coeffs=D_s.T, kind="speech"),
               build_noise_bases(shapes, config.m_n, config.seed)]
-    return _run(noisy, groups, config, "lin", frozen=True)
+    return _run(noisy, groups, config, "lin", frozen=True, trace=trace)
 
 
 def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
-                  free_atoms: int = 132) -> EnhanceResult:
-    """Unconstrained-NMF baseline: free speech columns, trained noise shapes."""
+                  free_atoms: int = 132, trace: bool = True) -> EnhanceResult:
+    """Unconstrained-NMF baseline: free speech columns, trained noise shapes.
+    trace is as in enhance."""
     params = config.frame_params()
     _check_shapes(shapes, params)
     rng = np.random.default_rng(config.seed)
@@ -188,7 +193,7 @@ def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     groups = [nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((free_atoms, K)),
                              kind="speech"),
               build_noise_bases(shapes, config.m_n, config.seed)]
-    return _run(noisy, groups, config, "lin")
+    return _run(noisy, groups, config, "lin", trace=trace)
 
 
 def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,

@@ -25,9 +25,11 @@ def rank1_add(V, d, x):
 def kl_divergence_floored(Y, V, eps):
     """Generalized KL divergence sum(Y log(Y/V) - Y + V) with V floored at eps.
 
-    Zero entries of Y contribute V only (0*log 0 taken as 0).
+    Zero entries of Y contribute V only (0*log 0 taken as 0).  Computed and
+    accumulated in float64 whatever the dtype of Y and V.
     """
-    Vf = np.maximum(V, eps)
+    Y = np.asarray(Y, dtype=np.float64)
+    Vf = np.maximum(np.asarray(V, dtype=np.float64), eps)
     pos = Y > 0
     Yp = Y[pos]
     return float(np.sum(Yp * np.log(Yp / Vf[pos]) - Yp) + Vf.sum())

@@ -32,6 +32,12 @@ basis, alpha = 2 and lambda = 0, its total objective rises over some
 iterations (README, "Python API").
 
 Ratios, divergences and update quotients floor their operands at EPSILON.
+
+``solve`` computes in float32 when Y is float32 and in float64 for any other
+input; it casts the groups and the start gains to that dtype on entry, and
+every scalar in the rules is a Python float, so nothing promotes back to
+float64.  EPSILON is a normal float32 number.  Objective values are always
+accumulated in float64, so traces of either dtype compare directly.
 """
 from __future__ import annotations
 
@@ -97,6 +103,9 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lambda_speech", "lambda_noise", "alpha"):
+            # a Python float never promotes a float32 solve to float64
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.lambda_speech < 0 or self.lambda_noise < 0 or self.alpha < 0:
             raise ValueError("regularization weights must be non-negative")
         if self.iterations < 1:
@@ -124,10 +133,9 @@ class SolveResult:
 
 
 def kl_divergence(Y, V) -> float:
-    """Generalized KL divergence between same-shape non-negative matrices."""
-    Y = np.asarray(Y, dtype=np.float64)
-    V = np.asarray(V, dtype=np.float64)
-    if Y.shape != V.shape:
+    """Generalized KL divergence between same-shape non-negative matrices,
+    computed in float64."""
+    if np.shape(Y) != np.shape(V):
         raise ValueError("shape mismatch")
     return kernels.kl_divergence_floored(Y, V, EPSILON)
 
@@ -141,12 +149,12 @@ def objective(Y, groups, X, settings: SolverSettings, mode: str) -> float:
 def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoint:
     kl = kernels.kl_divergence_floored(Y, V, EPSILON)
     n_speech = speech_count(groups)
-    sparsity = (settings.lambda_speech * float(X[:n_speech].sum())
-                + settings.lambda_noise * float(X[n_speech:].sum()))
+    sparsity = (settings.lambda_speech * float(X[:n_speech].sum(dtype=np.float64))
+                + settings.lambda_noise * float(X[n_speech:].sum(dtype=np.float64)))
     density = 0.0
     if mode == "dense":
         density = settings.alpha * sum(
-            float((g.coeffs * g.coeffs).sum())
+            float(np.square(g.coeffs, dtype=np.float64).sum())
             for g in groups if g.kind == "speech" and g.psi is not None)
     return ObjectivePoint(iteration, kl, sparsity, density)
 
@@ -219,26 +227,36 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     groups' coefficients are updated in place.
     With frozen_dictionary only the gains are updated (Oracle baseline).
     With trace=False only the final objective point is computed.
+    Computes in float32 when Y is float32, else in float64: the groups'
+    bases and coefficients and the start gains are cast to that dtype on
+    entry, and the dictionary, gains and coefficients come back in it.  The
+    seeded start is drawn in float64 and then cast.
     Deterministic given the settings seed.
     Raises ValueError before the first iteration on a non-finite or
     negative Y or initial gains, or a dense-mode speech row summing to 0.
     """
     if mode not in ("lin", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    Y = np.asarray(Y)
+    dtype = np.float32 if Y.dtype == np.float32 else np.float64
+    Y = np.ascontiguousarray(Y, dtype=dtype)
     K, T = Y.shape
     if not np.all(np.isfinite(Y) & (Y >= 0)):
         raise ValueError("spectrogram must be finite and non-negative")
     n = sum(g.m for g in groups)
     if initial_gains is not None:
-        X = np.array(initial_gains, dtype=np.float64)
+        X = np.array(initial_gains, dtype=dtype)
         if X.shape != (n, T):
             raise ValueError("initial gains shape mismatch")
         if not np.all(np.isfinite(X) & (X >= 0)):
             raise ValueError("initial gains must be finite and non-negative")
     else:
         rng = np.random.default_rng(settings.seed)
-        X = 1.0 - rng.random((n, T))  # uniform (0, 1]
+        X = (1.0 - rng.random((n, T))).astype(dtype, copy=False)  # uniform (0, 1]
+    for g in groups:
+        g.coeffs = g.coeffs.astype(dtype, copy=False)
+        if g.psi is not None:
+            g.psi = g.psi.astype(dtype, copy=False)
     dense_groups = [g for g in groups if _is_dense(g, mode)]
     if any(np.any(g.coeffs.sum(axis=1) <= 0) for g in dense_groups):
         raise ValueError("dense mode needs every speech coefficient row "

@@ -348,6 +348,49 @@ def test_bad_config_value_is_one_line_error(valid_inputs, tmp_path, capsys,
     assert not out.exists()
 
 
+# Far beyond any address space (8e15 bytes or more per array), so the
+# allocation fails at once; never a size a machine could try to allocate.
+HUGE_SIZES = ["m", "m_n", "L"]
+
+
+@pytest.mark.parametrize("key", HUGE_SIZES)
+def test_huge_size_is_one_line_error(valid_inputs, tmp_path, capsys, key):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{SMALL}{key} = {10**15}\n")
+    out = tmp_path / "out.wav"
+    rc = main(["enhance", str(valid_inputs / "clean.wav"),
+               str(valid_inputs / "shapes.nshp"), str(out), "--config", str(cfg)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
+# command, bad flag and value; every input path is missing, so the flag must
+# be checked before any input is read or any output printed
+BAD_FLAGS = [("evaluate", "--free-atoms", "0"),
+             ("evaluate", "--oracle-atoms", "0"),
+             ("evaluate", "--snr-list", "0,x"),
+             ("evaluate", "--snr-list", "0,nan"),
+             ("sweep", "--L-list", "x"),
+             ("sweep", "--lambda-list", "0.2,"),
+             ("sweep", "--lambda-list", "inf")]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
+def test_bad_flag_reported_before_inputs(tmp_path, capsys, command, flag, value):
+    missing = [str(tmp_path / name)
+               for name in ("clean.wav", "noise.wav", "shapes.nshp")]
+    out = [str(tmp_path / "sweep.csv")] if command == "sweep" else []
+    rc = main([command, *missing, *out, f"{flag}={value}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(EnhanceConfig)}
 # 0 is a valid weight or seed; a huge weight or seed is valid, and a huge L,
 # m, m_n, p_star, r or iterations is valid but costs memory or time.

@@ -573,3 +573,173 @@ def test_solve_rejects_bad_input(case, monkeypatch):
         nmf.solve(Y, groups, nmf.SolverSettings(iterations=3),
                   "dense" if target == "coeffs" else "lin", initial_gains=X)
     assert refreshes == []
+
+
+# float32 solve: criteria 1-3 with tolerances from the summation error bound
+
+U32 = 2.0 ** -24  # float32 unit roundoff
+
+
+def gamma32(k):
+    """Higham's gamma_k = k u / (1 - k u) for float32.  A float32 sum of k + 1
+    terms errs by at most gamma_k times the sum of their magnitudes, in any
+    summation order, pairwise included (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 4), and a chain of such operations of
+    total length k errs by at most gamma_k relative."""
+    return k * U32 / (1 - k * U32)
+
+
+def as_float32(groups):
+    """Cast the groups' bases and coefficients to float32 in place, as solve
+    does on a float32 Y."""
+    for g in groups:
+        g.coeffs = g.coeffs.astype(np.float32)
+        if g.psi is not None:
+            g.psi = g.psi.astype(np.float32)
+    return groups
+
+
+# id "plain": free columns only (unconstrained NMF), solved in lin mode
+@pytest.mark.parametrize("identity", [pytest.param("optional", id="lin"),
+                                      pytest.param("only", id="plain")])
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_kl_sparsity_monotone_float32(identity, data):
+    """The float32 objective J = KL + sparsity, evaluated in float64, does not
+    rise by more than tol = 6 gamma_N (3 J + (1 + 2 log 2) sum(Y)) per
+    iteration, J the larger of the two points' values.
+
+    Derivation, to first order in u.  In exact arithmetic each step does
+    not raise J.  Every float32 value of an iteration comes from a chain of
+    at most N = p + n + T + K + 4 roundings (D = Psi A, V = DX, R = Y/V,
+    1 X^T + E X^T, Psi^T or D^T, the quotient, the product), where the terms
+    of E X^T and D^T E are bounded in magnitude by those of R X^T + 1 X^T;
+    so each value is within gamma_N of its exact one, relative to its old
+    plus its new magnitude.  Scaling every coefficient or gain theta by
+    (1 + delta), |delta| <= gamma, moves J by at most gamma sum |theta dJ/dtheta|
+    <= gamma (sum |V - Y| + S) <= gamma (sum(Y + V) + S), and the float32
+    model V at a trace point is within gamma_N of DX.  That is six
+    perturbations per iteration: old and new values of each of the two
+    steps, and the model at each of the two points.  Finally
+    sum V <= 2 KL + 2 log 2 sum Y (as v <= 2 (y log(y/v) - y + v) + 2 log 2 y)
+    and KL, S <= J give sum(Y + V) + S <= 3 J + (1 + 2 log 2) sum(Y)."""
+    Y, groups = data.draw(group_problems(identity, zero_lines=True))
+    Y = Y.astype(np.float32)
+    s = nmf.SolverSettings(lambda_speech=0.2, lambda_noise=0.1, iterations=10)
+    trace = solve_finite(Y, groups, s, "lin").trace
+    K, T = Y.shape
+    N = (max(g.coeffs.shape[1] for g in groups) + sum(g.m for g in groups)
+         + T + K + 4)
+    y_scale = (1 + 2 * np.log(2)) * float(Y.sum(dtype=np.float64))
+    obj = [p.kl + p.sparsity_term for p in trace]
+    for a, b in zip(obj, obj[1:]):
+        assert b <= a + 6 * gamma32(N) * (3 * max(a, b) + y_scale)
+
+
+@pytest.mark.parametrize("identity, mode", [
+    pytest.param("only", "lin", id="plain"),
+    pytest.param("optional", "lin", id="lin"),
+    pytest.param("optional", "dense", id="dense")])
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_exact_fixed_point_float32(identity, mode, data):
+    """Y = DX formed in float32 is a bitwise-exact float32 fixed point: the
+    solver forms DX with the same product, so E = 0 bitwise."""
+    _, groups = data.draw(group_problems(identity,
+                                         p_values=st.sampled_from([1, 2, 4, 8])))
+    if mode == "dense":
+        for g in groups:
+            if g.kind == "speech" and g.psi is not None:
+                g.coeffs[:] = 1.0 / g.coeffs.shape[1]
+    D = nmf.realize(as_float32(groups))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="X seed"))
+    X0 = (rng.random((D.shape[1], data.draw(st.integers(1, 8), label="T")))
+          + 0.1).astype(np.float32)
+    coeffs0 = [g.coeffs.copy() for g in groups]
+    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0, iterations=3)
+    result = nmf.solve(D @ X0, groups, s, mode=mode, initial_gains=X0)
+    assert np.array_equal(result.gains, X0)
+    assert np.array_equal(result.dictionary, D)
+    for g, c0 in zip(result.groups, coeffs0):
+        assert np.array_equal(g.coeffs, c0)
+
+
+def test_exact_fixed_point_at_production_size_float32(frame_params):
+    """test_exact_fixed_point_at_production_size in float32, so the threaded
+    sgemm path is checked too."""
+    rng = np.random.default_rng(31)
+    groups = build_speech_atoms(EnhanceConfig(), frame_params)
+    groups.append(nmf.BasisGroup(psi=rng.random((frame_params.n_bins, 16)) + 0.01,
+                                 coeffs=rng.random((16, 16)) + 0.1, kind="noise"))
+    D = nmf.realize(as_float32(groups))
+    X0 = (rng.random((D.shape[1], 1255)) + 0.1).astype(np.float32)
+    coeffs0 = [g.coeffs.copy() for g in groups]
+    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, iterations=3)
+    result = nmf.solve(D @ X0, groups, s, mode="lin", initial_gains=X0)
+    assert np.array_equal(result.gains, X0)
+    assert np.array_equal(result.dictionary, D)
+    for g, c0 in zip(result.groups, coeffs0):
+        assert np.array_equal(g.coeffs, c0)
+
+
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+@given(data=st.data())
+@hsettings(max_examples=25, deadline=None)
+def test_generated_constraint_invariants_float32(mode, data):
+    """Each realized column is within gamma_{p+1} of the exact Psi a, plus
+    p 2^-150: a float32 product of p non-negative terms errs by at most
+    gamma_p relative, plus half the subnormal spacing, 2^-150, for each of
+    its p roundings that underflows (Higham, eq. 2.8; coefficients fitted to
+    zero rows of Y shrink below float32's normal range), and the float64
+    reference by far less than gamma_{p+1} - gamma_p.  A
+    dense speech row sums to 1 within gamma_{p+1}: with s the float32 sum of
+    the p new entries (within gamma_{p-1}) and each entry divided by s
+    (within u), |sum a - 1| <= p u / (1 - 2 (p - 1) u) <= gamma_{p+1}.
+    Coefficients and gains stay non-negative."""
+    Y, groups = data.draw(group_problems(zero_lines=True))
+    result = solve_finite(Y.astype(np.float32), groups,
+                          nmf.SolverSettings(iterations=5), mode)
+    start = 0
+    for g in result.groups:
+        p = g.coeffs.shape[1]
+        A = g.coeffs.astype(np.float64)
+        exact = A.T if g.psi is None else g.psi.astype(np.float64) @ A.T
+        realized = result.dictionary[:, start:start + g.m].astype(np.float64)
+        assert np.all(np.abs(realized - exact)
+                      <= gamma32(p + 1) * exact + p * 2.0 ** -150)
+        assert np.all(g.coeffs >= 0)
+        if mode == "dense" and g.kind == "speech" and g.psi is not None:
+            assert np.all(np.abs(A.sum(axis=1) - 1.0) <= gamma32(p + 1))
+        start += g.m
+
+
+@pytest.mark.parametrize("mode, frozen", [("lin", False), ("dense", False),
+                                          ("lin", True)])
+def test_solve_dtype_follows_y(mode, frozen):
+    """float32 Y: float32 dictionary, gains and coefficients, also from
+    float64 groups and start gains.  Any other Y computes in float64."""
+    for y_dtype, dtype in ((np.float32, np.float32), (np.float16, np.float64),
+                           (np.float64, np.float64)):
+        Y, d = random_problem(33, m=2)
+        X0 = np.random.default_rng(34).random((2 * len(d), Y.shape[1])) + 0.1
+        s = nmf.SolverSettings(iterations=2, seed=33)
+        for gains in (None, X0):
+            result = nmf.solve(Y.astype(y_dtype), d, s, mode=mode,
+                               frozen_dictionary=frozen, initial_gains=gains)
+            assert result.dictionary.dtype == dtype
+            assert result.gains.dtype == dtype
+            for g in result.groups:
+                assert g.coeffs.dtype == dtype and g.psi.dtype == dtype
+                assert g.coeffs.flags.c_contiguous
+
+
+def test_kl_float32_equals_float64():
+    """The KL of float32 inputs is the KL of the same values in float64."""
+    rng = np.random.default_rng(35)
+    Y = rng.random((6, 9)).astype(np.float32)
+    Y[2] = 0.0
+    V = (rng.random((6, 9)) + 0.01).astype(np.float32)
+    Y64, V64 = Y.astype(np.float64), V.astype(np.float64)
+    assert nmf.kernels.kl_divergence_floored(Y, V, nmf.EPSILON) == \
+        nmf.kernels.kl_divergence_floored(Y64, V64, nmf.EPSILON)
+    assert nmf.kl_divergence(Y, V) == nmf.kl_divergence(Y64, V64)

@@ -88,3 +88,25 @@ def test_enhance_call_structure(tmp_path, mode):
         assert trace_csv.exists() == diagnostics
         if diagnostics:  # a header, then one row per point
             assert len(trace_csv.read_text().splitlines()) == 1 + points
+
+
+def test_evaluate_computes_final_points_only(tmp_path):
+    """evaluate reads only the denoised signals, so each of its five solves
+    (lin, dense, plain, the oracle's dictionary fit and the oracle) computes
+    the objective at its final point only."""
+    write_wav(white_noise(seconds=3.0, seed=7), tmp_path / "noise.wav")
+    write_wav(harmonic_signal(seconds=1.0), tmp_path / "clean.wav")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("L = 3\nm = 1\np_star = 6\nr = 2\nm_n = 2\niterations = 5\n")
+    shapes = tmp_path / "shapes.nshp"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-noise", str(tmp_path / "noise.wav"), str(shapes),
+                     "--config", str(cfg)]) == 0
+    with contextlib.redirect_stdout(io.StringIO()), \
+            _tracing().Tracer().request() as spans:
+        assert main(["evaluate", str(tmp_path / "clean.wav"),
+                     str(tmp_path / "noise.wav"), str(shapes), "--config",
+                     str(cfg), "--snr-list", "0", "--free-atoms", "3",
+                     "--oracle-atoms", "3"]) == 0
+    assert spans["nmf.solve"][2] == 5
+    assert spans["kernels.kl_divergence_floored"][2] == 5
