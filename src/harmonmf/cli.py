@@ -119,7 +119,8 @@ def cmd_train_noise(args) -> int:
 def _shapes_fit(shapes, mag, config) -> float:
     """KL divergence of a gains-only refit: how well the trained shapes
     span the noise."""
-    group = nmf.BasisGroup(psi=None, coeffs=shapes.n_matrix.T, kind="noise")
+    group = nmf.BasisGroup(psi=None, coeffs=shapes.n_matrix.T[None],
+                           kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=config.iterations, seed=config.seed)
     result = nmf.solve(mag.values, [group], settings, mode="lin",
@@ -200,6 +201,13 @@ def cmd_sweep(args) -> int:
     L_values = _parse_list("--L-list", args.L_list, int)
     lambda_values = _parse_list("--lambda-list", args.lambda_list, float)
     config, paths = build_config(args, m=5)  # sweep protocol default
+    for flag, key, values in (("--L-list", "L", L_values),
+                              ("--lambda-list", "lambda_s", lambda_values)):
+        for value in values:  # each cell's config, before any input is read
+            try:
+                dataclasses.replace(config, mode="dense", **{key: value})
+            except ValueError as exc:
+                raise CliError(f"{flag}: {exc}") from None
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))

@@ -36,9 +36,10 @@ def fundamental_grid(f_min: float, f_max: float, count: int,
     return np.linspace(f_min, f_max, count)
 
 
-def harmonic_amplitudes(fundamental: float, p: int) -> np.ndarray:
-    """c_k = sinc^2(k*w0/2), unnormalized sinc, floored to avoid dead harmonics."""
-    if not (0 < fundamental < np.pi):
+def harmonic_amplitudes(fundamental, p: int) -> np.ndarray:
+    """c_k = sinc^2(k*w0/2), unnormalized sinc, floored to avoid dead harmonics;
+    a column of fundamentals w0 gives one row of p per fundamental."""
+    if not np.all((0 < fundamental) & (fundamental < np.pi)):
         raise ValueError("fundamental must be in (0, pi) rad/sample")
     if p < 1:
         raise ValueError("need at least one harmonic")
@@ -55,17 +56,19 @@ def harmonic_count(fundamental_hz: float, sample_rate: float, p_star: int) -> in
     return int(min(p_star, sample_rate // (2.0 * fundamental_hz)))
 
 
-def build_harmonic_basis(fundamental_hz: float, params: FrameParams, p_star: int,
+def build_harmonic_basis(fundamentals_hz, params: FrameParams, p_star: int,
                          window_spectrum: WindowSpectrum) -> np.ndarray:
-    """K x p basis whose column k is the window spectrum centered on harmonic
-    k, scaled by the sinc^2 amplitude profile; entries below COLUMN_TRUNCATION
-    of their column's peak are zeroed for sparsity."""
-    p = harmonic_count(fundamental_hz, params.sample_rate, p_star)
-    w0 = 2.0 * np.pi * fundamental_hz / params.sample_rate
-    c = harmonic_amplitudes(w0, p)
+    """L x K x p bases: column k of basis l is the window spectrum centered on
+    harmonic k of f0_l, scaled by the sinc^2 amplitude profile, for its
+    harmonic_count(f0_l) columns, zero-padded to the largest count p; entries
+    below COLUMN_TRUNCATION of their column's peak are zeroed for sparsity."""
+    counts = [harmonic_count(f, params.sample_rate, p_star) for f in fundamentals_hz]
+    k = np.arange(1, max(counts) + 1)
+    w0 = 2.0 * np.pi * np.asarray(fundamentals_hz)[:, None] / params.sample_rate
+    c = harmonic_amplitudes(w0, k.size) * (k <= np.array(counts)[:, None])
     omegas = 2.0 * np.pi * np.arange(params.n_bins) / params.fft_len
-    psi = window_spectrum.evaluate(omegas[:, None] - np.arange(1, p + 1) * w0) * c
-    psi[psi < COLUMN_TRUNCATION * psi.max(axis=0)] = 0.0
+    psi = window_spectrum.evaluate(omegas[:, None] - (k * w0)[:, None]) * c[:, None]
+    psi[psi < COLUMN_TRUNCATION * psi.max(axis=1, keepdims=True)] = 0.0
     return psi
 
 
@@ -76,7 +79,7 @@ def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int,
     start; returns K x n_atoms."""
     K = mag.values.shape[0]
     rng = np.random.default_rng(seed)
-    group = nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((n_atoms, K)),
+    group = nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((1, n_atoms, K)),
                            kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=FREE_FIT_ITERATIONS, seed=seed)
@@ -113,10 +116,10 @@ def build_noise_bases(shapes: NoiseShapes, m_n: int, seed: int) -> nmf.BasisGrou
     r = shapes.n_matrix.shape[1]
     rng = np.random.default_rng(seed)
     if m_n == r:
-        coeffs = rng.uniform(0.0, 0.01, (r, r)) + np.eye(r)
+        coeffs = rng.uniform(0.0, 0.01, (1, r, r)) + np.eye(r)
     else:
-        coeffs = 1.0 - rng.random((m_n, r))
-    return nmf.BasisGroup(psi=shapes.n_matrix, coeffs=coeffs, kind="noise")
+        coeffs = 1.0 - rng.random((1, m_n, r))
+    return nmf.BasisGroup(psi=shapes.n_matrix[None], coeffs=coeffs, kind="noise")
 
 
 def save_noise_shapes(shapes: NoiseShapes, path) -> None:

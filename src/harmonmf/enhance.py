@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nmf
 from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
-                         fit_free_dictionary, fundamental_grid)
+                         fit_free_dictionary, fundamental_grid, harmonic_count)
 from .signal_io import Signal, snr_db
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    WindowSpectrum, default_frame_params, istft, stft)
@@ -90,20 +90,18 @@ class EnhanceResult:
     objective_trace: list = field(default_factory=list)
 
 
-def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> list:
-    """L groups of m harmonic atoms, one group per grid fundamental sharing
-    its harmonic basis; coefficients started near-uniform and strictly
-    positive."""
-    wspec = WindowSpectrum(params)
+def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisGroup:
+    """One group of m atoms per grid fundamental over the L stacked harmonic
+    bases, started near-uniform (and positive) on each basis's own harmonics."""
+    f0 = fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
+    psi = build_harmonic_basis(f0, params, config.p_star, WindowSpectrum(params))
     rng = np.random.default_rng(config.seed)
-    groups = []
-    for f0 in fundamental_grid(config.f_min, config.f_max, config.L, config.sr):
-        psi = build_harmonic_basis(f0, params, config.p_star, wspec)
-        p = psi.shape[1]
-        coeffs = rng.uniform(1.0 / p - _COEFF_JITTER, 1.0 / p + _COEFF_JITTER,
-                             (config.m, p))
-        groups.append(nmf.BasisGroup(psi=psi, coeffs=coeffs, kind="speech"))
-    return groups
+    coeffs = np.zeros((config.L, config.m, psi.shape[2]))
+    for l, f in enumerate(f0):
+        p = harmonic_count(f, config.sr, config.p_star)
+        coeffs[l, :, :p] = rng.uniform(1.0 / p - _COEFF_JITTER,
+                                       1.0 / p + _COEFF_JITTER, (config.m, p))
+    return nmf.BasisGroup(psi=psi, coeffs=coeffs, kind="speech")
 
 
 def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogram,
@@ -161,8 +159,8 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     output is the same."""
     params = config.frame_params()
     _check_shapes(shapes, params)
-    groups = build_speech_atoms(config, params)
-    groups.append(build_noise_bases(shapes, config.m_n, config.seed))
+    groups = [build_speech_atoms(config, params),
+              build_noise_bases(shapes, config.m_n, config.seed)]
     return _run(noisy, groups, config, config.mode, trace=trace)
 
 
@@ -177,7 +175,7 @@ def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     _check_shapes(shapes, params)
     clean_mag = stft(clean, params).magnitude()
     D_s = fit_free_dictionary(clean_mag, oracle_atoms, config.seed)
-    groups = [nmf.BasisGroup(psi=None, coeffs=D_s.T, kind="speech"),
+    groups = [nmf.BasisGroup(psi=None, coeffs=D_s.T[None], kind="speech"),
               build_noise_bases(shapes, config.m_n, config.seed)]
     return _run(noisy, groups, config, "lin", frozen=True, trace=trace)
 
@@ -190,7 +188,7 @@ def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     _check_shapes(shapes, params)
     rng = np.random.default_rng(config.seed)
     K = params.n_bins
-    groups = [nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((free_atoms, K)),
+    groups = [nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((1, free_atoms, K)),
                              kind="speech"),
               build_noise_bases(shapes, config.m_n, config.seed)]
     return _run(noisy, groups, config, "lin", trace=trace)
@@ -204,8 +202,9 @@ def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     Returns rows (L, lambda_s, total_atoms, output_snr_db) sorted by (L, lambda).
     Uses at most one worker process per cell.
     """
-    cells = [(int(L), float(lam)) for L in L_values for lam in lambda_values]
-    args = [(noisy, clean, shapes, config, L, lam) for L, lam in cells]
+    cells = [replace(config, L=int(L), lambda_s=float(lam), mode="dense")
+             for L in L_values for lam in lambda_values]
+    args = [(noisy, clean, shapes, cell) for cell in cells]
     workers = min(jobs, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -218,10 +217,9 @@ def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,
 
 
 def _sweep_cell(arg):
-    noisy, clean, shapes, config, L, lam = arg
-    cell_config = replace(config, L=L, lambda_s=lam, mode="dense")
-    result = enhance(noisy, shapes, cell_config, trace=False)
-    return (L, lam, L * config.m + config.m_n,
+    noisy, clean, shapes, config = arg
+    result = enhance(noisy, shapes, config, trace=False)
+    return (config.L, config.lambda_s, config.L * config.m + config.m_n,
             snr_db(clean, result.denoised))
 
 

@@ -1,35 +1,32 @@
 """KL-divergence NMF over shared-basis groups of dictionary atoms.
 
 A dictionary is an ordered list of basis groups, speech groups first.  A
-group holds m atoms that share one non-negative basis Psi (K x p) and one
-m x p coefficient array A: atom i is the column d_i = Psi A[i].  A group
-without a basis (Psi = None) holds free columns, d_i = A[i].
+group stacks G non-negative bases Psi (G x K x p) under a G x m x p
+coefficient array A: atom (b, i) is the column Psi[b] A[b, i], and columns
+run basis-major.  A basis of fewer than p columns is zero-padded, and so
+are its coefficients.  A group without a basis (Psi = None, G = 1) holds
+free columns, d_i = A[0, i], which take the same step in either mode.
 
 Two multiplicative-update modes over one solver path:
 
-* ``lin``   — each atom confined to the span of its group's basis,
+* ``lin``   — each atom confined to the span of its basis,
 * ``dense`` — lin plus an l2 penalty on the l1-normalized coefficients of
   speech groups with a basis, which discourages zero harmonic amplitudes.
 
-Free columns need no mode of their own: they are the groups with
-``psi=None``, and they take the same step in either mode.
-
 Each iteration takes one joint dictionary step and then one gain step.
-The dictionary step refreshes the ratio R = Y / DX once, forms R X^T and
-1 X^T, and updates every group from those two products (a Jacobi step):
+The dictionary step refreshes E = Y / DX - 1 once, forms XE = X E^T and
+the row sums s = X 1, and updates every group from those (a Jacobi step):
 free columns by the Lee-Seung KL step W <- W * (R X^T) / (1 X^T) (Lee &
-Seung, NIPS 2000), groups with a basis by its projection onto Psi.  The
-denominators 1 X^T and D^T 1 are row and column sums; each numerator is its
-denominator plus a product with E = R - 1 (R X^T = 1 X^T + E X^T, D^T R =
-D^T 1 + D^T E).  At Y = DX, E is exactly 0, so every numerator equals its
-denominator bitwise and the fixed point is exact for any BLAS.  Because
-DX = sum_g Psi_g A_g^T X_g is linear in all the coefficients stacked
-together, one auxiliary function covers the joint step, so the lin and
-free-column steps (X fixed) and the gain step (D fixed) each do not
-increase KL + sparsity.  The dense rule has no such guarantee: with
-Y = [[0.8674], [0.0436]] (2 bins, 1 frame), one speech atom on a 2 x 4
-basis, alpha = 2 and lambda = 0, its total objective rises over some
-iterations (README, "Python API").
+Seung, NIPS 2000), groups with a basis by its projection onto Psi, where
+1 X^T projects to the outer product s (1^T Psi) and R X^T to that plus
+XE Psi.  The gain step's numerator is D^T 1 + D^T E.  At Y = DX, E is
+exactly 0, so every numerator equals its denominator bitwise and the fixed
+point is exact for any BLAS; on zero padding both are 0, and A stays 0.
+Because DX = sum_g Psi_g A_g^T X_g is linear in all the coefficients
+stacked together, one auxiliary function covers the joint step, so the lin
+and free-column steps (X fixed) and the gain step (D fixed) each do not
+increase KL + sparsity.  The dense rule has no such guarantee: README,
+"Python API", gives a 2-bin, 1-frame instance whose total objective rises.
 
 Ratios, divergences and update quotients floor their operands at EPSILON.
 
@@ -53,9 +50,9 @@ EPSILON = 1e-12
 
 @dataclass
 class BasisGroup:
-    """m atoms sharing one basis: atom i is psi @ coeffs[i], or coeffs[i]
-    itself when psi is None.  coeffs is stored as a C-ordered m x p copy, so
-    each atom's coefficients are one contiguous row."""
+    """G x m atoms over the G x K x p bases psi: atom (b, i) is
+    psi[b] @ coeffs[b, i], or coeffs[0, i] when psi is None (G = 1).  coeffs
+    is a C-ordered G x m x p copy: each atom's coefficients are one row."""
     psi: np.ndarray | None
     coeffs: np.ndarray
     kind: str  # "speech" | "noise"
@@ -64,34 +61,38 @@ class BasisGroup:
         self.coeffs = np.array(self.coeffs, dtype=np.float64, order="C")
         if self.kind not in ("speech", "noise"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
-        if self.coeffs.ndim != 2 or self.coeffs.shape[0] < 1:
-            raise ValueError("coefficients must be an m x p array with m >= 1")
+        if self.coeffs.ndim != 3 or 0 in self.coeffs.shape[:2]:
+            raise ValueError("coefficients must be a G x m x p array with G, m >= 1")
+        if (len(self.coeffs) != 1 if self.psi is None
+                else np.shape(self.psi)[::2] != self.coeffs.shape[::2]):
+            raise ValueError("basis must be G x K x p, or None with G = 1")
         if np.any(self.coeffs < 0):
             raise ValueError("coefficients must be non-negative")
         if self.psi is not None and np.any(self.psi < 0):
             raise ValueError("basis must be non-negative")
 
     @property
-    def m(self):
-        return self.coeffs.shape[0]
+    def n_atoms(self):
+        return self.coeffs.shape[0] * self.coeffs.shape[1]
 
 
 def realize(groups) -> np.ndarray:
     """The K x n dictionary of ordered groups; speech groups must precede
-    noise groups.  Each group's columns are one product psi @ coeffs.T, the
-    product solve uses after updating the group."""
+    noise groups.  Each group's columns are one batched product
+    psi @ coeffs^T, the product solve uses after updating the group."""
     kinds = [g.kind for g in groups]
     if not kinds:
         raise ValueError("dictionary needs at least one group")
     if any(a == "noise" and b == "speech" for a, b in zip(kinds, kinds[1:])):
         raise ValueError("speech groups must precede noise groups")
-    return np.hstack([g.coeffs.T if g.psi is None else g.psi @ g.coeffs.T
+    return np.hstack([g.coeffs[0].T if g.psi is None else
+                      np.hstack(g.psi @ g.coeffs.transpose(0, 2, 1))
                       for g in groups])
 
 
 def speech_count(groups) -> int:
     """Number of speech columns, which lead the dictionary."""
-    return sum(g.m for g in groups if g.kind == "speech")
+    return sum(g.n_atoms for g in groups if g.kind == "speech")
 
 
 @dataclass(frozen=True)
@@ -180,40 +181,44 @@ def update_gains(X, D, Y, settings: SolverSettings, n_speech: int, E=None):
     return X
 
 
-def update_atom_lin(group: BasisGroup, RX, OX):
-    """A <- A * (Psi^T R X_g^T) / (Psi^T 1 X_g^T), transposed to m x p, in
-    place.  RX = R X_g^T and OX = 1 X_g^T are the group's K x m column
-    slices of those two products; with psi None the projection is
-    skipped, which is the Lee-Seung step W <- W * (R X^T) / (1 X^T)."""
-    num, den = (RX, OX) if group.psi is None else (group.psi.T @ RX,
-                                                  group.psi.T @ OX)
-    group.coeffs *= (np.maximum(num, EPSILON) / np.maximum(den, EPSILON)).T
+def _lin_terms(group: BasisGroup, XE, s):
+    """Numerator and denominator of update_atom_lin, G x m x p."""
+    G, m, _ = group.coeffs.shape
+    XE, s = XE.reshape(G, m, -1), s.reshape(G, m, 1)
+    if group.psi is None:
+        return s + XE, s
+    den = s * group.psi.sum(axis=1)[:, None, :]
+    return den + XE @ group.psi, den
+
+
+def update_atom_lin(group: BasisGroup, XE, s):
+    """A <- A * (Psi^T R X_g^T) / (Psi^T 1 X_g^T) in place, formed from the
+    group's rows XE of X E^T and s of X 1 as s (1^T Psi) + XE Psi over
+    s (1^T Psi); with psi None the projection is skipped, which is the
+    Lee-Seung step W <- W * (R X^T) / (1 X^T), s + XE over s."""
+    num, den = _lin_terms(group, XE, s)
+    group.coeffs *= np.maximum(num, EPSILON) / np.maximum(den, EPSILON)
     return group.coeffs
 
 
-def update_atom_dense(group: BasisGroup, RX, OX, alpha: float):
-    """Density-regularized update of every row on l1-normalized
-    coefficients, in place; each row is renormalized so the simplex
-    constraint holds exactly.  RX and OX are as in update_atom_lin.  Every
-    row must have a positive sum (solve checks this)."""
+def update_atom_dense(group: BasisGroup, XE, s, alpha: float):
+    """Density-regularized update of every row on l1-normalized coefficients,
+    in place, from XE and s as in update_atom_lin; rows are renormalized so the
+    simplex holds exactly, and each must have a positive sum (solve checks)."""
     A = group.coeffs
-    a_tilde = A / A.sum(axis=1, keepdims=True)
-    num_lin, den_lin = (group.psi.T @ RX).T, (group.psi.T @ OX).T
+    a_tilde = A / A.sum(axis=2, keepdims=True)
+    num_lin, den_lin = _lin_terms(group, XE, s)
     num = (_rowdot(a_tilde, den_lin) + num_lin
            + alpha * _rowdot(a_tilde, a_tilde))
     den = den_lin + _rowdot(a_tilde, num_lin) + alpha * a_tilde
     new = a_tilde * (np.maximum(num, EPSILON) / np.maximum(den, EPSILON))
-    A[:] = new / new.sum(axis=1, keepdims=True)
+    A[:] = new / new.sum(axis=2, keepdims=True)
     return A
 
 
 def _rowdot(a, b):
-    """Row-wise dot products of two m x p arrays, as an m x 1 column."""
-    return np.einsum("ij,ij->i", a, b)[:, None]
-
-
-def _is_dense(group, mode):
-    return mode == "dense" and group.kind == "speech" and group.psi is not None
+    """Row-wise dot products of two G x m x p arrays, as G x m x 1."""
+    return np.einsum("gij,gij->gi", a, b)[..., None]
 
 
 def solve(Y, groups, settings: SolverSettings, mode: str,
@@ -221,16 +226,12 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
           trace: bool = True) -> SolveResult:
     """Alternate one joint dictionary step and one gain update per iteration.
 
-    The dictionary step refreshes the ratio once and updates every group
-    from it: in dense mode speech groups with a basis use the density rule,
-    all others the lin rule (free columns: the Lee-Seung step).  The
-    groups' coefficients are updated in place.
+    Updates the groups' coefficients in place, by the rule of each mode.
     With frozen_dictionary only the gains are updated (Oracle baseline).
     With trace=False only the final objective point is computed.
-    Computes in float32 when Y is float32, else in float64: the groups'
-    bases and coefficients and the start gains are cast to that dtype on
-    entry, and the dictionary, gains and coefficients come back in it.  The
-    seeded start is drawn in float64 and then cast.
+    Computes in float32 when Y is float32, else in float64, and returns the
+    dictionary, gains and coefficients in that dtype; the seeded start is
+    drawn in float64 and then cast.
     Deterministic given the settings seed.
     Raises ValueError before the first iteration on a non-finite or
     negative Y or initial gains, or a dense-mode speech row summing to 0.
@@ -243,7 +244,11 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     K, T = Y.shape
     if not np.all(np.isfinite(Y) & (Y >= 0)):
         raise ValueError("spectrogram must be finite and non-negative")
-    n = sum(g.m for g in groups)
+    starts = np.cumsum([0] + [g.n_atoms for g in groups])
+    layout = [(g, slice(start, start + g.n_atoms),
+               mode == "dense" and g.kind == "speech" and g.psi is not None)
+              for g, start in zip(groups, starts)]
+    n = starts[-1]
     if initial_gains is not None:
         X = np.array(initial_gains, dtype=dtype)
         if X.shape != (n, T):
@@ -257,36 +262,30 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
         g.coeffs = g.coeffs.astype(dtype, copy=False)
         if g.psi is not None:
             g.psi = g.psi.astype(dtype, copy=False)
-    dense_groups = [g for g in groups if _is_dense(g, mode)]
-    if any(np.any(g.coeffs.sum(axis=1) <= 0) for g in dense_groups):
+    dense_groups = [g for g, _, dense in layout if dense]
+    if any(np.any(g.coeffs.sum(axis=2) <= 0) for g in dense_groups):
         raise ValueError("dense mode needs every speech coefficient row "
                          "to have a positive sum")
     for g in dense_groups:
-        g.coeffs /= g.coeffs.sum(axis=1, keepdims=True)
+        g.coeffs /= g.coeffs.sum(axis=2, keepdims=True)
     D = realize(groups)
     if D.shape[0] != K:
         raise ValueError("dictionary row count does not match spectrogram")
 
-    starts = np.cumsum([0] + [g.m for g in groups])
-    layout = [(g, slice(s, s + g.m), _is_dense(g, mode))
-              for g, s in zip(groups, starts)]
     n_speech = speech_count(groups)
     E = np.empty_like(Y)
     V = D @ X
-    points = []
-    if trace:
-        points.append(_objective_point(0, Y, V, groups, X, settings, mode))
+    points = [_objective_point(0, Y, V, groups, X, settings, mode)] if trace else []
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
             _refresh_excess(Y, V, E)
-            OX = np.tile(X.sum(axis=1), (K, 1))
-            RX = OX + E @ X.T
-            for g, cols, dense in layout:
+            XE, s = X @ E.T, X.sum(axis=1)
+            for g, rows, dense in layout:
                 if dense:
-                    update_atom_dense(g, RX[:, cols], OX[:, cols], settings.alpha)
+                    update_atom_dense(g, XE[rows], s[rows], settings.alpha)
                 else:
-                    update_atom_lin(g, RX[:, cols], OX[:, cols])
+                    update_atom_lin(g, XE[rows], s[rows])
             D_new = realize(groups)
             kernels.rank1_add(V, D_new - D, X)
             D = D_new

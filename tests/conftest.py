@@ -1,11 +1,21 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from harmonmf.dictionary import train_noise_shapes
 from harmonmf.signal_io import Signal, mix_at_snr
 from harmonmf.stft import default_frame_params, stft
 
 SR = 8000
+
+# Examples per generated property: "default" for local runs, "ci" (selected
+# with HYPOTHESIS_PROFILE=ci) about ten times as many.  No deadline: a solve's
+# time varies with the drawn sizes.
+settings.register_profile("default", max_examples=25, deadline=None)
+settings.register_profile("ci", max_examples=250, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def harmonic_signal(f0=120.0, n_harmonics=10, seconds=1.0, sr=SR, amplitude=0.3):

@@ -29,11 +29,11 @@ def random_problem(seed, K=32, T=40, m_s=12, m_n=4, p=8, r=4):
     """m_s speech groups of one atom, each with its own basis, and one
     group of m_n noise atoms sharing one shape matrix."""
     rng = np.random.default_rng(seed)
-    groups = [BasisGroup(psi=rng.random((K, p)),
-                         coeffs=[rng.random(p) + 0.1], kind="speech")
+    groups = [BasisGroup(psi=rng.random((1, K, p)),
+                         coeffs=[[rng.random(p) + 0.1]], kind="speech")
               for _ in range(m_s)]
-    shapes = rng.random((K, r)) + 0.05
-    groups.append(BasisGroup(psi=shapes, coeffs=rng.random((m_n, r)) + 0.1,
+    shapes = rng.random((1, K, r)) + 0.05
+    groups.append(BasisGroup(psi=shapes, coeffs=rng.random((1, m_n, r)) + 0.1,
                              kind="noise"))
     Y = rng.random((K, T)) + 0.01
     return Y, groups
@@ -42,7 +42,7 @@ def random_problem(seed, K=32, T=40, m_s=12, m_n=4, p=8, r=4):
 def free_problem(seed, K=32, T=40, n_s=4, n_n=2):
     """Unconstrained-NMF problem: every column free (identity groups)."""
     rng = np.random.default_rng(seed)
-    groups = [BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind=kind)
+    groups = [BasisGroup(psi=None, coeffs=[[rng.random(K) + 0.1]], kind=kind)
               for kind in ["speech"] * n_s + ["noise"] * n_n]
     Y = rng.random((K, T)) + 0.01
     return Y, groups
@@ -72,19 +72,19 @@ def test_criterion_2_exact_fixed_points():
 
     def consistent_problem(problem):
         if problem == "free":
-            dic = [BasisGroup(psi=None, coeffs=[rng.random(K) + 0.1], kind=kind)
+            dic = [BasisGroup(psi=None, coeffs=[[rng.random(K) + 0.1]], kind=kind)
                    for kind in ["speech"] * 4 + ["noise"] * 2]
             X0 = rng.random((len(dic), T)) + 0.1
             return realize(dic) @ X0, dic, X0
         dic = []
         for _ in range(12):
             coeffs = np.full(p, 1.0 / p) if problem == "dense" else rng.random(p) + 0.1
-            dic.append(BasisGroup(psi=rng.random((K, p)), coeffs=[coeffs],
+            dic.append(BasisGroup(psi=rng.random((1, K, p)), coeffs=[[coeffs]],
                                   kind="speech"))
-        shapes = rng.random((K, 4)) + 0.05
-        dic.append(BasisGroup(psi=shapes, coeffs=rng.random((4, 4)) + 0.1,
+        shapes = rng.random((1, K, 4)) + 0.05
+        dic.append(BasisGroup(psi=shapes, coeffs=rng.random((1, 4, 4)) + 0.1,
                               kind="noise"))
-        X0 = rng.random((sum(g.m for g in dic), T)) + 0.1
+        X0 = rng.random((sum(g.n_atoms for g in dic), T)) + 0.1
         return realize(dic) @ X0, dic, X0
 
     settings = SolverSettings(lambda_speech=0.0, lambda_noise=0.0,
@@ -108,10 +108,11 @@ def test_criterion_3_constraint_invariants():
         for mode in ("lin", "dense"):
             Y, dic = random_problem(seed + 100)
             result = solve(Y, dic, settings, mode)
-            atoms = [(g, a) for g in result.groups for a in g.coeffs]
-            for j, (group, a) in enumerate(atoms):
+            atoms = [(g, psi, a) for g in result.groups
+                     for psi, A in zip(g.psi, g.coeffs) for a in A]
+            for j, (group, psi, a) in enumerate(atoms):
                 realized = result.dictionary[:, j]
-                ok = ok and np.max(np.abs(realized - group.psi @ a)) <= 1e-12
+                ok = ok and np.max(np.abs(realized - psi @ a)) <= 1e-12
                 ok = ok and np.all(a >= 0)
                 if mode == "dense" and group.kind == "speech":
                     ok = ok and abs(a.sum() - 1.0) <= 1e-10
@@ -143,7 +144,7 @@ def test_criterion_5_plain_rank1_recovery():
     d = rng.random(16) + 0.1
     x = rng.random(30) + 0.1
     Y = np.outer(d, x)
-    dic = [BasisGroup(psi=None, coeffs=[rng.random(16) + 0.1], kind="speech")]
+    dic = [BasisGroup(psi=None, coeffs=[[rng.random(16) + 0.1]], kind="speech")]
     settings = SolverSettings(lambda_speech=0.0, iterations=100, seed=0)
     start = time.perf_counter()
     trace = solve(Y, dic, settings, "lin").trace
@@ -182,8 +183,8 @@ def test_criterion_8_dictionary_sizing(noise_shapes):
     speech = build_speech_atoms(config, config.frame_params())
     noise = build_noise_bases(noise_shapes, config.m_n, config.seed)
     report(8, "132 speech + 16 noise atoms, p = 10 @ 400 Hz and 30 @ 80 Hz",
-           len(speech) == 33 and sum(g.m for g in speech) == 132
-           and noise.m == 16
+           speech.coeffs.shape[:2] == (33, 4) and speech.n_atoms == 132
+           and noise.n_atoms == 16
            and harmonic_count(400.0, SR, 30) == 10
            and harmonic_count(80.0, SR, 30) == 30)
 

@@ -60,7 +60,7 @@ def test_train_noise_prints_refit_kl(workdir, capsys):
         ["train-noise", "--config", str(workdir / "small.cfg")]))
     mag = stft(read_wav(workdir / "noise.wav"), config.frame_params()).magnitude()
     shapes = load_noise_shapes(path)
-    groups = [nmf.BasisGroup(psi=None, coeffs=[col], kind="noise")
+    groups = [nmf.BasisGroup(psi=None, coeffs=[[col]], kind="noise")
               for col in shapes.n_matrix.T]
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=config.iterations, seed=config.seed)
@@ -297,7 +297,8 @@ def valid_inputs(tmp_path_factory):
     return d
 
 
-@settings(deadline=None)
+# each example is cheap: four times the profile's count, 100 by default
+@settings(max_examples=4 * settings.default.max_examples)
 @given(which=st.sampled_from(["clean.wav", "shapes.nshp"]), data=st.data())
 def test_truncated_input_is_one_line_error(valid_inputs, which, data):
     blob = (valid_inputs / which).read_bytes()
@@ -374,7 +375,9 @@ BAD_FLAGS = [("evaluate", "--free-atoms", "0"),
              ("evaluate", "--snr-list", "0,nan"),
              ("sweep", "--L-list", "x"),
              ("sweep", "--lambda-list", "0.2,"),
-             ("sweep", "--lambda-list", "inf")]
+             ("sweep", "--lambda-list", "inf"),
+             ("sweep", "--L-list", "2,3,1"),
+             ("sweep", "--lambda-list", "0.2,-1")]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
@@ -422,7 +425,8 @@ def bad_config_values(draw):
 
 
 @pytest.mark.parametrize("command", ["enhance", "train-noise"])
-@settings(deadline=None)
+# each example is cheap: four times the profile's count, 100 by default
+@settings(max_examples=4 * settings.default.max_examples)
 @given(bad=bad_config_values())
 def test_generated_bad_config_is_one_line_error(valid_inputs, command, bad):
     key, value = bad

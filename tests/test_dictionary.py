@@ -69,7 +69,7 @@ def wspec():
 
 def test_basis_column_argmax_bins(wspec):
     params = default_frame_params(SR)
-    psi = build_harmonic_basis(120.0, params, 30, wspec)
+    [psi] = build_harmonic_basis(np.array([120.0]), params, 30, wspec)
     w0 = 2 * np.pi * 120.0 / SR
     for k in range(1, psi.shape[1] + 1):
         expected = round(k * w0 * params.fft_len / (2 * np.pi))
@@ -77,15 +77,31 @@ def test_basis_column_argmax_bins(wspec):
 
 
 def test_basis_400hz_has_10_columns(wspec):
-    psi = build_harmonic_basis(400.0, default_frame_params(SR), 30, wspec)
+    [psi] = build_harmonic_basis(np.array([400.0]), default_frame_params(SR), 30,
+                                 wspec)
     assert psi.shape[1] == 10
     assert np.all(psi >= 0)
     assert np.all(psi.sum(axis=0) > 0)
 
 
+def test_stacked_bases_padded_to_largest_count(wspec):
+    """Each basis of a stacked build equals its own single-fundamental
+    build, zero-padded to the largest harmonic count."""
+    params = default_frame_params(SR)
+    f0 = np.array([400.0, 150.0, 1000.0])
+    psi = build_harmonic_basis(f0, params, 30, wspec)
+    assert psi.shape == (3, params.n_bins, 26)  # 8000 // 300 = 26 at 150 Hz
+    for basis, f in zip(psi, f0):
+        [own] = build_harmonic_basis(np.array([f]), params, 30, wspec)
+        p = harmonic_count(f, SR, 30)
+        assert own.shape[1] == p
+        assert np.array_equal(basis[:, :p], own) and not basis[:, p:].any()
+
+
 def test_uniform_atom_is_comb(wspec):
     # 150 Hz keeps every harmonic strictly below Nyquist, away from edge bins
-    psi = build_harmonic_basis(150.0, default_frame_params(SR), 30, wspec)
+    [psi] = build_harmonic_basis(np.array([150.0]), default_frame_params(SR), 30,
+                                 wspec)
     d = psi @ np.ones(psi.shape[1])
     interior = (d[1:-1] > d[:-2]) & (d[1:-1] > d[2:])
     assert interior.sum() == psi.shape[1]
@@ -96,7 +112,7 @@ def test_train_rank1_converges():
     rng = np.random.default_rng(0)
     Y = np.outer(rng.random(params.n_bins) + 0.1, rng.random(8) + 0.1)
     mag = MagnitudeSpectrogram(Y, params)
-    groups = [nmf.BasisGroup(psi=None, coeffs=[1.0 - rng.random(params.n_bins)],
+    groups = [nmf.BasisGroup(psi=None, coeffs=[[1.0 - rng.random(params.n_bins)]],
                              kind="noise")]
     settings = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                                   iterations=100, seed=0)
@@ -118,7 +134,7 @@ def test_train_constant_frames():
     rng = np.random.default_rng(1)
     col = rng.random(params.n_bins) + 0.5
     Y = np.tile(col[:, None], (1, 10))
-    groups = [nmf.BasisGroup(psi=None, coeffs=[1.0 - rng.random(params.n_bins)],
+    groups = [nmf.BasisGroup(psi=None, coeffs=[[1.0 - rng.random(params.n_bins)]],
                              kind="noise") for _ in range(2)]
     settings = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
                                   iterations=300, seed=3)
@@ -140,9 +156,9 @@ def test_train_rejects_degenerate():
 
 def test_noise_bases_identity_init(noise_shapes):
     group = build_noise_bases(noise_shapes, 16, seed=0)
-    assert group.m == 16
+    assert group.coeffs.shape == (1, 16, 16)
     D = nmf.realize([group])
-    for j, a in enumerate(group.coeffs):
+    for j, a in enumerate(group.coeffs[0]):
         assert np.all(a > 0)
         d = D[:, j]
         ref = noise_shapes.n_matrix[:, j]
@@ -152,7 +168,7 @@ def test_noise_bases_identity_init(noise_shapes):
 
 def test_noise_bases_single(noise_shapes):
     group = build_noise_bases(noise_shapes, 1, seed=5)
-    assert group.m == 1
+    assert group.coeffs.shape == (1, 1, 16)
     assert np.all(group.coeffs > 0)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,8 +29,10 @@ def test_config_defaults_match_protocol():
 
 
 def test_default_dictionary_sizing(frame_params):
-    groups = build_speech_atoms(EnhanceConfig(), frame_params)
-    assert len(groups) == 33 and sum(g.m for g in groups) == 132
+    """33 stacked bases of 4 atoms each, padded to 30 harmonics (80 Hz)."""
+    group = build_speech_atoms(EnhanceConfig(), frame_params)
+    assert group.coeffs.shape == (33, 4, 30) and group.n_atoms == 132
+    assert group.psi.shape == (33, frame_params.n_bins, 30)
 
 
 def random_spec(frame_params, seed=0):
@@ -105,6 +109,27 @@ def test_enhance_trace_off_same_output(noise_shapes, desk_mixture, mode):
     assert np.array_equal(off.speech_magnitude.values, on.speech_magnitude.values)
     assert np.array_equal(off.noise_magnitude.values, on.noise_magnitude.values)
     assert off.objective_trace == on.objective_trace[-1:]
+
+
+def test_huge_p_star_pads_to_largest_count(noise_shapes, desk_mixture):
+    """The bases are padded to the grid's largest harmonic count,
+    floor(8000 / (2 * 80)) = 50, never to p_star: p_star = 10**9 gives the
+    same bytes as p_star = 50, and its peak traced allocation is no larger
+    than at p_star = 50 (one array sized by p_star would take gigabytes)."""
+    _, noisy = desk_mixture
+    runs = []
+    for p_star in (50, 10**9):
+        tracemalloc.start()
+        try:
+            out = enhance(noisy, noise_shapes, small_config(p_star=p_star),
+                          trace=False)
+            runs.append((out.denoised.samples.tobytes(),
+                         tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (bytes_50, peak_50), (bytes_huge, peak_huge) = runs
+    assert bytes_huge == bytes_50
+    assert peak_huge <= peak_50 + 2**20
 
 
 def test_config_frame_fits_shapes_header():

@@ -52,11 +52,11 @@ def test_every_traced_layer_is_called(tmp_path):
 @pytest.mark.parametrize("mode", ["dense", "lin"])
 def test_enhance_call_structure(tmp_path, mode):
     """Per iteration the solve refreshes the ratio twice, updates the model
-    once after the dictionary step, updates each of the G groups once and
-    the gains once: G = L harmonic groups plus one noise group.  The
-    objective is computed at the final point only, unless
-    --dump-diagnostics asks for the trace: then also at the start and after
-    every iteration, one CSV row each."""
+    once after the dictionary step, updates each of the 2 groups once (the
+    L stacked harmonic bases, then the noise atoms) and the gains once; the
+    L bases are built in one call.  The objective is computed at the final
+    point only, unless --dump-diagnostics asks for the trace: then also at
+    the start and after every iteration, one CSV row each."""
     L, iterations = 3, 3
     write_wav(white_noise(seconds=3.0, seed=7), tmp_path / "noise.wav")
     write_wav(harmonic_signal(seconds=1.0), tmp_path / "clean.wav")
@@ -77,13 +77,15 @@ def test_enhance_call_structure(tmp_path, mode):
         calls = {name: spans[name][2] for name in
                  ("kernels.refresh_ratio", "kernels.rank1_add",
                   "nmf.atom_update", "nmf.update_gains", "nmf.solve",
-                  "kernels.kl_divergence_floored")}
+                  "kernels.kl_divergence_floored",
+                  "dictionary.build_harmonic_basis")}
         assert calls == {"kernels.refresh_ratio": 2 * iterations,
                          "kernels.rank1_add": iterations,
-                         "nmf.atom_update": (L + 1) * iterations,
+                         "nmf.atom_update": 2 * iterations,
                          "nmf.update_gains": iterations,
                          "nmf.solve": 1,
-                         "kernels.kl_divergence_floored": points}
+                         "kernels.kl_divergence_floored": points,
+                         "dictionary.build_harmonic_basis": 1}
         trace_csv = tmp_path / f"out_{diagnostics}_trace.csv"
         assert trace_csv.exists() == diagnostics
         if diagnostics:  # a header, then one row per point
