@@ -117,8 +117,8 @@ def cmd_train_noise(args) -> int:
 
 
 def _shapes_fit(shapes, mag, config) -> float:
-    """KL divergence of a gains-only refit: how well the trained shapes
-    span the noise."""
+    """KL divergence of a gains-only refit, solved in float64: how well the
+    trained shapes span the noise."""
     group = nmf.BasisGroup(psi=None, coeffs=shapes.n_matrix.T[None],
                            kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,

@@ -76,21 +76,24 @@ def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int,
                         seed: int) -> np.ndarray:
     """Fit n_atoms unconstrained columns to a spectrogram by KL-NMF without
     sparsity, FREE_FIT_ITERATIONS iterations from a seeded uniform (0, 1]
-    start; returns K x n_atoms."""
+    start; returns K x n_atoms in float64.  The fit runs in float32 (solve
+    follows Y's dtype); callers normalize or solve further in float64."""
     K = mag.values.shape[0]
     rng = np.random.default_rng(seed)
     group = nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((1, n_atoms, K)),
                            kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=FREE_FIT_ITERATIONS, seed=seed)
-    result = nmf.solve(mag.values, [group], settings, mode="lin", trace=False)
-    return result.dictionary
+    result = nmf.solve(mag.values.astype(np.float32), [group], settings,
+                       mode="lin", trace=False)
+    return result.dictionary.astype(np.float64)
 
 
 def train_noise_shapes(noise_mag: MagnitudeSpectrogram, r: int,
                        seed: int = 0) -> NoiseShapes:
-    """Fit r spectral shapes to a noise spectrogram by unconstrained KL-NMF;
-    columns are returned l1-normalized."""
+    """Fit r spectral shapes to a noise spectrogram by unconstrained KL-NMF
+    (fit_free_dictionary, in float32); the columns are l1-normalized in
+    float64, so each sums to 1 to float64 rounding."""
     if r < 1:
         raise ValueError("need at least one noise shape")
     if noise_mag.values.shape[1] < r:

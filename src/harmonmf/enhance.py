@@ -92,15 +92,18 @@ class EnhanceResult:
 
 def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisGroup:
     """One group of m atoms per grid fundamental over the L stacked harmonic
-    bases, started near-uniform (and positive) on each basis's own harmonics."""
+    bases, started near-uniform on each basis's own p harmonics: uniform in
+    1/p +- min(_COEFF_JITTER, 0.5/p), so every start is positive however
+    large p is (the jitter is _COEFF_JITTER for p <= 500)."""
     f0 = fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
     psi = build_harmonic_basis(f0, params, config.p_star, WindowSpectrum(params))
     rng = np.random.default_rng(config.seed)
     coeffs = np.zeros((config.L, config.m, psi.shape[2]))
     for l, f in enumerate(f0):
         p = harmonic_count(f, config.sr, config.p_star)
-        coeffs[l, :, :p] = rng.uniform(1.0 / p - _COEFF_JITTER,
-                                       1.0 / p + _COEFF_JITTER, (config.m, p))
+        jitter = min(_COEFF_JITTER, 0.5 / p)
+        coeffs[l, :, :p] = rng.uniform(1.0 / p - jitter, 1.0 / p + jitter,
+                                       (config.m, p))
     return nmf.BasisGroup(psi=psi, coeffs=coeffs, kind="speech")
 
 

@@ -85,21 +85,32 @@ def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     return ComplexSpectrogram(np.ascontiguousarray(spec), params)
 
 
+def _overlap_add(frames: np.ndarray, T: int, hop: int) -> np.ndarray:
+    """Overlap-add of T frames of wl samples placed hop apart: frames is
+    T x wl, or one frame of wl samples repeated T times.  Block j of a frame
+    (samples j*hop up to (j+1)*hop) lands on output block l + j for frame l,
+    so ceil(wl / hop) strided adds cover every frame.  They run from the
+    last block to the first, so each output sample adds its frames in
+    increasing l, the order of a frame-by-frame loop."""
+    wl = frames.shape[-1]
+    B = -(-wl // hop)
+    out = np.zeros((T + B - 1, hop))
+    for j in range(B - 1, -1, -1):
+        block = frames[..., j * hop:(j + 1) * hop]
+        out[j:j + T, :block.shape[-1]] += block
+    return out.ravel()[:(T - 1) * hop + wl]
+
+
 def istft(spec: ComplexSpectrogram) -> Signal:
     """Weighted overlap-add synthesis; inverse of stft on interior samples."""
     params = spec.params
     wl, hop = params.window_len, params.hop
     K, T = spec.values.shape
     w = hann_window(wl)
-    out_len = (T - 1) * hop + wl
-    y = np.zeros(out_len)
-    wsum = np.zeros(out_len)
     frames = np.fft.irfft(spec.values.T, n=params.fft_len, axis=1)[:, :wl]
-    for l in range(T):
-        start = l * hop
-        y[start:start + wl] += frames[l] * w
-        wsum[start:start + wl] += w * w
-    y /= np.maximum(wsum, _WSUM_FLOOR)
+    frames *= w
+    y = _overlap_add(frames, T, hop)
+    y /= np.maximum(_overlap_add(w * w, T, hop), _WSUM_FLOOR)
     return Signal(y, params.sample_rate)
 
 

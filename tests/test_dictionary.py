@@ -3,13 +3,18 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import white_noise
+
 from harmonmf import nmf
-from harmonmf.dictionary import (build_harmonic_basis, build_noise_bases,
+from harmonmf.cli import _shapes_fit
+from harmonmf.dictionary import (FREE_FIT_ITERATIONS, NoiseShapes,
+                                 build_harmonic_basis, build_noise_bases,
                                  fundamental_grid, harmonic_amplitudes,
                                  harmonic_count, load_noise_shapes,
                                  save_noise_shapes, train_noise_shapes)
+from harmonmf.enhance import EnhanceConfig
 from harmonmf.stft import (MagnitudeSpectrogram, WindowSpectrum,
-                           default_frame_params)
+                           default_frame_params, stft)
 
 SR = 8000
 
@@ -127,6 +132,58 @@ def test_train_contract_r16(noise_shapes):
     assert N.shape[1] == 16
     assert np.all(N >= 0)
     assert np.allclose(N.sum(axis=0), 1.0, atol=1e-12)
+
+
+def test_train_fits_in_float32_normalizes_in_float64(monkeypatch, frame_params):
+    """The fit inside train_noise_shapes solves a float32 Y; the shapes come
+    back float64 and are normalized there, so each column sums to 1 within
+    float64 rounding, far inside the .nshp load check (1e-9)."""
+    seen, solve = [], nmf.solve
+
+    def spy(Y, *args, **kwargs):
+        seen.append(Y.dtype)
+        return solve(Y, *args, **kwargs)
+
+    monkeypatch.setattr(nmf, "solve", spy)
+    mag = stft(white_noise(seconds=2.0, seed=7), frame_params).magnitude()
+    shapes = train_noise_shapes(mag, 16, seed=0)
+    assert seen == [np.float32]
+    assert shapes.n_matrix.dtype == np.float64
+    assert np.max(np.abs(shapes.n_matrix.sum(axis=0) - 1.0)) <= 1e-12
+
+
+def test_train_refit_kl_matches_float64_fit(noise_shapes, frame_params):
+    """The gains-only refit KL (cli._shapes_fit, the KL train-noise prints)
+    over the trained shapes is within a relative 1e-6 of the same refit over
+    shapes fit by a float64 solve from the same start.
+
+    1e-6 is a requirement, not a derived bound: the KL is printed to 6
+    significant digits, and a relative gap below 1e-6 moves at most its last
+    digit.  A first-order bound does not get there.  Each shape entry moves
+    by some relative delta (about 1e-5 here, asserted below 1e-4); with the
+    gains held fixed each model entry V then moves by at most delta, so the
+    KL, sum(Y log(Y/V) - Y + V), moves by at most about delta sum(Y + V),
+    which is 18 delta KL on this noise (sum Y is about 9 KL), about 2e-4.
+    The actual gap is far smaller (about 2e-8 on this noise) because after
+    FREE_FIT_ITERATIONS the shapes are near a stationary point of the KL,
+    where the first-order term nearly cancels."""
+    mag = stft(white_noise(seconds=10.0, seed=7), frame_params).magnitude()
+    K = mag.values.shape[0]
+    rng = np.random.default_rng(0)
+    group = nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((1, 16, K)),
+                           kind="noise")
+    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
+                                  iterations=FREE_FIT_ITERATIONS, seed=0)
+    D = nmf.solve(mag.values, [group], settings, mode="lin", trace=False).dictionary
+    assert D.dtype == np.float64
+    shapes64 = NoiseShapes(D / D.sum(axis=0), frame_params)
+    delta = np.max(np.abs(noise_shapes.n_matrix - shapes64.n_matrix)
+                   / shapes64.n_matrix)
+    assert delta < 1e-4
+    config = EnhanceConfig()
+    kl32 = _shapes_fit(noise_shapes, mag, config)
+    kl64 = _shapes_fit(shapes64, mag, config)
+    assert abs(kl32 - kl64) <= 1e-6 * kl64
 
 
 def test_train_constant_frames():

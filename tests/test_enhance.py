@@ -35,6 +35,34 @@ def test_default_dictionary_sizing(frame_params):
     assert group.psi.shape == (33, frame_params.n_bins, 30)
 
 
+def test_default_start_coefficients_unchanged(frame_params):
+    """At the default config every basis has p <= 30 harmonics, so the start
+    jitter is 0.001 and the start coefficients are bitwise the draws
+    uniform(1/p - 0.001, 1/p + 0.001), basis by basis from one seeded stream."""
+    config = EnhanceConfig()
+    group = build_speech_atoms(config, frame_params)
+    rng = np.random.default_rng(config.seed)
+    expected = np.zeros_like(group.coeffs)
+    for l, f in enumerate(h.fundamental_grid(config.f_min, config.f_max,
+                                             config.L, config.sr)):
+        p = h.harmonic_count(f, config.sr, config.p_star)
+        expected[l, :, :p] = rng.uniform(1.0 / p - 0.001, 1.0 / p + 0.001,
+                                         (config.m, p))
+    assert np.array_equal(group.coeffs, expected)
+
+
+def test_many_harmonics_start_positive():
+    """A 2 Hz fundamental keeps 2000 harmonics below Nyquist, where a fixed
+    jitter of 0.001 would exceed 1/p: every start on a real harmonic is
+    still positive, and the padding of the 400 Hz basis (10 harmonics) is 0."""
+    config = EnhanceConfig(f_min=2.0, f_max=400.0, L=2, p_star=5000)
+    group = build_speech_atoms(config, config.frame_params())
+    assert group.coeffs.shape == (2, config.m, 2000)
+    assert np.all(group.coeffs[0] > 0)
+    assert np.all(group.coeffs[1, :, :10] > 0)
+    assert not group.coeffs[1, :, 10:].any()
+
+
 def random_spec(frame_params, seed=0):
     rng = np.random.default_rng(seed)
     K, T = frame_params.n_bins, 8

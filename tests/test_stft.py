@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from harmonmf.signal_io import Signal
-from harmonmf.stft import (FrameParams, WindowSpectrum, default_frame_params,
-                           hann_window, istft, stft)
+from harmonmf.stft import (ComplexSpectrogram, FrameParams, WindowSpectrum,
+                           default_frame_params, hann_window, istft, stft)
 
 
 def test_hann_small():
@@ -86,6 +86,33 @@ def test_istft_zero():
     p = default_frame_params(8000)
     spec = stft(Signal(np.zeros(1000), 8000), p)
     assert np.all(istft(spec).samples == 0)
+
+
+@pytest.mark.parametrize("wl,hop,fft_len,T", [
+    (256, 64, 256, 130),   # default: hop divides the window
+    (256, 100, 256, 20),   # last block of each frame shorter than hop
+    (256, 256, 256, 5),    # no overlap
+    (255, 64, 512, 9),     # odd window, zero-padded FFT
+    (10, 3, 16, 1),        # one frame
+    (64, 100, 64, 4),      # hop longer than the window: gaps
+])
+def test_istft_matches_frame_loop(wl, hop, fft_len, T):
+    """The strided overlap-add adds each sample's frames in the order of a
+    frame-by-frame loop, so it gives that loop's bytes."""
+    p = FrameParams(window_len=wl, hop=hop, fft_len=fft_len, sample_rate=8000)
+    rng = np.random.default_rng(T)
+    values = (rng.standard_normal((p.n_bins, T))
+              + 1j * rng.standard_normal((p.n_bins, T)))
+    w = hann_window(wl)
+    frames = np.fft.irfft(values.T, n=fft_len, axis=1)[:, :wl]
+    y = np.zeros((T - 1) * hop + wl)
+    wsum = np.zeros_like(y)
+    for l in range(T):
+        y[l * hop:l * hop + wl] += frames[l] * w
+        wsum[l * hop:l * hop + wl] += w * w
+    y /= np.maximum(wsum, 1e-12)
+    out = istft(ComplexSpectrogram(values, p)).samples
+    assert out.tobytes() == y.tobytes()
 
 
 def test_energy_scales_quadratically():
