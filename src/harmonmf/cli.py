@@ -117,15 +117,15 @@ def cmd_train_noise(args) -> int:
 
 
 def _shapes_fit(shapes, mag, config) -> float:
-    """KL divergence of a gains-only refit, solved in float64: how well the
-    trained shapes span the noise."""
+    """KL divergence of a gains-only refit, solved in float64 without a
+    trace, at its final point: how well the trained shapes span the noise."""
     group = nmf.BasisGroup(psi=None, coeffs=shapes.n_matrix.T[None],
                            kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=config.iterations, seed=config.seed)
     result = nmf.solve(mag.values, [group], settings, mode="lin",
                        frozen_dictionary=True, trace=False)
-    return result.trace[-1].kl
+    return nmf.kl_divergence(mag.values, result.dictionary @ result.gains)
 
 
 def cmd_enhance(args) -> int:

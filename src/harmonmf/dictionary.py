@@ -56,8 +56,8 @@ def harmonic_count(fundamental_hz: float, sample_rate: float, p_star: int) -> in
     return int(min(p_star, sample_rate // (2.0 * fundamental_hz)))
 
 
-def build_harmonic_basis(fundamentals_hz, params: FrameParams, p_star: int,
-                         window_spectrum: WindowSpectrum) -> np.ndarray:
+def build_harmonic_basis(fundamentals_hz, params: FrameParams,
+                         p_star: int) -> np.ndarray:
     """L x K x p bases: column k of basis l is the window spectrum centered on
     harmonic k of f0_l, scaled by the sinc^2 amplitude profile, for its
     harmonic_count(f0_l) columns, zero-padded to the largest count p; entries
@@ -66,8 +66,8 @@ def build_harmonic_basis(fundamentals_hz, params: FrameParams, p_star: int,
     k = np.arange(1, max(counts) + 1)
     w0 = 2.0 * np.pi * np.asarray(fundamentals_hz)[:, None] / params.sample_rate
     c = harmonic_amplitudes(w0, k.size) * (k <= np.array(counts)[:, None])
-    omegas = 2.0 * np.pi * np.arange(params.n_bins) / params.fft_len
-    psi = window_spectrum.evaluate(omegas[:, None] - (k * w0)[:, None]) * c[:, None]
+    omegas = 2.0 * np.pi * np.arange(params.n_bins)[:, None] / params.window_len
+    psi = WindowSpectrum(params).evaluate(omegas - (k * w0)[:, None]) * c[:, None]
     psi[psi < COLUMN_TRUNCATION * psi.max(axis=1, keepdims=True)] = 0.0
     return psi
 
@@ -139,10 +139,10 @@ def save_noise_shapes(shapes: NoiseShapes, path) -> None:
 
 def load_noise_shapes(path) -> NoiseShapes:
     """Read a file written by save_noise_shapes.  A file with a short
-    header, a body that is not exactly K*r values, an entry that is negative
-    or not finite, or a column whose sum differs from 1 by more than
-    SHAPES_L1_TOLERANCE (1e-9, the tolerance the benchmark's own .nshp
-    check uses) raises ValueError."""
+    header, a fractional sample rate, a body that is not exactly K*r values,
+    an entry that is negative or not finite, or a column whose sum differs
+    from 1 by more than SHAPES_L1_TOLERANCE (1e-9, the tolerance the
+    benchmark's own .nshp check uses) raises ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(_SHAPES_MAGIC)] != _SHAPES_MAGIC:
@@ -158,10 +158,9 @@ def load_noise_shapes(path) -> NoiseShapes:
     if body_len != K * r * 8:
         raise ValueError(f"corrupt noise-shapes file {path}: body is {body_len} "
                          f"bytes, {K} x {r} shapes need {K * r * 8}")
-    if not np.isfinite(sample_rate):
+    if not sample_rate.is_integer():  # also false for inf and nan
         raise ValueError(f"corrupt noise-shapes file {path}: bad sample rate")
-    params = FrameParams(window_len=window_len, hop=hop, fft_len=window_len,
-                         sample_rate=int(sample_rate))
+    params = FrameParams(window_len=window_len, hop=hop, sample_rate=int(sample_rate))
     if K != params.n_bins:
         raise ValueError(f"corrupt noise-shapes file: K={K} does not match window")
     data = np.frombuffer(blob, dtype="<f8", offset=body_start)

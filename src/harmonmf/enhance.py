@@ -15,7 +15,7 @@ from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
                          fit_free_dictionary, fundamental_grid, harmonic_count)
 from .signal_io import Signal, snr_db
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
-                   WindowSpectrum, default_frame_params, istft, stft)
+                   default_frame_params, istft, stft)
 
 _COEFF_JITTER = 0.001
 _PGM_FLOOR = 1e-10
@@ -96,7 +96,7 @@ def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisG
     1/p +- min(_COEFF_JITTER, 0.5/p), so every start is positive however
     large p is (the jitter is _COEFF_JITTER for p <= 500)."""
     f0 = fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
-    psi = build_harmonic_basis(f0, params, config.p_star, WindowSpectrum(params))
+    psi = build_harmonic_basis(f0, params, config.p_star)
     rng = np.random.default_rng(config.seed)
     coeffs = np.zeros((config.L, config.m, psi.shape[2]))
     for l, f in enumerate(f0):
@@ -119,9 +119,7 @@ def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogr
 
 
 def _check_shapes(shapes: NoiseShapes, params: FrameParams):
-    p = shapes.params
-    if (p.sample_rate, p.window_len, p.hop) != \
-            (params.sample_rate, params.window_len, params.hop):
+    if shapes.params != params:
         raise ValueError("noise shapes were trained with different frame parameters")
 
 
@@ -158,8 +156,8 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
             trace: bool = True) -> EnhanceResult:
     """Constrained enhancement with harmonic speech atoms (lin or dense mode).
     The factorization runs in float32, the Wiener filter in float64.
-    With trace=False the objective trace holds only the final point; the
-    output is the same."""
+    With trace=False no objective is computed and the objective trace is
+    empty; the output is the same."""
     params = config.frame_params()
     _check_shapes(shapes, params)
     groups = [build_speech_atoms(config, params),

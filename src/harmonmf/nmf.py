@@ -52,13 +52,15 @@ EPSILON = 1e-12
 class BasisGroup:
     """G x m atoms over the G x K x p bases psi: atom (b, i) is
     psi[b] @ coeffs[b, i], or coeffs[0, i] when psi is None (G = 1).  coeffs
-    is a C-ordered G x m x p copy: each atom's coefficients are one row."""
+    is a C-ordered G x m x p copy: each atom's coefficients are one row.
+    psi is held C-ordered, so its input layout never changes a product."""
     psi: np.ndarray | None
     coeffs: np.ndarray
     kind: str  # "speech" | "noise"
 
     def __post_init__(self):
         self.coeffs = np.array(self.coeffs, dtype=np.float64, order="C")
+        self.psi = None if self.psi is None else np.ascontiguousarray(self.psi)
         if self.kind not in ("speech", "noise"):
             raise ValueError(f"unknown atom kind {self.kind!r}")
         if self.coeffs.ndim != 3 or 0 in self.coeffs.shape[:2]:
@@ -228,7 +230,8 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
 
     Updates the groups' coefficients in place, by the rule of each mode.
     With frozen_dictionary only the gains are updated (Oracle baseline).
-    With trace=False only the final objective point is computed.
+    The trace holds the objective at the start and after every iteration;
+    with trace=False it is empty and no objective is computed.
     Computes in float32 when Y is float32, else in float64, and returns the
     dictionary, gains and coefficients in that dtype; the seeded start is
     drawn in float64 and then cast.
@@ -291,7 +294,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
             D = D_new
         update_gains(X, D, Y, settings, n_speech, E=_refresh_excess(Y, V, E))
         V = D @ X
-        if trace or it == settings.iterations:
+        if trace:
             points.append(_objective_point(it, Y, V, groups, X, settings, mode))
 
     return SolveResult(groups, D, X, points)

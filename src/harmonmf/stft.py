@@ -15,28 +15,25 @@ WINDOW_OVERSAMPLE = 8
 
 @dataclass(frozen=True)
 class FrameParams:
+    """Frames of window_len samples, hop apart; the FFT length is window_len."""
     window_len: int
     hop: int
-    fft_len: int
     sample_rate: int
 
     def __post_init__(self):
         if self.window_len < 2 or self.hop < 1 or self.sample_rate <= 0:
             raise ValueError("degenerate frame parameters")
-        if self.fft_len < self.window_len:
-            raise ValueError("fft_len must be >= window_len")
 
     @property
     def n_bins(self) -> int:
-        return self.fft_len // 2 + 1
+        return self.window_len // 2 + 1
 
 
 def default_frame_params(sample_rate: int, window_ms: float = 32.0,
                          overlap: float = 0.75) -> FrameParams:
     window_len = int(round(sample_rate * window_ms / 1000.0))
     hop = int(round(window_len * (1.0 - overlap)))
-    return FrameParams(window_len=window_len, hop=hop, fft_len=window_len,
-                       sample_rate=sample_rate)
+    return FrameParams(window_len=window_len, hop=hop, sample_rate=sample_rate)
 
 
 @dataclass(frozen=True)
@@ -46,7 +43,7 @@ class ComplexSpectrogram:
 
     def __post_init__(self):
         if self.values.shape[0] != self.params.n_bins:
-            raise ValueError("bin count does not match fft_len/2 + 1")
+            raise ValueError("bin count does not match window_len/2 + 1")
 
     def magnitude(self) -> "MagnitudeSpectrogram":
         return MagnitudeSpectrogram(np.abs(self.values), self.params)
@@ -81,7 +78,7 @@ def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     n_frames = (x.size - wl) // hop + 1
     w = hann_window(wl)
     frames = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop][:n_frames]
-    spec = np.fft.rfft(frames * w, n=params.fft_len, axis=1).T
+    spec = np.fft.rfft(frames * w, axis=1).T
     return ComplexSpectrogram(np.ascontiguousarray(spec), params)
 
 
@@ -107,7 +104,8 @@ def istft(spec: ComplexSpectrogram) -> Signal:
     wl, hop = params.window_len, params.hop
     K, T = spec.values.shape
     w = hann_window(wl)
-    frames = np.fft.irfft(spec.values.T, n=params.fft_len, axis=1)[:, :wl]
+    # n = wl: for an odd window irfft's default length is 2(K - 1) = wl - 1
+    frames = np.fft.irfft(spec.values.T, n=wl, axis=1)
     frames *= w
     y = _overlap_add(frames, T, hop)
     y /= np.maximum(_overlap_add(w * w, T, hop), _WSUM_FLOOR)
@@ -120,7 +118,7 @@ class WindowSpectrum:
     linear interpolation."""
 
     def __init__(self, params: FrameParams):
-        n = WINDOW_OVERSAMPLE * params.fft_len
+        n = WINDOW_OVERSAMPLE * params.window_len
         w = hann_window(params.window_len)
         mags = np.abs(np.fft.fft(w, n=n))
         mags /= mags.max()  # unit peak, so atom columns are O(1) and the

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import struct
 import tempfile
 from pathlib import Path
 
@@ -317,6 +318,22 @@ def test_truncated_input_is_one_line_error(valid_inputs, which, data):
         lines = err.getvalue().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
+
+
+def test_fractional_sample_rate_is_one_line_error(valid_inputs, tmp_path, capsys):
+    """A .nshp header rate of 8000.5 Hz is rejected, not truncated to 8000."""
+    blob = bytearray((valid_inputs / "shapes.nshp").read_bytes())
+    struct.pack_into("<d", blob, 12, 8000.5)  # after the magic, K and r
+    shapes = tmp_path / "shapes.nshp"
+    shapes.write_bytes(blob)
+    out = tmp_path / "out.wav"
+    rc = main(["enhance", str(valid_inputs / "clean.wav"), str(shapes), str(out),
+               "--config", str(valid_inputs / "small.cfg")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "bad sample rate" in lines[0]
+    assert not out.exists()
 
 
 BAD_CONFIG = [

@@ -13,8 +13,7 @@ from harmonmf.dictionary import (FREE_FIT_ITERATIONS, NoiseShapes,
                                  harmonic_count, load_noise_shapes,
                                  save_noise_shapes, train_noise_shapes)
 from harmonmf.enhance import EnhanceConfig
-from harmonmf.stft import (MagnitudeSpectrogram, WindowSpectrum,
-                           default_frame_params, stft)
+from harmonmf.stft import MagnitudeSpectrogram, default_frame_params, stft
 
 SR = 8000
 
@@ -67,46 +66,39 @@ def test_harmonic_count_examples():
     assert harmonic_count(4000, SR, 30) == 1
 
 
-@pytest.fixture(scope="module")
-def wspec():
-    return WindowSpectrum(default_frame_params(SR))
-
-
-def test_basis_column_argmax_bins(wspec):
+def test_basis_column_argmax_bins():
     params = default_frame_params(SR)
-    [psi] = build_harmonic_basis(np.array([120.0]), params, 30, wspec)
+    [psi] = build_harmonic_basis(np.array([120.0]), params, 30)
     w0 = 2 * np.pi * 120.0 / SR
     for k in range(1, psi.shape[1] + 1):
-        expected = round(k * w0 * params.fft_len / (2 * np.pi))
+        expected = round(k * w0 * params.window_len / (2 * np.pi))
         assert np.argmax(psi[:, k - 1]) == expected
 
 
-def test_basis_400hz_has_10_columns(wspec):
-    [psi] = build_harmonic_basis(np.array([400.0]), default_frame_params(SR), 30,
-                                 wspec)
+def test_basis_400hz_has_10_columns():
+    [psi] = build_harmonic_basis(np.array([400.0]), default_frame_params(SR), 30)
     assert psi.shape[1] == 10
     assert np.all(psi >= 0)
     assert np.all(psi.sum(axis=0) > 0)
 
 
-def test_stacked_bases_padded_to_largest_count(wspec):
+def test_stacked_bases_padded_to_largest_count():
     """Each basis of a stacked build equals its own single-fundamental
     build, zero-padded to the largest harmonic count."""
     params = default_frame_params(SR)
     f0 = np.array([400.0, 150.0, 1000.0])
-    psi = build_harmonic_basis(f0, params, 30, wspec)
+    psi = build_harmonic_basis(f0, params, 30)
     assert psi.shape == (3, params.n_bins, 26)  # 8000 // 300 = 26 at 150 Hz
     for basis, f in zip(psi, f0):
-        [own] = build_harmonic_basis(np.array([f]), params, 30, wspec)
+        [own] = build_harmonic_basis(np.array([f]), params, 30)
         p = harmonic_count(f, SR, 30)
         assert own.shape[1] == p
         assert np.array_equal(basis[:, :p], own) and not basis[:, p:].any()
 
 
-def test_uniform_atom_is_comb(wspec):
+def test_uniform_atom_is_comb():
     # 150 Hz keeps every harmonic strictly below Nyquist, away from edge bins
-    [psi] = build_harmonic_basis(np.array([150.0]), default_frame_params(SR), 30,
-                                 wspec)
+    [psi] = build_harmonic_basis(np.array([150.0]), default_frame_params(SR), 30)
     d = psi @ np.ones(psi.shape[1])
     interior = (d[1:-1] > d[:-2]) & (d[1:-1] > d[2:])
     assert interior.sum() == psi.shape[1]
@@ -267,6 +259,7 @@ SHAPES_CORRUPTIONS = {
     "negative entry": lambda good: _with_entry(good, -1e-3),
     "no shapes": lambda good: _with_header(good, r=0)[:28],
     "infinite rate": lambda good: _with_header(good, rate=np.inf),
+    "fractional rate": lambda good: _with_header(good, rate=8000.5),
     "column not unit-l1": lambda good: _with_entry(
         good, struct.unpack_from("<d", good, 36)[0] + 1e-6),
 }
