@@ -168,8 +168,7 @@ def _require_positive(flag, value):
 def cmd_evaluate(args) -> int:
     _require_positive("--free-atoms", args.free_atoms)
     _require_positive("--oracle-atoms", args.oracle_atoms)
-    snr_values = (_parse_list("--snr-list", args.snr_list, float)
-                  if args.snr_list else [])
+    snr_values = _parse_list("--snr-list", args.snr_list, float)
     config, paths = build_config(args)
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))

@@ -4,6 +4,7 @@ shapes trained offline on noise-only audio.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -13,6 +14,7 @@ from . import nmf
 from .stft import FrameParams, MagnitudeSpectrogram, WindowSpectrum
 
 AMPLITUDE_FLOOR = 1e-8
+BASIS_CACHE_SIZE = 4
 COLUMN_TRUNCATION = 1e-4
 FREE_FIT_ITERATIONS = 100
 SHAPES_L1_TOLERANCE = 1e-9
@@ -61,7 +63,16 @@ def build_harmonic_basis(fundamentals_hz, params: FrameParams,
     """L x K x p bases: column k of basis l is the window spectrum centered on
     harmonic k of f0_l, scaled by the sinc^2 amplitude profile, for its
     harmonic_count(f0_l) columns, zero-padded to the largest count p; entries
-    below COLUMN_TRUNCATION of their column's peak are zeroed for sparsity."""
+    below COLUMN_TRUNCATION of their column's peak are zeroed for sparsity.
+    Memoized on (fundamentals as floats, params, p_star): equal keys share one
+    read-only array.  At most BASIS_CACHE_SIZE entries of L*K*p float64 are
+    kept, least recently used out first; 1 MB each at the default 33x129x30."""
+    return _harmonic_basis(tuple(np.asarray(fundamentals_hz, dtype=float).tolist()),
+                           params, p_star)
+
+
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+def _harmonic_basis(fundamentals_hz: tuple, params: FrameParams, p_star: int):
     counts = [harmonic_count(f, params.sample_rate, p_star) for f in fundamentals_hz]
     k = np.arange(1, max(counts) + 1)
     w0 = 2.0 * np.pi * np.asarray(fundamentals_hz)[:, None] / params.sample_rate
@@ -69,6 +80,7 @@ def build_harmonic_basis(fundamentals_hz, params: FrameParams,
     omegas = 2.0 * np.pi * np.arange(params.n_bins)[:, None] / params.window_len
     psi = WindowSpectrum(params).evaluate(omegas - (k * w0)[:, None]) * c[:, None]
     psi[psi < COLUMN_TRUNCATION * psi.max(axis=1, keepdims=True)] = 0.0
+    psi.flags.writeable = False
     return psi
 
 

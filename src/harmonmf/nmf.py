@@ -19,9 +19,10 @@ the row sums s = X 1, and updates every group from those (a Jacobi step):
 free columns by the Lee-Seung KL step W <- W * (R X^T) / (1 X^T) (Lee &
 Seung, NIPS 2000), groups with a basis by its projection onto Psi, where
 1 X^T projects to the outer product s (1^T Psi) and R X^T to that plus
-XE Psi.  The gain step's numerator is D^T 1 + D^T E.  At Y = DX, E is
-exactly 0, so every numerator equals its denominator bitwise and the fixed
-point is exact for any BLAS; on zero padding both are 0, and A stays 0.
+XE Psi; the bases are fixed, so 1^T Psi is formed once per solve.  The
+gain step's numerator is D^T 1 + D^T E.  At Y = DX, E is exactly 0, so
+every numerator equals its denominator bitwise and the fixed point is exact
+for any BLAS; on zero padding both are 0, and A stays 0.
 Because DX = sum_g Psi_g A_g^T X_g is linear in all the coefficients
 stacked together, one auxiliary function covers the joint step, so the lin
 and free-column steps (X fixed) and the gain step (D fixed) each do not
@@ -183,33 +184,36 @@ def update_gains(X, D, Y, settings: SolverSettings, n_speech: int, E=None):
     return X
 
 
-def _lin_terms(group: BasisGroup, XE, s):
-    """Numerator and denominator of update_atom_lin, G x m x p."""
+def _lin_terms(group: BasisGroup, XE, s, psi_sums=None):
+    """Numerator and denominator of update_atom_lin, G x m x p.  psi_sums,
+    1^T Psi as G x 1 x p, is formed once per solve; summed here if not given."""
     G, m, _ = group.coeffs.shape
     XE, s = XE.reshape(G, m, -1), s.reshape(G, m, 1)
     if group.psi is None:
         return s + XE, s
-    den = s * group.psi.sum(axis=1)[:, None, :]
+    den = s * (group.psi.sum(axis=1)[:, None, :] if psi_sums is None else psi_sums)
     return den + XE @ group.psi, den
 
 
-def update_atom_lin(group: BasisGroup, XE, s):
+def update_atom_lin(group: BasisGroup, XE, s, psi_sums=None):
     """A <- A * (Psi^T R X_g^T) / (Psi^T 1 X_g^T) in place, formed from the
     group's rows XE of X E^T and s of X 1 as s (1^T Psi) + XE Psi over
     s (1^T Psi); with psi None the projection is skipped, which is the
-    Lee-Seung step W <- W * (R X^T) / (1 X^T), s + XE over s."""
-    num, den = _lin_terms(group, XE, s)
+    Lee-Seung step W <- W * (R X^T) / (1 X^T), s + XE over s.  psi_sums is
+    as in _lin_terms."""
+    num, den = _lin_terms(group, XE, s, psi_sums)
     group.coeffs *= np.maximum(num, EPSILON) / np.maximum(den, EPSILON)
     return group.coeffs
 
 
-def update_atom_dense(group: BasisGroup, XE, s, alpha: float):
+def update_atom_dense(group: BasisGroup, XE, s, alpha: float, psi_sums=None):
     """Density-regularized update of every row on l1-normalized coefficients,
-    in place, from XE and s as in update_atom_lin; rows are renormalized so the
-    simplex holds exactly, and each must have a positive sum (solve checks)."""
+    in place, from XE, s and psi_sums as in update_atom_lin; rows are
+    renormalized so the simplex holds exactly, and each must have a positive
+    sum (solve checks)."""
     A = group.coeffs
     a_tilde = A / A.sum(axis=2, keepdims=True)
-    num_lin, den_lin = _lin_terms(group, XE, s)
+    num_lin, den_lin = _lin_terms(group, XE, s, psi_sums)
     num = (_rowdot(a_tilde, den_lin) + num_lin
            + alpha * _rowdot(a_tilde, a_tilde))
     den = den_lin + _rowdot(a_tilde, num_lin) + alpha * a_tilde
@@ -248,9 +252,6 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     if not np.all(np.isfinite(Y) & (Y >= 0)):
         raise ValueError("spectrogram must be finite and non-negative")
     starts = np.cumsum([0] + [g.n_atoms for g in groups])
-    layout = [(g, slice(start, start + g.n_atoms),
-               mode == "dense" and g.kind == "speech" and g.psi is not None)
-              for g, start in zip(groups, starts)]
     n = starts[-1]
     if initial_gains is not None:
         X = np.array(initial_gains, dtype=dtype)
@@ -265,7 +266,12 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
         g.coeffs = g.coeffs.astype(dtype, copy=False)
         if g.psi is not None:
             g.psi = g.psi.astype(dtype, copy=False)
-    dense_groups = [g for g, _, dense in layout if dense]
+    # (group, its rows of X, dense step?, 1^T Psi formed once per solve)
+    layout = [(g, slice(start, start + g.n_atoms),
+               mode == "dense" and g.kind == "speech" and g.psi is not None,
+               None if g.psi is None else g.psi.sum(axis=1)[:, None, :])
+              for g, start in zip(groups, starts)]
+    dense_groups = [g for g, _, dense, _ in layout if dense]
     if any(np.any(g.coeffs.sum(axis=2) <= 0) for g in dense_groups):
         raise ValueError("dense mode needs every speech coefficient row "
                          "to have a positive sum")
@@ -284,11 +290,12 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
         if not frozen_dictionary:
             _refresh_excess(Y, V, E)
             XE, s = X @ E.T, X.sum(axis=1)
-            for g, rows, dense in layout:
+            for g, rows, dense, psi_sums in layout:
                 if dense:
-                    update_atom_dense(g, XE[rows], s[rows], settings.alpha)
+                    update_atom_dense(g, XE[rows], s[rows], settings.alpha,
+                                      psi_sums)
                 else:
-                    update_atom_lin(g, XE[rows], s[rows])
+                    update_atom_lin(g, XE[rows], s[rows], psi_sums)
             D_new = realize(groups)
             kernels.rank1_add(V, D_new - D, X)
             D = D_new

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import harmonic_signal, white_noise
 
-from harmonmf import nmf
+from harmonmf import dictionary, nmf
 from harmonmf.cli import (CliError, _shapes_fit, build_config, main, make_parser,
                           parse_config_file)
 from harmonmf.dictionary import load_noise_shapes
@@ -155,14 +155,18 @@ def test_evaluate_rows(workdir, capsys):
 
 
 def test_evaluate_empty_list(workdir, capsys):
+    """An empty --snr-list evaluates nothing, so it is a bad flag: one error
+    line, and not even the CSV header is printed."""
     shapes = run_train(workdir)
     capsys.readouterr()  # drop train-noise output
     rc = main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
                str(shapes), "--config", str(workdir / "small.cfg"),
                "--snr-list", ""])
-    assert rc == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert lines == ["method,input_snr_db,output_snr_db"]
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --snr-list")
 
 
 def test_sweep_rows(workdir):
@@ -177,6 +181,34 @@ def test_sweep_rows(workdir):
     assert len(lines) == 5
     lams = [float(l.split(",")[1]) for l in lines[1:]]
     assert lams == [0.2, 1.0, 0.2, 1.0]
+
+
+def basis_builds(argv):
+    """Run the CLI from a cold basis memo and return how many times it built
+    harmonic bases: each memo miss is one run of the uncached builder."""
+    dictionary._harmonic_basis.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return dictionary._harmonic_basis.cache_info().misses
+
+
+def test_evaluate_builds_bases_once(workdir):
+    """lin and dense share the bases; plain and oracle build none."""
+    shapes = run_train(workdir)
+    assert basis_builds(["evaluate", str(workdir / "clean.wav"),
+                         str(workdir / "noise.wav"), str(shapes), "--config",
+                         str(workdir / "small.cfg"), "--snr-list", "0",
+                         "--free-atoms", "3", "--oracle-atoms", "3"]) == 1
+
+
+def test_sweep_builds_bases_once_per_L(workdir):
+    """The cells run L-major, and the cells of one L share the bases."""
+    shapes = run_train(workdir)
+    assert basis_builds(["sweep", str(workdir / "clean.wav"),
+                         str(workdir / "noise.wav"), str(shapes),
+                         str(workdir / "sweep.csv"), "--config",
+                         str(workdir / "small.cfg"), "--L-list", "2,3",
+                         "--lambda-list", "0.2,0.5"]) == 2
 
 
 @pytest.mark.parametrize("m_line, m", [("m = 3", 3), ("", 5)])
@@ -390,6 +422,7 @@ BAD_FLAGS = [("evaluate", "--free-atoms", "0"),
              ("evaluate", "--oracle-atoms", "0"),
              ("evaluate", "--snr-list", "0,x"),
              ("evaluate", "--snr-list", "0,nan"),
+             ("evaluate", "--snr-list", ""),
              ("sweep", "--L-list", "x"),
              ("sweep", "--lambda-list", "0.2,"),
              ("sweep", "--lambda-list", "inf"),

@@ -5,14 +5,14 @@ import pytest
 
 from conftest import white_noise
 
-from harmonmf import nmf
+from harmonmf import dictionary, nmf
 from harmonmf.cli import _shapes_fit
 from harmonmf.dictionary import (FREE_FIT_ITERATIONS, NoiseShapes,
                                  build_harmonic_basis, build_noise_bases,
                                  fundamental_grid, harmonic_amplitudes,
                                  harmonic_count, load_noise_shapes,
                                  save_noise_shapes, train_noise_shapes)
-from harmonmf.enhance import EnhanceConfig
+from harmonmf.enhance import EnhanceConfig, enhance
 from harmonmf.stft import MagnitudeSpectrogram, default_frame_params, stft
 
 SR = 8000
@@ -102,6 +102,68 @@ def test_uniform_atom_is_comb():
     d = psi @ np.ones(psi.shape[1])
     interior = (d[1:-1] > d[:-2]) & (d[1:-1] > d[2:])
     assert interior.sum() == psi.shape[1]
+
+
+def test_basis_memo_matches_cold_build(frame_params):
+    """A warm call returns the cached array itself, for an array or a list of
+    the same fundamentals; after cache_clear a cold build has the same bytes."""
+    f0 = fundamental_grid(80, 400, 33, SR)
+    warm = build_harmonic_basis(f0, frame_params, 30)
+    assert build_harmonic_basis(list(f0), frame_params, 30) is warm
+    dictionary._harmonic_basis.cache_clear()
+    cold = build_harmonic_basis(f0, frame_params, 30)
+    assert cold is not warm
+    assert cold.dtype == warm.dtype and cold.shape == warm.shape
+    assert cold.tobytes() == warm.tobytes()
+
+
+def test_basis_memo_is_read_only(frame_params):
+    psi = build_harmonic_basis(fundamental_grid(80, 400, 33, SR), frame_params, 30)
+    assert not psi.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        psi[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        psi *= 2.0
+
+
+@pytest.mark.parametrize("change", ["p_star", "params", "grid"])
+def test_basis_memo_keyed_on_every_argument(frame_params, change):
+    """Changing p_star, the frame parameters (here only the hop, which does not
+    change the values) or the grid builds a new entry."""
+    f0 = fundamental_grid(80, 400, 33, SR)
+    args = {"p_star": (f0, frame_params, 20),
+            "params": (f0, default_frame_params(SR, overlap=0.5), 30),
+            "grid": (fundamental_grid(80, 400, 34, SR), frame_params, 30)}[change]
+    dictionary._harmonic_basis.cache_clear()
+    base = build_harmonic_basis(f0, frame_params, 30)
+    other = build_harmonic_basis(*args)
+    assert other is not base
+    info = dictionary._harmonic_basis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
+    assert build_harmonic_basis(*args) is other
+    assert build_harmonic_basis(f0, frame_params, 30) is base
+
+
+def test_basis_memo_is_bounded(frame_params):
+    dictionary._harmonic_basis.cache_clear()
+    for L in range(2, 2 + 2 * dictionary.BASIS_CACHE_SIZE):
+        build_harmonic_basis(fundamental_grid(80, 400, L, SR), frame_params, 30)
+    assert dictionary._harmonic_basis.cache_info().currsize == \
+        dictionary.BASIS_CACHE_SIZE
+
+
+@pytest.mark.parametrize("mode", ["dense", "lin"])
+def test_cold_and_warm_enhance_alike(desk_mixture, noise_shapes, mode):
+    """An enhance that builds the bases and one that reuses them give the
+    same bytes."""
+    _, noisy = desk_mixture
+    config = EnhanceConfig(mode=mode)
+    dictionary._harmonic_basis.cache_clear()
+    cold = enhance(noisy, noise_shapes, config, trace=False)
+    warm = enhance(noisy, noise_shapes, config, trace=False)
+    info = dictionary._harmonic_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert cold.denoised.samples.tobytes() == warm.denoised.samples.tobytes()
 
 
 def test_train_rank1_converges():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -576,6 +578,57 @@ def test_generated_group_step_equals_single_atom_rule(mode, data):
         assert np.allclose(g.coeffs.reshape(len(atoms), -1), expected,
                            rtol=1e-12, atol=0)
         start += g.n_atoms
+
+
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+@given(data=st.data())
+def test_generated_step_with_psi_sums_is_bitwise_equal(mode, data):
+    """The per-group step given 1^T Psi, as solve forms it once per solve
+    after its dtype cast, has the bytes of the step that sums psi itself."""
+    Y, groups = data.draw(group_problems())
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    D = nmf.realize(groups)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="X seed"))
+    X = rng.random((D.shape[1], Y.shape[1])) + 0.1
+    X[rng.random(D.shape[1]) < 0.2] = 0.0  # some inactive rows
+    XE, s = (a.astype(dtype) for a in products(Y / np.maximum(D @ X, nmf.EPSILON), X))
+    start = 0
+    for g in groups:
+        rows = slice(start, start + g.n_atoms)
+        twins = []
+        for _ in range(2):
+            twin = nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
+            twin.coeffs = twin.coeffs.astype(dtype)
+            twin.psi = None if g.psi is None else g.psi.astype(dtype)
+            twins.append(twin)
+        own, given = twins
+        psi_sums = None if g.psi is None else given.psi.sum(axis=1)[:, None, :]
+        if mode == "dense" and g.psi is not None:
+            nmf.update_atom_dense(own, XE[rows], s[rows], 3.0)
+            nmf.update_atom_dense(given, XE[rows], s[rows], 3.0, psi_sums)
+        else:
+            nmf.update_atom_lin(own, XE[rows], s[rows])
+            nmf.update_atom_lin(given, XE[rows], s[rows], psi_sums)
+        assert given.coeffs.dtype == own.coeffs.dtype == dtype
+        assert given.coeffs.tobytes() == own.coeffs.tobytes()
+        start += g.n_atoms
+    # a whole solve, which hands its steps 1^T Psi, has the bytes of one whose
+    # steps sum psi themselves
+    def solve_copies():
+        copies = [nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
+                  for g in groups]
+        return nmf.solve(Y.astype(dtype), copies, nmf.SolverSettings(iterations=3),
+                         mode, trace=False)
+
+    hoisted = solve_copies()
+    lin, dense = nmf.update_atom_lin, nmf.update_atom_dense
+    with mock.patch.object(nmf, "update_atom_lin",
+                           lambda g, XE, s, _: lin(g, XE, s)), \
+            mock.patch.object(nmf, "update_atom_dense",
+                              lambda g, XE, s, alpha, _: dense(g, XE, s, alpha)):
+        summed = solve_copies()
+    assert hoisted.dictionary.tobytes() == summed.dictionary.tobytes()
+    assert hoisted.gains.tobytes() == summed.gains.tobytes()
 
 
 # case -> (what is corrupted, index, value); a speech row of zeros is bad in
