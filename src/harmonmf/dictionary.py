@@ -14,7 +14,6 @@ from . import nmf
 from .stft import FrameParams, MagnitudeSpectrogram, WindowSpectrum
 
 AMPLITUDE_FLOOR = 1e-8
-BASIS_CACHE_SIZE = 4
 COLUMN_TRUNCATION = 1e-4
 FREE_FIT_ITERATIONS = 100
 SHAPES_L1_TOLERANCE = 1e-9
@@ -65,13 +64,13 @@ def build_harmonic_basis(fundamentals_hz, params: FrameParams,
     harmonic_count(f0_l) columns, zero-padded to the largest count p; entries
     below COLUMN_TRUNCATION of their column's peak are zeroed for sparsity.
     Memoized on (fundamentals as floats, params, p_star): equal keys share one
-    read-only array.  At most BASIS_CACHE_SIZE entries of L*K*p float64 are
-    kept, least recently used out first; 1 MB each at the default 33x129x30."""
+    read-only array.  Only the last key's L*K*p float64 values are kept, 1 MB
+    at the default 33x129x30; a new key replaces the entry."""
     return _harmonic_basis(tuple(np.asarray(fundamentals_hz, dtype=float).tolist()),
                            params, p_star)
 
 
-@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
+@functools.lru_cache(maxsize=1)
 def _harmonic_basis(fundamentals_hz: tuple, params: FrameParams, p_star: int):
     counts = [harmonic_count(f, params.sample_rate, p_star) for f in fundamentals_hz]
     k = np.arange(1, max(counts) + 1)

@@ -186,7 +186,8 @@ def update_gains(X, D, Y, settings: SolverSettings, n_speech: int, E=None):
 
 def _lin_terms(group: BasisGroup, XE, s, psi_sums=None):
     """Numerator and denominator of update_atom_lin, G x m x p.  psi_sums,
-    1^T Psi as G x 1 x p, is formed once per solve; summed here if not given."""
+    1^T Psi as G x 1 x p, is formed once per solve, which always passes it;
+    the sum here when it is None serves the tests as the reference step."""
     G, m, _ = group.coeffs.shape
     XE, s = XE.reshape(G, m, -1), s.reshape(G, m, 1)
     if group.psi is None:

@@ -129,7 +129,7 @@ def test_basis_memo_is_read_only(frame_params):
 @pytest.mark.parametrize("change", ["p_star", "params", "grid"])
 def test_basis_memo_keyed_on_every_argument(frame_params, change):
     """Changing p_star, the frame parameters (here only the hop, which does not
-    change the values) or the grid builds a new entry."""
+    change the values) or the grid builds a new entry, which replaces the old."""
     f0 = fundamental_grid(80, 400, 33, SR)
     args = {"p_star": (f0, frame_params, 20),
             "params": (f0, default_frame_params(SR, overlap=0.5), 30),
@@ -138,18 +138,20 @@ def test_basis_memo_keyed_on_every_argument(frame_params, change):
     base = build_harmonic_basis(f0, frame_params, 30)
     other = build_harmonic_basis(*args)
     assert other is not base
-    info = dictionary._harmonic_basis.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
     assert build_harmonic_basis(*args) is other
-    assert build_harmonic_basis(f0, frame_params, 30) is base
+    info = dictionary._harmonic_basis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
+    again = build_harmonic_basis(f0, frame_params, 30)
+    assert again is not base and again.tobytes() == base.tobytes()
+    assert dictionary._harmonic_basis.cache_info().misses == 3
 
 
 def test_basis_memo_is_bounded(frame_params):
+    """The memo holds one entry, however many keys came before."""
     dictionary._harmonic_basis.cache_clear()
-    for L in range(2, 2 + 2 * dictionary.BASIS_CACHE_SIZE):
+    for L in range(2, 6):
         build_harmonic_basis(fundamental_grid(80, 400, L, SR), frame_params, 30)
-    assert dictionary._harmonic_basis.cache_info().currsize == \
-        dictionary.BASIS_CACHE_SIZE
+    assert dictionary._harmonic_basis.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("mode", ["dense", "lin"])
