@@ -20,9 +20,14 @@ free columns by the Lee-Seung KL step W <- W * (R X^T) / (1 X^T) (Lee &
 Seung, NIPS 2000), groups with a basis by its projection onto Psi, where
 1 X^T projects to the outer product s (1^T Psi) and R X^T to that plus
 XE Psi; the bases are fixed, so 1^T Psi is formed once per solve.  The
-gain step's numerator is D^T 1 + D^T E.  At Y = DX, E is exactly 0, so
-every numerator equals its denominator bitwise and the fixed point is exact
-for any BLAS; on zero padding both are 0, and A stays 0.
+gain step's numerator is D^T 1 + D^T E.  Psi^T and every array of the loop
+are also formed once per solve.  D keeps the memory order np.hstack gives
+the groups' blocks: F when all blocks of several columns, and there is at
+least one, are free groups (a noise-shape fit), else C.  GEMM transposition
+flags follow the layout and the rounding follows the flags, so another
+order moves output bytes.  At Y = DX, E is exactly 0, so every numerator
+equals its denominator bitwise and the fixed point is exact for any BLAS;
+on zero padding both are 0, and A stays 0.
 Because DX = sum_g Psi_g A_g^T X_g is linear in all the coefficients
 stacked together, one auxiliary function covers the joint step, so the lin
 and free-column steps (X fixed) and the gain step (D fixed) each do not
@@ -82,15 +87,37 @@ class BasisGroup:
 def realize(groups) -> np.ndarray:
     """The K x n dictionary of ordered groups; speech groups must precede
     noise groups.  Each group's columns are one batched product
-    psi @ coeffs^T, the product solve uses after updating the group."""
+    coeffs @ Psi^T (see _psi_t), the product solve uses after updating the
+    group; np.hstack sets its memory order (see the module docstring)."""
+    _check_order(groups)
+    return _realize(groups, [None if g.psi is None else _psi_t(g) for g in groups])
+
+
+def _realize(groups, psi_ts):
+    """realize, given each group's Psi^T (None for free columns)."""
+    return np.hstack([g.coeffs[0].T if psi_t is None else np.ascontiguousarray(
+        (g.coeffs @ psi_t).reshape(g.n_atoms, -1).T)
+                      for g, psi_t in zip(groups, psi_ts)])
+
+
+def _check_order(groups):
     kinds = [g.kind for g in groups]
     if not kinds:
         raise ValueError("dictionary needs at least one group")
     if any(a == "noise" and b == "speech" for a, b in zip(kinds, kinds[1:])):
         raise ValueError("speech groups must precede noise groups")
-    return np.hstack([g.coeffs[0].T if g.psi is None else
-                      np.hstack(g.psi @ g.coeffs.transpose(0, 2, 1))
-                      for g in groups])
+
+
+def _psi_t(group):
+    """Psi^T as G x p x K.  C-ordered for float32 groups of m > 1 (enhance),
+    where coeffs @ Psi^T takes a third of the time of psi @ coeffs^T;
+    otherwise a view of psi, with which it rounds as psi @ coeffs^T.  On
+    OpenBLAS 0.3.31 (Haswell kernels) the C-ordered product has the same
+    bytes up to p = 31 and differs in the last place from p = 32 on."""
+    psi_t = group.psi.transpose(0, 2, 1)
+    fast = (group.coeffs.shape[1] > 1
+            and group.coeffs.dtype == group.psi.dtype == np.float32)
+    return np.ascontiguousarray(psi_t) if fast else psi_t
 
 
 def speech_count(groups) -> int:
@@ -170,33 +197,35 @@ def _refresh_excess(Y, V, E):
     return E
 
 
-def update_gains(X, D, Y, settings: SolverSettings, n_speech: int, E=None):
+def update_gains(X, D, Y, settings: SolverSettings, n_speech: int, E=None,
+                 work=None):
     """X <- X * (D^T 1 + D^T E) / (D^T 1 + lambda), lambda per row block, in
     place.  E = Y/DX - 1 is computed when not given; D^T 1 is the column sums
-    of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly 1."""
+    of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly 1.  The
+    quotient is formed in work, an array like X, allocated when not given."""
     if E is None:
         E = _refresh_excess(Y, D @ X, np.empty_like(Y))
+    q = np.matmul(D.T, E, out=np.empty_like(X) if work is None else work)
     den = D.sum(axis=0)[:, None]
-    num = den + D.T @ E
+    q += den
     den[:n_speech] += settings.lambda_speech
     den[n_speech:] += settings.lambda_noise
-    X *= np.maximum(num, EPSILON) / np.maximum(den, EPSILON)
+    X *= np.divide(np.maximum(q, EPSILON, out=q), np.maximum(den, EPSILON), out=q)
     return X
 
 
-def _lin_terms(group: BasisGroup, XE, s, psi_sums=None):
-    """Numerator and denominator of update_atom_lin, G x m x p.  psi_sums,
-    1^T Psi as G x 1 x p, is formed once per solve, which always passes it;
-    the sum here when it is None serves the tests as the reference step."""
+def _lin_terms(group: BasisGroup, XE, s, psi_sums):
+    """Numerator and denominator of update_atom_lin, G x m x p.  psi_sums is
+    1^T Psi as G x 1 x p (None for free columns), formed once per solve."""
     G, m, _ = group.coeffs.shape
     XE, s = XE.reshape(G, m, -1), s.reshape(G, m, 1)
     if group.psi is None:
         return s + XE, s
-    den = s * (group.psi.sum(axis=1)[:, None, :] if psi_sums is None else psi_sums)
+    den = s * psi_sums
     return den + XE @ group.psi, den
 
 
-def update_atom_lin(group: BasisGroup, XE, s, psi_sums=None):
+def update_atom_lin(group: BasisGroup, XE, s, psi_sums):
     """A <- A * (Psi^T R X_g^T) / (Psi^T 1 X_g^T) in place, formed from the
     group's rows XE of X E^T and s of X 1 as s (1^T Psi) + XE Psi over
     s (1^T Psi); with psi None the projection is skipped, which is the
@@ -207,7 +236,7 @@ def update_atom_lin(group: BasisGroup, XE, s, psi_sums=None):
     return group.coeffs
 
 
-def update_atom_dense(group: BasisGroup, XE, s, alpha: float, psi_sums=None):
+def update_atom_dense(group: BasisGroup, XE, s, alpha: float, psi_sums):
     """Density-regularized update of every row on l1-normalized coefficients,
     in place, from XE, s and psi_sums as in update_atom_lin; rows are
     renormalized so the simplex holds exactly, and each must have a positive
@@ -241,8 +270,13 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     dictionary, gains and coefficients in that dtype; the seeded start is
     drawn in float64 and then cast.
     Deterministic given the settings seed.
-    Raises ValueError before the first iteration on a non-finite or
-    negative Y or initial gains, or a dense-mode speech row summing to 0.
+    Raises ValueError before the first iteration, and before any group is
+    changed, on a non-finite or negative Y or initial gains, misordered
+    groups, a group of other than K rows, or a dense-mode speech row
+    summing to 0.
+    Psi^T, 1^T Psi and every array of the loop are formed once per solve:
+    V, E, XE, s, the gain quotient and two dictionaries, D and D_next; a
+    step writes D_next - D into D for V += (D_next - D) X, then swaps them.
     """
     if mode not in ("lin", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -252,6 +286,16 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     K, T = Y.shape
     if not np.all(np.isfinite(Y) & (Y >= 0)):
         raise ValueError("spectrogram must be finite and non-negative")
+    _check_order(groups)
+    if any((g.coeffs.shape[2] if g.psi is None else g.psi.shape[1]) != K
+           for g in groups):
+        raise ValueError("dictionary row count does not match spectrogram")
+    dense = [mode == "dense" and g.kind == "speech" and g.psi is not None
+             for g in groups]
+    if any(np.any(g.coeffs.sum(axis=2, dtype=dtype) <= 0)
+           for g, d in zip(groups, dense) if d):
+        raise ValueError("dense mode needs every speech coefficient row "
+                         "to have a positive sum")
     starts = np.cumsum([0] + [g.n_atoms for g in groups])
     n = starts[-1]
     if initial_gains is not None:
@@ -263,45 +307,45 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     else:
         rng = np.random.default_rng(settings.seed)
         X = (1.0 - rng.random((n, T))).astype(dtype, copy=False)  # uniform (0, 1]
-    for g in groups:
+    for g, d in zip(groups, dense):
         g.coeffs = g.coeffs.astype(dtype, copy=False)
         if g.psi is not None:
             g.psi = g.psi.astype(dtype, copy=False)
-    # (group, its rows of X, dense step?, 1^T Psi formed once per solve)
-    layout = [(g, slice(start, start + g.n_atoms),
-               mode == "dense" and g.kind == "speech" and g.psi is not None,
-               None if g.psi is None else g.psi.sum(axis=1)[:, None, :])
-              for g, start in zip(groups, starts)]
-    dense_groups = [g for g, _, dense, _ in layout if dense]
-    if any(np.any(g.coeffs.sum(axis=2) <= 0) for g in dense_groups):
-        raise ValueError("dense mode needs every speech coefficient row "
-                         "to have a positive sum")
-    for g in dense_groups:
-        g.coeffs /= g.coeffs.sum(axis=2, keepdims=True)
-    D = realize(groups)
-    if D.shape[0] != K:
-        raise ValueError("dictionary row count does not match spectrogram")
-
+        if d:
+            g.coeffs /= g.coeffs.sum(axis=2, keepdims=True)
+    Dt = np.empty((n, K), dtype)  # D^T, written group by group
+    # (group, its rows of X, dense step?, 1^T Psi, Psi^T, its rows of D^T)
+    layout = [(g, slice(a, b), d,
+               None if g.psi is None else g.psi.sum(axis=1)[:, None, :],
+               None if g.psi is None else _psi_t(g),
+               Dt[a:b].reshape(g.coeffs.shape[:2] + (K,)))
+              for g, a, b, d in zip(groups, starts, starts[1:], dense)]
+    D = _realize(groups, [psi_t for *_, psi_t, _ in layout])
+    XE, s = np.empty_like(Dt), np.empty(n, dtype)
+    D_next, E, work, V = np.empty_like(D), np.empty_like(Y), np.empty_like(X), D @ X
     n_speech = speech_count(groups)
-    E = np.empty_like(Y)
-    V = D @ X
     points = [_objective_point(0, Y, V, groups, X, settings, mode)] if trace else []
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
             _refresh_excess(Y, V, E)
-            XE, s = X @ E.T, X.sum(axis=1)
-            for g, rows, dense, psi_sums in layout:
+            np.matmul(X, E.T, out=XE)
+            X.sum(axis=1, out=s)
+            for g, rows, dense, psi_sums, psi_t, dt in layout:
                 if dense:
                     update_atom_dense(g, XE[rows], s[rows], settings.alpha,
                                       psi_sums)
                 else:
                     update_atom_lin(g, XE[rows], s[rows], psi_sums)
-            D_new = realize(groups)
-            kernels.rank1_add(V, D_new - D, X)
-            D = D_new
-        update_gains(X, D, Y, settings, n_speech, E=_refresh_excess(Y, V, E))
-        V = D @ X
+                if psi_t is None:
+                    dt[:] = g.coeffs
+                else:
+                    np.matmul(g.coeffs, psi_t, out=dt)
+            np.copyto(D_next, Dt.T)
+            kernels.rank1_add(V, np.subtract(D_next, D, out=D), X)
+            D, D_next = D_next, D
+        update_gains(X, D, Y, settings, n_speech, _refresh_excess(Y, V, E), work)
+        np.matmul(D, X, out=V)
         if trace:
             points.append(_objective_point(it, Y, V, groups, X, settings, mode))
 

@@ -108,6 +108,11 @@ def products(ratio, X):
     return X @ (ratio - 1.0).T, X.sum(axis=1)
 
 
+def sums_of(group):
+    """The step's 1^T Psi, G x 1 x p, as solve forms it (None if free)."""
+    return None if group.psi is None else group.psi.sum(axis=1)[:, None, :]
+
+
 def basis_group(rng, K, p, m, coeffs=None):
     return nmf.BasisGroup(psi=rng.random((1, K, p)) + 0.1, kind="speech",
                           coeffs=rng.random((1, m, p)) + 0.1 if coeffs is None
@@ -118,7 +123,7 @@ def test_update_atom_lin_scalar_case():
     group = nmf.BasisGroup(psi=np.array([[[1.0]]]), coeffs=[[[1.0]]],
                            kind="speech")
     ratio = np.array([[3.0]])  # Y/DX with Y=3, DX=1
-    nmf.update_atom_lin(group, *products(ratio, np.array([[1.0]])))
+    nmf.update_atom_lin(group, *products(ratio, np.array([[1.0]])), sums_of(group))
     assert group.coeffs[0, 0, 0] == pytest.approx(3.0, rel=1e-12)
 
 
@@ -129,7 +134,8 @@ def test_update_atom_lin_fixed_point_exact():
     XE, s = products(Y / np.maximum(nmf.realize(d) @ X, 1e-12), X)
     for j, group in enumerate(d):
         before = group.coeffs.copy()
-        nmf.update_atom_lin(group, XE[3 * j:3 * j + 3], s[3 * j:3 * j + 3])
+        nmf.update_atom_lin(group, XE[3 * j:3 * j + 3], s[3 * j:3 * j + 3],
+                            sums_of(group))
         assert np.array_equal(group.coeffs, before)
 
 
@@ -143,7 +149,7 @@ def test_update_atom_lin_inactive_row_unchanged():
     ratio = np.random.default_rng(10).random((K, T)) + 0.1
     X = rng.random((3, T)) + 0.1
     X[1] = 0.0
-    nmf.update_atom_lin(group, *products(ratio, X))
+    nmf.update_atom_lin(group, *products(ratio, X), sums_of(group))
     assert np.array_equal(group.coeffs[0, 1], before[0, 1])
     for i in (0, 2):
         assert not np.array_equal(group.coeffs[0, i], before[0, i])
@@ -156,7 +162,7 @@ def test_update_atom_dense_uniform_fixed_point_exact():
     X = rng.random((3, T)) + 0.5
     Y = nmf.realize([group]) @ X
     ratio = Y / np.maximum(nmf.realize([group]) @ X, 1e-12)
-    nmf.update_atom_dense(group, *products(ratio, X), alpha=10.0)
+    nmf.update_atom_dense(group, *products(ratio, X), 10.0, sums_of(group))
     assert np.array_equal(group.coeffs, np.full((1, 3, p), 1.0 / p))
 
 
@@ -166,7 +172,7 @@ def test_update_atom_dense_keeps_simplex():
     ratio = rng.random((8, 6)) + 0.1
     for _ in range(10):
         nmf.update_atom_dense(group, *products(ratio, rng.random((3, 6)) + 0.1),
-                              alpha=10.0)
+                              10.0, sums_of(group))
         assert np.all(np.abs(group.coeffs.sum(axis=2) - 1.0) <= 1e-10)
         assert np.all(group.coeffs >= 0)
 
@@ -179,7 +185,7 @@ def test_update_atom_dense_large_alpha_goes_uniform():
     Y = rng.random((K, T)) + 0.1
     for _ in range(200):
         ratio = Y / np.maximum(nmf.realize([group]) @ X, 1e-12)
-        nmf.update_atom_dense(group, *products(ratio, X), alpha=1e6)
+        nmf.update_atom_dense(group, *products(ratio, X), 1e6, sums_of(group))
     assert np.max(np.abs(group.coeffs - 1.0 / p)) < 1e-3
 
 
@@ -572,19 +578,54 @@ def test_generated_group_step_equals_single_atom_rule(mode, data):
                 expected.append(a * np.maximum(num, eps) / np.maximum(den, eps))
         rows = slice(start, start + g.n_atoms)
         if dense:
-            nmf.update_atom_dense(g, XE[rows], s[rows], alpha)
+            nmf.update_atom_dense(g, XE[rows], s[rows], alpha, sums_of(g))
         else:
-            nmf.update_atom_lin(g, XE[rows], s[rows])
+            nmf.update_atom_lin(g, XE[rows], s[rows], sums_of(g))
         assert np.allclose(g.coeffs.reshape(len(atoms), -1), expected,
                            rtol=1e-12, atol=0)
         start += g.n_atoms
+
+
+def reference_step(group, XE, s, alpha=None):
+    """The per-group step that sums psi itself (dense when alpha is given),
+    written out as the steps were before solve formed 1^T Psi once: the
+    reference for the bytes of the step given 1^T Psi."""
+    G, m, _ = group.coeffs.shape
+    XE, s = XE.reshape(G, m, -1), s.reshape(G, m, 1)
+    if group.psi is None:
+        num, den = s + XE, s
+    else:
+        den = s * group.psi.sum(axis=1)[:, None, :]
+        num = den + XE @ group.psi
+    A, eps = group.coeffs, nmf.EPSILON
+    if alpha is None:
+        A *= np.maximum(num, eps) / np.maximum(den, eps)
+        return A
+    rowdot = lambda a, b: np.einsum("gij,gij->gi", a, b)[..., None]
+    a_tilde = A / A.sum(axis=2, keepdims=True)
+    num_d = rowdot(a_tilde, den) + num + alpha * rowdot(a_tilde, a_tilde)
+    den_d = den + rowdot(a_tilde, num) + alpha * a_tilde
+    new = a_tilde * (np.maximum(num_d, eps) / np.maximum(den_d, eps))
+    A[:] = new / new.sum(axis=2, keepdims=True)
+    return A
+
+
+def cast_copies(groups, dtype):
+    """Copies of the groups with bases and coefficients in dtype."""
+    copies = [nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
+              for g in groups]  # BasisGroup copies the coefficients
+    for g in copies:
+        g.coeffs = g.coeffs.astype(dtype)
+        g.psi = None if g.psi is None else g.psi.astype(dtype)
+    return copies
 
 
 @pytest.mark.parametrize("mode", ["lin", "dense"])
 @given(data=st.data())
 def test_generated_step_with_psi_sums_is_bitwise_equal(mode, data):
     """The per-group step given 1^T Psi, as solve forms it once per solve
-    after its dtype cast, has the bytes of the step that sums psi itself."""
+    after its dtype cast, has the bytes of reference_step, which sums psi
+    itself."""
     Y, groups = data.draw(group_problems())
     dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
     D = nmf.realize(groups)
@@ -593,42 +634,154 @@ def test_generated_step_with_psi_sums_is_bitwise_equal(mode, data):
     X[rng.random(D.shape[1]) < 0.2] = 0.0  # some inactive rows
     XE, s = (a.astype(dtype) for a in products(Y / np.maximum(D @ X, nmf.EPSILON), X))
     start = 0
-    for g in groups:
-        rows = slice(start, start + g.n_atoms)
-        twins = []
-        for _ in range(2):
-            twin = nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
-            twin.coeffs = twin.coeffs.astype(dtype)
-            twin.psi = None if g.psi is None else g.psi.astype(dtype)
-            twins.append(twin)
-        own, given = twins
-        psi_sums = None if g.psi is None else given.psi.sum(axis=1)[:, None, :]
-        if mode == "dense" and g.psi is not None:
-            nmf.update_atom_dense(own, XE[rows], s[rows], 3.0)
-            nmf.update_atom_dense(given, XE[rows], s[rows], 3.0, psi_sums)
+    for own, given in zip(cast_copies(groups, dtype), cast_copies(groups, dtype)):
+        rows = slice(start, start + own.n_atoms)
+        if mode == "dense" and own.psi is not None:
+            reference_step(own, XE[rows], s[rows], 3.0)
+            nmf.update_atom_dense(given, XE[rows], s[rows], 3.0, sums_of(given))
         else:
-            nmf.update_atom_lin(own, XE[rows], s[rows])
-            nmf.update_atom_lin(given, XE[rows], s[rows], psi_sums)
+            reference_step(own, XE[rows], s[rows])
+            nmf.update_atom_lin(given, XE[rows], s[rows], sums_of(given))
         assert given.coeffs.dtype == own.coeffs.dtype == dtype
         assert given.coeffs.tobytes() == own.coeffs.tobytes()
-        start += g.n_atoms
+        start += own.n_atoms
     # a whole solve, which hands its steps 1^T Psi, has the bytes of one whose
-    # steps sum psi themselves
+    # steps are reference_step
     def solve_copies():
-        copies = [nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
-                  for g in groups]
-        return nmf.solve(Y.astype(dtype), copies, nmf.SolverSettings(iterations=3),
-                         mode, trace=False)
+        return nmf.solve(Y.astype(dtype), cast_copies(groups, np.float64),
+                         nmf.SolverSettings(iterations=3), mode, trace=False)
 
     hoisted = solve_copies()
-    lin, dense = nmf.update_atom_lin, nmf.update_atom_dense
     with mock.patch.object(nmf, "update_atom_lin",
-                           lambda g, XE, s, _: lin(g, XE, s)), \
+                           lambda g, XE, s, _: reference_step(g, XE, s)), \
             mock.patch.object(nmf, "update_atom_dense",
-                              lambda g, XE, s, alpha, _: dense(g, XE, s, alpha)):
+                              lambda g, XE, s, alpha, _: reference_step(g, XE, s, alpha)):
         summed = solve_copies()
     assert hoisted.dictionary.tobytes() == summed.dictionary.tobytes()
     assert hoisted.gains.tobytes() == summed.gains.tobytes()
+
+
+def reference_realize(groups):
+    """The dictionary as the np.hstack of every group's batched product
+    psi @ coeffs^T, or of its free columns."""
+    return np.hstack([g.coeffs[0].T if g.psi is None else
+                      np.hstack(g.psi @ g.coeffs.transpose(0, 2, 1))
+                      for g in groups])
+
+
+def reference_solve(Y, groups, settings, mode, frozen, X):
+    """solve's loop as an allocating loop: the hstack realize, V += (D_new - D)
+    X and an allocating gain step, from groups, Y and start gains X already
+    in the solve's dtype."""
+    eps, n_speech = nmf.EPSILON, nmf.speech_count(groups)
+    steps = []
+    for g in groups:
+        dense = mode == "dense" and g.kind == "speech" and g.psi is not None
+        if dense:
+            g.coeffs /= g.coeffs.sum(axis=2, keepdims=True)
+        steps.append((g, dense, sums_of(g)))
+    D = reference_realize(groups)
+    V = D @ X
+    for _ in range(settings.iterations):
+        if not frozen:
+            E = Y / np.maximum(V, eps) - 1.0
+            XE, s = X @ E.T, X.sum(axis=1)
+            start = 0
+            for g, dense, psi_sums in steps:
+                rows = slice(start, start + g.n_atoms)
+                if dense:
+                    nmf.update_atom_dense(g, XE[rows], s[rows], settings.alpha,
+                                          psi_sums)
+                else:
+                    nmf.update_atom_lin(g, XE[rows], s[rows], psi_sums)
+                start += g.n_atoms
+            D_new = reference_realize(groups)
+            V += (D_new - D) @ X
+            D = D_new
+        E = Y / np.maximum(V, eps) - 1.0
+        den = D.sum(axis=0)[:, None]
+        num = den + D.T @ E
+        den[:n_speech] += settings.lambda_speech
+        den[n_speech:] += settings.lambda_noise
+        X *= np.maximum(num, eps) / np.maximum(den, eps)
+        V = D @ X
+    return D, X
+
+
+def assert_solve_matches_reference(Y, groups, mode, frozen, X0):
+    """realize and solve, on copies of the groups in Y's dtype, have the
+    bytes and memory order of reference_realize and reference_solve."""
+    dtype = Y.dtype
+    for gs in (groups, cast_copies(groups, dtype)):
+        D, ref = nmf.realize(gs), reference_realize(gs)
+        assert D.dtype == ref.dtype and D.strides == ref.strides
+        assert D.tobytes() == ref.tobytes()
+    s = nmf.SolverSettings(iterations=4)
+    expected = cast_copies(groups, dtype)
+    D_ref, X_ref = reference_solve(Y, expected, s, mode, frozen, X0.copy())
+    result = nmf.solve(Y, cast_copies(groups, np.float64), s, mode,
+                       frozen_dictionary=frozen, initial_gains=X0, trace=False)
+    assert result.dictionary.strides == D_ref.strides
+    assert result.dictionary.tobytes() == D_ref.tobytes()
+    assert result.gains.tobytes() == X_ref.tobytes()
+    for g, e in zip(result.groups, expected):
+        assert g.coeffs.dtype == e.coeffs.dtype
+        assert g.coeffs.tobytes() == e.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("mode, frozen", [("lin", False), ("dense", False),
+                                          ("lin", True)])
+@pytest.mark.parametrize("identity", ["optional", "only"])
+@given(data=st.data())
+def test_generated_solve_bytes_equal_reference_loop(identity, mode, frozen, data):
+    """solve, with its buffers reused across iterations, returns the bytes of
+    reference_solve for the dictionary, gains and coefficients, and its
+    dictionary has the reference's memory order; so does realize against
+    reference_realize.  A lone free group of several columns (a noise-shape
+    fit) realizes F-ordered."""
+    Y, groups = data.draw(group_problems(identity, zero_lines=True))
+    if data.draw(st.booleans(), label="first group only"):
+        groups = groups[:1]
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="X seed"))
+    X0 = rng.random((sum(g.n_atoms for g in groups), Y.shape[1])) + 0.1
+    if len(groups) == 1 and groups[0].psi is None and groups[0].n_atoms > 1:
+        assert nmf.realize(groups).flags.f_contiguous
+    assert_solve_matches_reference(Y.astype(dtype), groups, mode, frozen,
+                                   X0.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_default_dictionary_bytes_equal_hstack(frame_params, dtype):
+    """The default enhance dictionary, 33 stacked harmonic bases of p = 30
+    and 16 noise atoms, realizes to the bytes of reference_realize, so
+    enhance writes the bytes it wrote with the hstack form."""
+    rng = np.random.default_rng(38)
+    groups = cast_copies([
+        build_speech_atoms(EnhanceConfig(), frame_params),
+        nmf.BasisGroup(psi=rng.random((1, frame_params.n_bins, 16)) + 0.01,
+                       coeffs=rng.random((1, 16, 16)) + 0.1, kind="noise")], dtype)
+    D, ref = nmf.realize(groups), reference_realize(groups)
+    assert D.strides == ref.strides
+    assert D.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("K, free_columns, basis_atoms", [
+    (1, 3, 0), (1, 3, 2), (5, 3, 1), (5, 1, 1)])
+def test_solve_keeps_hstack_memory_order(K, free_columns, basis_atoms):
+    """np.hstack ignores a block of one column (or one row), so a free group
+    of several columns beside a one-atom basis group realizes F-ordered, and
+    at K = 1 every dictionary is C-ordered (group_problems draws K >= 2);
+    solve keeps each order and the bytes of reference_solve."""
+    rng = np.random.default_rng(36)
+    groups = [nmf.BasisGroup(psi=None, coeffs=rng.random((1, free_columns, K)) + 0.1,
+                             kind="speech")]
+    if basis_atoms:
+        groups.append(nmf.BasisGroup(psi=rng.random((1, K, 2)) + 0.1, kind="noise",
+                                     coeffs=rng.random((1, basis_atoms, 2)) + 0.1))
+    X0 = rng.random((free_columns + basis_atoms, 6)) + 0.1
+    assert_solve_matches_reference((rng.random((K, 6)) + 0.1).astype(np.float32),
+                                   groups, "lin", False, X0.astype(np.float32))
 
 
 # case -> (what is corrupted, index, value); a speech row of zeros is bad in
@@ -641,20 +794,65 @@ BAD_INPUT = {"Y nan": ("Y", (3, 4), np.nan), "Y inf": ("Y", (0, 0), np.inf),
              "dense zero row": ("coeffs", (0, 1), 0.0)}
 
 
-@pytest.mark.parametrize("case", list(BAD_INPUT))
-def test_solve_rejects_bad_input(case, monkeypatch):
-    """Rejected before the first iteration: no ratio is ever refreshed."""
+def bad_case(case):
+    """random_problem(31, m=2) with gains, as corrupted by BAD_INPUT[case]."""
     Y, groups = random_problem(31, m=2)
     X = np.random.default_rng(32).random((2 * len(groups), Y.shape[1])) + 0.1
     target, index, value = BAD_INPUT[case]
     {"Y": Y, "gains": X, "coeffs": groups[1].coeffs}[target][index] = value
+    return Y, groups, X, "dense" if target == "coeffs" else "lin"
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_solve_rejects_bad_input(case, monkeypatch):
+    """Rejected before the first iteration: no ratio is ever refreshed."""
+    Y, groups, X, mode = bad_case(case)
     refreshes = []
     monkeypatch.setattr(nmf.kernels, "refresh_ratio",
                         lambda *args: refreshes.append(args))
     with pytest.raises(ValueError):
-        nmf.solve(Y, groups, nmf.SolverSettings(iterations=3),
-                  "dense" if target == "coeffs" else "lin", initial_gains=X)
+        nmf.solve(Y, groups, nmf.SolverSettings(iterations=3), mode,
+                  initial_gains=X)
     assert refreshes == []
+
+
+def wrong_row_count():
+    """One speech group of 5-row bases against a 7-row Y."""
+    rng = np.random.default_rng(37)
+    return (rng.random((7, 4)), [nmf.BasisGroup(psi=rng.random((2, 5, 3)),
+                                                coeffs=rng.random((2, 2, 3)) + 0.1,
+                                                kind="speech")], None, "dense")
+
+
+def misordered():
+    Y, groups = random_problem(31, m=2)
+    return Y, groups[::-1], None, "lin"
+
+
+# case -> (Y, groups, start gains, mode) on which solve raises ValueError
+FAILING_SOLVES = {
+    "unknown mode": lambda: random_problem(31) + (None, "plain"),
+    **{case: (lambda case=case: bad_case(case)) for case in BAD_INPUT},
+    "gains shape": lambda: random_problem(31) + (np.ones((2, 3)), "lin"),
+    "row count": wrong_row_count,
+    "misordered": misordered}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(FAILING_SOLVES))
+def test_failing_solve_leaves_groups_unchanged(case, dtype):
+    """Every ValueError of solve is raised before it casts a group to the
+    solve's dtype or renormalizes a dense row."""
+    Y, groups, X, mode = FAILING_SOLVES[case]()
+    before = [(g.coeffs.copy(), None if g.psi is None else g.psi.copy())
+              for g in groups]
+    with pytest.raises(ValueError):
+        nmf.solve(Y.astype(dtype), groups, nmf.SolverSettings(iterations=2), mode,
+                  initial_gains=X)
+    for g, (coeffs, psi) in zip(groups, before):
+        assert g.coeffs.dtype == coeffs.dtype
+        assert g.coeffs.tobytes() == coeffs.tobytes()
+        assert g.psi.dtype == psi.dtype and g.psi.tobytes() == psi.tobytes()
 
 
 # float32 solve: criteria 1-3 with tolerances from the summation error bound

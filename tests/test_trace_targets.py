@@ -12,6 +12,7 @@ import pytest
 from conftest import harmonic_signal, white_noise
 
 from harmonmf.cli import main
+from harmonmf.dictionary import FREE_FIT_ITERATIONS
 from harmonmf.signal_io import write_wav
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -90,6 +91,29 @@ def test_enhance_call_structure(tmp_path, mode):
         assert trace_csv.exists() == diagnostics
         if diagnostics:  # a header, then one row per point
             assert len(trace_csv.read_text().splitlines()) == 1 + points
+
+
+def test_train_noise_call_structure(tmp_path):
+    """The shape fit updates its one free group, the model and the gains once
+    in each of its FREE_FIT_ITERATIONS iterations; the gains-only refit
+    adds one gain update, and no model update, per iteration."""
+    iterations = 2
+    write_wav(white_noise(seconds=3.0, seed=7), tmp_path / "noise.wav")
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(f"r = 2\niterations = {iterations}\n")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            _tracing().Tracer().request() as spans:
+        assert main(["train-noise", str(tmp_path / "noise.wav"),
+                     str(tmp_path / "shapes.nshp"), "--config", str(cfg)]) == 0
+    calls = {name: spans.get(name, (0, 0, 0))[2] for name in
+             ("kernels.refresh_ratio", "kernels.rank1_add", "nmf.atom_update",
+              "nmf.update_gains")}
+    fit = FREE_FIT_ITERATIONS
+    assert fit == 100
+    assert calls == {"kernels.refresh_ratio": 2 * fit + iterations,
+                     "kernels.rank1_add": fit,
+                     "nmf.atom_update": fit,
+                     "nmf.update_gains": fit + iterations}
 
 
 def test_evaluate_computes_final_points_only(tmp_path):
