@@ -1,5 +1,5 @@
 """Numeric kernels of the multiplicative-update solver: the ratio refresh,
-the model update after a dictionary step and the floored KL divergence.
+V = D X in place after a dictionary step, and the floored KL divergence.
 
 They stay in their own module, called as ``kernels.<name>``, so that a
 profiler can wrap each one by its module attribute.
@@ -14,12 +14,11 @@ def refresh_ratio(Y, V, eps, out):
     return out
 
 
-def rank1_add(V, d, x):
-    """V += d @ x, in place, for the K x n dictionary change d and the n x T
-    gains x.  The name is older than this form: profilers wrap the function
-    by it."""
-    V += d @ x
-    return V
+def rank1_add(V, D, X):
+    """V = D X in place, after a dictionary step, for the K x n dictionary D
+    and the n x T gains X.  The name is the profiler's hook: it is older than
+    this form, and profilers wrap the function by it."""
+    return np.matmul(D, X, out=V)
 
 
 def kl_divergence_floored(Y, V, eps):

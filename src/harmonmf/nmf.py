@@ -21,13 +21,12 @@ Seung, NIPS 2000), groups with a basis by its projection onto Psi, where
 1 X^T projects to the outer product s (1^T Psi) and R X^T to that plus
 XE Psi; the bases are fixed, so 1^T Psi is formed once per solve.  The
 gain step's numerator is D^T 1 + D^T E.  Psi^T and every array of the loop
-are also formed once per solve.  D keeps the memory order np.hstack gives
-the groups' blocks: F when all blocks of several columns, and there is at
-least one, are free groups (a noise-shape fit), else C.  GEMM transposition
-flags follow the layout and the rounding follows the flags, so another
-order moves output bytes.  At Y = DX, E is exactly 0, so every numerator
-equals its denominator bitwise and the fixed point is exact for any BLAS;
-on zero padding both are 0, and A stays 0.
+are also formed once per solve.  The dictionary has one layout: each group
+writes its rows of a C-ordered n x K array D^T as coeffs @ Psi^T, and D is
+its transpose, a view.  After each step the model is recomputed, V = DX.
+At Y = DX, E is exactly 0, so every numerator equals its denominator
+bitwise and the fixed point is exact for any BLAS; on zero padding both are
+0, and A stays 0.
 Because DX = sum_g Psi_g A_g^T X_g is linear in all the coefficients
 stacked together, one auxiliary function covers the joint step, so the lin
 and free-column steps (X fixed) and the gain step (D fixed) each do not
@@ -86,18 +85,32 @@ class BasisGroup:
 
 def realize(groups) -> np.ndarray:
     """The K x n dictionary of ordered groups; speech groups must precede
-    noise groups.  Each group's columns are one batched product
-    coeffs @ Psi^T (see _psi_t), the product solve uses after updating the
-    group; np.hstack sets its memory order (see the module docstring)."""
+    noise groups.  It is the transpose of a C-ordered n x K array D^T, whose
+    rows each group writes as solve does (see _write_rows)."""
     _check_order(groups)
-    return _realize(groups, [None if g.psi is None else _psi_t(g) for g in groups])
+    first = groups[0]
+    K = first.coeffs.shape[2] if first.psi is None else first.psi.shape[1]
+    Dt = np.empty((sum(g.n_atoms for g in groups), K), np.result_type(
+        *[a for g in groups for a in (g.coeffs, g.psi) if a is not None]))
+    for g, rows in zip(groups, _rows_of(groups, Dt)):
+        _write_rows(g, None if g.psi is None else _psi_t(g), rows)
+    return Dt.T
 
 
-def _realize(groups, psi_ts):
-    """realize, given each group's Psi^T (None for free columns)."""
-    return np.hstack([g.coeffs[0].T if psi_t is None else np.ascontiguousarray(
-        (g.coeffs @ psi_t).reshape(g.n_atoms, -1).T)
-                      for g, psi_t in zip(groups, psi_ts)])
+def _rows_of(groups, Dt):
+    """Each group's rows of D^T, as G x m x K views."""
+    starts = np.cumsum([0] + [g.n_atoms for g in groups])
+    return [Dt[a:b].reshape(g.coeffs.shape[:2] + Dt.shape[1:])
+            for g, a, b in zip(groups, starts, starts[1:])]
+
+
+def _write_rows(group, psi_t, rows):
+    """rows = coeffs @ Psi^T, the group's rows of D^T, in place; a free group
+    (psi_t None) copies its coefficients."""
+    if psi_t is None:
+        rows[:] = group.coeffs
+    else:
+        np.matmul(group.coeffs, psi_t, out=rows)
 
 
 def _check_order(groups):
@@ -109,15 +122,9 @@ def _check_order(groups):
 
 
 def _psi_t(group):
-    """Psi^T as G x p x K.  C-ordered for float32 groups of m > 1 (enhance),
-    where coeffs @ Psi^T takes a third of the time of psi @ coeffs^T;
-    otherwise a view of psi, with which it rounds as psi @ coeffs^T.  On
-    OpenBLAS 0.3.31 (Haswell kernels) the C-ordered product has the same
-    bytes up to p = 31 and differs in the last place from p = 32 on."""
-    psi_t = group.psi.transpose(0, 2, 1)
-    fast = (group.coeffs.shape[1] > 1
-            and group.coeffs.dtype == group.psi.dtype == np.float32)
-    return np.ascontiguousarray(psi_t) if fast else psi_t
+    """Psi^T as a C-ordered G x p x K copy, with which coeffs @ Psi^T takes a
+    third of the time of psi @ coeffs^T on the default float32 bases."""
+    return np.ascontiguousarray(group.psi.transpose(0, 2, 1))
 
 
 def speech_count(groups) -> int:
@@ -275,8 +282,8 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     groups, a group of other than K rows, or a dense-mode speech row
     summing to 0.
     Psi^T, 1^T Psi and every array of the loop are formed once per solve:
-    V, E, XE, s, the gain quotient and two dictionaries, D and D_next; a
-    step writes D_next - D into D for V += (D_next - D) X, then swaps them.
+    V, E, XE, s, the gain quotient and D^T.  The dictionary step rewrites
+    D^T, whose transpose D is returned, and then recomputes V = DX.
     """
     if mode not in ("lin", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -296,8 +303,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
            for g, d in zip(groups, dense) if d):
         raise ValueError("dense mode needs every speech coefficient row "
                          "to have a positive sum")
-    starts = np.cumsum([0] + [g.n_atoms for g in groups])
-    n = starts[-1]
+    n = sum(g.n_atoms for g in groups)
     if initial_gains is not None:
         X = np.array(initial_gains, dtype=dtype)
         if X.shape != (n, T):
@@ -313,16 +319,16 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
             g.psi = g.psi.astype(dtype, copy=False)
         if d:
             g.coeffs /= g.coeffs.sum(axis=2, keepdims=True)
-    Dt = np.empty((n, K), dtype)  # D^T, written group by group
-    # (group, its rows of X, dense step?, 1^T Psi, Psi^T, its rows of D^T)
-    layout = [(g, slice(a, b), d,
-               None if g.psi is None else g.psi.sum(axis=1)[:, None, :],
-               None if g.psi is None else _psi_t(g),
-               Dt[a:b].reshape(g.coeffs.shape[:2] + (K,)))
-              for g, a, b, d in zip(groups, starts, starts[1:], dense)]
-    D = _realize(groups, [psi_t for *_, psi_t, _ in layout])
-    XE, s = np.empty_like(Dt), np.empty(n, dtype)
-    D_next, E, work, V = np.empty_like(D), np.empty_like(Y), np.empty_like(X), D @ X
+    Dt, XE, s = (np.empty(shape, dtype) for shape in ((n, K), (n, K), (n, 1)))
+    # (group, dense step?, 1^T Psi, Psi^T, and its rows of D^T, XE and s)
+    rows = zip(*(_rows_of(groups, a) for a in (Dt, XE, s)))
+    layout = [(g, d, None if g.psi is None else g.psi.sum(axis=1)[:, None, :],
+               None if g.psi is None else _psi_t(g), *r)
+              for g, d, r in zip(groups, dense, rows)]
+    for g, _, _, psi_t, dt, *_ in layout:
+        _write_rows(g, psi_t, dt)
+    D = Dt.T  # a view: D^T is written group by group
+    E, work, V = np.empty_like(Y), np.empty_like(X), D @ X
     n_speech = speech_count(groups)
     points = [_objective_point(0, Y, V, groups, X, settings, mode)] if trace else []
 
@@ -330,20 +336,14 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
         if not frozen_dictionary:
             _refresh_excess(Y, V, E)
             np.matmul(X, E.T, out=XE)
-            X.sum(axis=1, out=s)
-            for g, rows, dense, psi_sums, psi_t, dt in layout:
+            X.sum(axis=1, keepdims=True, out=s)
+            for g, dense, psi_sums, psi_t, dt, xe, sg in layout:
                 if dense:
-                    update_atom_dense(g, XE[rows], s[rows], settings.alpha,
-                                      psi_sums)
+                    update_atom_dense(g, xe, sg, settings.alpha, psi_sums)
                 else:
-                    update_atom_lin(g, XE[rows], s[rows], psi_sums)
-                if psi_t is None:
-                    dt[:] = g.coeffs
-                else:
-                    np.matmul(g.coeffs, psi_t, out=dt)
-            np.copyto(D_next, Dt.T)
-            kernels.rank1_add(V, np.subtract(D_next, D, out=D), X)
-            D, D_next = D_next, D
+                    update_atom_lin(g, xe, sg, psi_sums)
+                _write_rows(g, psi_t, dt)
+            kernels.rank1_add(V, D, X)
         update_gains(X, D, Y, settings, n_speech, _refresh_excess(Y, V, E), work)
         np.matmul(D, X, out=V)
         if trace:
