@@ -23,7 +23,9 @@ from .stft import stft
 
 MIN_NOISE_SECONDS = 2.0
 _PATH_KEYS = ("noise_wav", "noisy_wav", "clean_wav", "shapes_file", "out_dir")
-_CONFIG_KEYS = {f.name: f.type for f in dataclasses.fields(EnhanceConfig)}
+# EnhanceConfig's annotations are postponed, so each field's type is a string
+_CONFIG_KEYS = {f.name: {"int": int, "float": float, "str": str}[f.type]
+                for f in dataclasses.fields(EnhanceConfig)}
 
 
 class CliError(Exception):
@@ -52,15 +54,10 @@ def parse_config_file(path) -> dict:
 
 
 def _parse_value(key, raw):
-    target = _CONFIG_KEYS[key]
     try:
-        if target is int or target == "int":
-            return int(raw)
-        if target is float or target == "float":
-            return float(raw)
+        return _CONFIG_KEYS[key](raw)
     except ValueError:
         raise CliError(f"bad value for {key!r}: {raw!r}")
-    return raw
 
 
 def build_config(args, **defaults) -> tuple[EnhanceConfig, dict]:
@@ -221,7 +218,6 @@ def cmd_sweep(args) -> int:
 def _add_common(parser):
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--mode", choices=["lin", "dense"], default=None)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -242,6 +238,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("out_wav", nargs="?")
     p.add_argument("--dump-diagnostics", action="store_true")
     _add_common(p)
+    p.add_argument("--mode", choices=["lin", "dense"], default=None)
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("evaluate", help="SNR evaluation of all methods")

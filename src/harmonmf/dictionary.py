@@ -149,11 +149,11 @@ def save_noise_shapes(shapes: NoiseShapes, path) -> None:
 
 
 def load_noise_shapes(path) -> NoiseShapes:
-    """Read a file written by save_noise_shapes.  A file with a short
-    header, a fractional sample rate, a body that is not exactly K*r values,
-    an entry that is negative or not finite, or a column whose sum differs
-    from 1 by more than SHAPES_L1_TOLERANCE (1e-9, the tolerance the
-    benchmark's own .nshp check uses) raises ValueError."""
+    """Read a file written by save_noise_shapes.  A short header, a body of
+    other than K*r values, a fractional rate, degenerate frame parameters, a
+    K other than the window's bin count, a negative or non-finite entry, or a
+    column sum off 1 by more than SHAPES_L1_TOLERANCE (1e-9, the tolerance
+    the benchmark's own .nshp check uses) raises ValueError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:len(_SHAPES_MAGIC)] != _SHAPES_MAGIC:
@@ -171,9 +171,12 @@ def load_noise_shapes(path) -> NoiseShapes:
                          f"bytes, {K} x {r} shapes need {K * r * 8}")
     if not sample_rate.is_integer():  # also false for inf and nan
         raise ValueError(f"corrupt noise-shapes file {path}: bad sample rate")
-    params = FrameParams(window_len=window_len, hop=hop, sample_rate=int(sample_rate))
+    try:
+        params = FrameParams(window_len, hop, int(sample_rate))
+    except ValueError as exc:
+        raise ValueError(f"corrupt noise-shapes file {path}: {exc}") from None
     if K != params.n_bins:
-        raise ValueError(f"corrupt noise-shapes file: K={K} does not match window")
+        raise ValueError(f"corrupt noise-shapes file {path}: K={K} does not match window")
     data = np.frombuffer(blob, dtype="<f8", offset=body_start)
     if not np.all(np.isfinite(data)) or np.any(data < 0):
         raise ValueError(f"corrupt noise-shapes file {path}: "

@@ -204,15 +204,12 @@ def _refresh_excess(Y, V, E):
     return E
 
 
-def update_gains(X, D, Y, settings: SolverSettings, n_speech: int, E=None,
-                 work=None):
+def update_gains(X, D, E, settings: SolverSettings, n_speech: int, work):
     """X <- X * (D^T 1 + D^T E) / (D^T 1 + lambda), lambda per row block, in
-    place.  E = Y/DX - 1 is computed when not given; D^T 1 is the column sums
-    of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly 1.  The
-    quotient is formed in work, an array like X, allocated when not given."""
-    if E is None:
-        E = _refresh_excess(Y, D @ X, np.empty_like(Y))
-    q = np.matmul(D.T, E, out=np.empty_like(X) if work is None else work)
+    place, for E = Y/DX - 1 as solve's refresh forms it.  D^T 1 is the column
+    sums of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly 1.  The
+    quotient is formed in work, an array like X."""
+    q = np.matmul(D.T, E, out=work)
     den = D.sum(axis=0)[:, None]
     q += den
     den[:n_speech] += settings.lambda_speech
@@ -344,7 +341,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
                     update_atom_lin(g, xe, sg, psi_sums)
                 _write_rows(g, psi_t, dt)
             kernels.rank1_add(V, D, X)
-        update_gains(X, D, Y, settings, n_speech, _refresh_excess(Y, V, E), work)
+        update_gains(X, D, _refresh_excess(Y, V, E), settings, n_speech, work)
         np.matmul(D, X, out=V)
         if trace:
             points.append(_objective_point(it, Y, V, groups, X, settings, mode))

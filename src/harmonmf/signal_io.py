@@ -59,6 +59,8 @@ def read_wav(path) -> Signal:
     if len(raw) != 2 * n_frames:
         raise AudioFormatError(f"truncated WAV data in {path}: {len(raw)} of "
                                f"{2 * n_frames} bytes")
+    if n_frames == 0:
+        raise AudioFormatError(f"no audio samples in {path}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return Signal(samples, rate)
 

@@ -317,6 +317,33 @@ def test_sweep_parses_jobs():
     assert args.jobs == 3
 
 
+@pytest.mark.parametrize("command", ["train-noise", "evaluate", "sweep"])
+def test_mode_rejected_outside_enhance(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "out.csv", "--mode", "lin"])  # sweep needs its out_csv
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train-noise", "enhance", "evaluate", "sweep"])
+def test_config_mode_read_by_every_command(tmp_path, command):
+    """One config file serves every command, so each accepts and validates
+    its mode key; only enhance's --mode flag overrides it."""
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("mode = lin\n")
+    config, _ = build_config(make_parser().parse_args(
+        [command, "out.csv", "--config", str(cfg)]))
+    assert config.mode == "lin"
+    if command == "enhance":
+        config, _ = build_config(make_parser().parse_args(
+            [command, "out.csv", "--config", str(cfg), "--mode", "dense"]))
+        assert config.mode == "dense"
+    cfg.write_text("mode = plain\n")
+    with pytest.raises(ValueError, match="mode"):
+        build_config(make_parser().parse_args([command, "out.csv",
+                                               "--config", str(cfg)]))
+
+
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
     """A clean WAV and the .nshp trained from noise, for truncation tests."""

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -324,6 +325,9 @@ SHAPES_CORRUPTIONS = {
     "no shapes": lambda good: _with_header(good, r=0)[:28],
     "infinite rate": lambda good: _with_header(good, rate=np.inf),
     "fractional rate": lambda good: _with_header(good, rate=8000.5),
+    "zero rate": lambda good: _with_header(good, rate=0.0),
+    "hop 0": lambda good: _with_header(good, hop=0),
+    "K mismatch": lambda good: _with_header(good, window_len=2),
     "column not unit-l1": lambda good: _with_entry(
         good, struct.unpack_from("<d", good, 36)[0] + 1e-6),
 }
@@ -334,7 +338,8 @@ def test_shapes_file_corrupt_rejected(noise_shapes, tmp_path, corruption):
     path = tmp_path / "shapes.nshp"
     save_noise_shapes(noise_shapes, path)
     path.write_bytes(SHAPES_CORRUPTIONS[corruption](path.read_bytes()))
-    with pytest.raises(ValueError, match="corrupt noise-shapes file"):
+    with pytest.raises(ValueError,
+                       match=f"corrupt noise-shapes file {re.escape(str(path))}"):
         load_noise_shapes(path)
 
 

@@ -74,12 +74,19 @@ def test_objective_density_term_uniform():
     assert density == pytest.approx(10.0 * m_s / p, rel=1e-12)
 
 
+def gain_step(X, D, Y, settings, n_speech):
+    """One update_gains step, handed E = Y / max(DX, EPSILON) - 1 and a
+    quotient buffer like X, as solve hands them."""
+    E = Y / np.maximum(D @ X, nmf.EPSILON) - 1.0
+    return nmf.update_gains(X, D, E, settings, n_speech, np.empty_like(X))
+
+
 def test_update_gains_scalar_case():
     X = np.array([[1.0]])
     D = np.array([[1.0]])
     Y = np.array([[2.0]])
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0)
-    nmf.update_gains(X, D, Y, s, n_speech=1)
+    gain_step(X, D, Y, s, n_speech=1)
     assert X[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -89,7 +96,7 @@ def test_update_gains_fixed_point_exact():
     Y = nmf.realize(d) @ X
     X0 = X.copy()
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0)
-    nmf.update_gains(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
+    gain_step(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
     assert np.array_equal(X, X0)
 
 
@@ -98,7 +105,7 @@ def test_update_gains_zero_locking():
     X = np.random.default_rng(6).random((len(d), Y.shape[1]))
     X[2, :] = 0.0
     s = nmf.SolverSettings()
-    nmf.update_gains(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
+    gain_step(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
     assert np.all(X[2, :] == 0.0)
     assert np.all(X >= 0)
 

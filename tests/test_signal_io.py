@@ -1,3 +1,4 @@
+import re
 import wave
 
 import numpy as np
@@ -47,6 +48,17 @@ def test_truncated_rejected(tmp_path, cut, message):
     write_wav(Signal(np.zeros(8000), 8000), path)
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(AudioFormatError, match=message):
+        read_wav(path)
+
+
+def test_empty_wav_names_its_file(tmp_path):
+    path = tmp_path / "empty.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+    with pytest.raises(AudioFormatError,
+                       match=f"no audio samples in {re.escape(str(path))}"):
         read_wav(path)
 
 
