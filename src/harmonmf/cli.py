@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -44,6 +45,8 @@ def parse_config_file(path) -> dict:
                 raise CliError(f"{path}:{lineno}: expected 'key = value'")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
+            if key in values:
+                raise CliError(f"{path}:{lineno}: duplicate key {key!r}")
             if key in _PATH_KEYS:
                 values[key] = raw
             elif key in _CONFIG_KEYS:
@@ -220,6 +223,7 @@ def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None)
 
 
+@functools.cache  # built on the first call, not at import; parse_args keeps no state
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="harmonmf",
                                      description=__doc__.splitlines()[0])

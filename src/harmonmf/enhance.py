@@ -12,7 +12,7 @@ import numpy as np
 
 from . import nmf
 from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
-                         fit_free_dictionary, fundamental_grid, harmonic_count)
+                         fit_free_dictionary, fundamental_grid)
 from .signal_io import Signal, snr_db
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    default_frame_params, istft, stft)
@@ -98,12 +98,14 @@ def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisG
     f0 = fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
     psi = build_harmonic_basis(f0, params, config.p_star)
     rng = np.random.default_rng(config.seed)
-    coeffs = np.zeros((config.L, config.m, psi.shape[2]))
-    for l, f in enumerate(f0):
-        p = harmonic_count(f, config.sr, config.p_star)
-        jitter = min(_COEFF_JITTER, 0.5 / p)
-        coeffs[l, :, :p] = rng.uniform(1.0 / p - jitter, 1.0 / p + jitter,
-                                       (config.m, p))
+    coeffs = np.zeros((config.L, config.m, psi.shape[2]))  # first: a huge m fails here
+    # harmonic_count per basis; psi's p, the largest count, caps it as p_star does
+    p = np.minimum(config.sr // (2.0 * f0), psi.shape[2])[:, None, None]
+    used = np.broadcast_to(np.arange(psi.shape[2]) < p, coeffs.shape)
+    jitter = np.minimum(_COEFF_JITTER, 0.5 / p)
+    lo, hi = (np.broadcast_to(b, coeffs.shape)[used]
+              for b in (1.0 / p - jitter, 1.0 / p + jitter))
+    coeffs[used] = lo + (hi - lo) * rng.random(lo.size)  # as rng.uniform draws
     return nmf.BasisGroup(psi=psi, coeffs=coeffs, kind="speech")
 
 

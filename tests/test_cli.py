@@ -30,6 +30,13 @@ seed = 0
 """
 
 
+def small_with(key, value):
+    """SMALL with key set to value: its line replaced when SMALL has one, as
+    a config file may name each key once."""
+    lines = [line for line in SMALL.splitlines() if not line.startswith(f"{key} =")]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
 @pytest.fixture
 def workdir(tmp_path):
     write_wav(harmonic_signal(seconds=1.0), tmp_path / "clean.wav")
@@ -287,6 +294,46 @@ def test_config_parsing(tmp_path):
                       "noise_wav": "/x/y.wav"}
 
 
+@pytest.mark.parametrize("key, first, second", [("L", "33", "5"),
+                                                 ("noisy_wav", "a.wav", "b.wav")])
+def test_duplicate_config_key_is_one_line_error(workdir, capsys, key, first, second):
+    """A repeated key, config or path alike, is an error naming its line;
+    it never silently keeps one of the values."""
+    cfg = workdir / "dup.cfg"
+    cfg.write_text(f"{key} = {first}\nseed = 1\n{key} = {second}\n")
+    out = workdir / "out.wav"
+    rc = main(["enhance", str(workdir / "clean.wav"), "shapes.nshp", str(out),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: duplicate key '{key}'\n"
+    assert not out.exists()
+
+
+def test_reused_parser_leaks_nothing_between_calls(workdir):
+    """main parses with one parser per process; a call's flags, and a usage
+    error, leave nothing behind for the next call."""
+    assert make_parser() is make_parser()
+    shapes = run_train(workdir)
+
+    def enhance(name, *flags):
+        out = workdir / name
+        assert main(["enhance", str(workdir / "clean.wav"), str(shapes), str(out),
+                     "--config", str(workdir / "small.cfg"), *flags]) == 0
+        return out.read_bytes()
+
+    dense = enhance("dense.wav")
+    enhance("lin.wav", "--mode", "lin")
+    assert enhance("after_lin.wav") == dense
+    enhance("diag.wav", "--dump-diagnostics")
+    assert (workdir / "diag_trace.csv").exists()
+    enhance("after_diag.wav")
+    assert not list(workdir.glob("after_diag_*"))
+    with pytest.raises(SystemExit) as exc:
+        main(["enhance", "--mode", "plain"])
+    assert exc.value.code == 2
+    assert enhance("after_usage_error.wav") == dense
+
+
 def test_flag_overrides_config(workdir):
     shapes = run_train(workdir)
     out1, out2 = workdir / "s1.wav", workdir / "s2.wav"
@@ -414,7 +461,7 @@ BAD_CONFIG = [
 def test_bad_config_value_is_one_line_error(valid_inputs, tmp_path, capsys,
                                             command, key, value):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{SMALL}{key} = {value}\n")
+    cfg.write_text(small_with(key, value))
     out = tmp_path / "out"
     inputs = {"enhance": ["clean.wav", "shapes.nshp"], "train-noise": ["noise.wav"]}
     rc = main([command, *(str(valid_inputs / name) for name in inputs[command]),
@@ -433,7 +480,7 @@ HUGE_SIZES = ["m", "m_n", "L"]
 @pytest.mark.parametrize("key", HUGE_SIZES)
 def test_huge_size_is_one_line_error(valid_inputs, tmp_path, capsys, key):
     cfg = tmp_path / "huge.cfg"
-    cfg.write_text(f"{SMALL}{key} = {10**15}\n")
+    cfg.write_text(small_with(key, 10**15))
     out = tmp_path / "out.wav"
     rc = main(["enhance", str(valid_inputs / "clean.wav"),
                str(valid_inputs / "shapes.nshp"), str(out), "--config", str(cfg)])
@@ -510,7 +557,7 @@ def test_generated_bad_config_is_one_line_error(valid_inputs, command, bad):
     inputs = {"enhance": ["clean.wav", "shapes.nshp"], "train-noise": ["noise.wav"]}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "bad.cfg"
-        cfg.write_text(f"{SMALL}{key} = {value}\n")
+        cfg.write_text(small_with(key, value))
         out = Path(tmp) / "out"
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import harmonic_signal, white_noise
+from conftest import SR, harmonic_signal, white_noise
 
 import harmonmf as h
 from harmonmf.enhance import (EnhanceConfig, build_speech_atoms, enhance,
@@ -11,7 +12,8 @@ from harmonmf.enhance import (EnhanceConfig, build_speech_atoms, enhance,
                               sweep_atoms_sparsity, wiener_reconstruct,
                               write_magnitude_csv, write_pgm)
 from harmonmf.signal_io import Signal, snr_db
-from harmonmf.stft import ComplexSpectrogram, MagnitudeSpectrogram, stft
+from harmonmf.stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
+                           stft)
 
 
 def small_config(**kw):
@@ -35,20 +37,52 @@ def test_default_dictionary_sizing(frame_params):
     assert group.psi.shape == (33, frame_params.n_bins, 30)
 
 
+def reference_start(config):
+    """The start coefficients drawn basis by basis from one seeded stream,
+    uniform(1/p - jitter, 1/p + jitter) over each basis's p harmonics with
+    jitter = min(0.001, 0.5/p), zero-padded: the per-fundamental loop that
+    build_speech_atoms's one draw replaces."""
+    f0 = h.fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
+    counts = [h.harmonic_count(f, config.sr, config.p_star) for f in f0]
+    rng = np.random.default_rng(config.seed)
+    expected = np.zeros((config.L, config.m, max(counts)))
+    for l, p in enumerate(counts):
+        jitter = min(0.001, 0.5 / p)
+        expected[l, :, :p] = rng.uniform(1.0 / p - jitter, 1.0 / p + jitter,
+                                         (config.m, p))
+    return expected
+
+
 def test_default_start_coefficients_unchanged(frame_params):
     """At the default config every basis has p <= 30 harmonics, so the start
     jitter is 0.001 and the start coefficients are bitwise the draws
     uniform(1/p - 0.001, 1/p + 0.001), basis by basis from one seeded stream."""
     config = EnhanceConfig()
     group = build_speech_atoms(config, frame_params)
-    rng = np.random.default_rng(config.seed)
-    expected = np.zeros_like(group.coeffs)
-    for l, f in enumerate(h.fundamental_grid(config.f_min, config.f_max,
-                                             config.L, config.sr)):
-        p = h.harmonic_count(f, config.sr, config.p_star)
-        expected[l, :, :p] = rng.uniform(1.0 / p - 0.001, 1.0 / p + 0.001,
-                                         (config.m, p))
-    assert np.array_equal(group.coeffs, expected)
+    assert group.coeffs.tobytes() == reference_start(config).tobytes()
+
+
+@st.composite
+def start_configs(draw):
+    """Grid and draw settings; an f_min below 8 Hz keeps more than 500
+    harmonics below Nyquist at 8 kHz, where the jitter shrinks to 0.5/p."""
+    f_min = draw(st.one_of(st.floats(1.0, 8.0), st.floats(8.0, 1000.0)),
+                 label="f_min")
+    f_max = draw(st.floats(f_min, SR / 2, exclude_min=True, exclude_max=True),
+                 label="f_max")
+    return EnhanceConfig(f_min=f_min, f_max=f_max,
+                         L=draw(st.integers(2, 6), label="L"),
+                         m=draw(st.integers(1, 4), label="m"),
+                         p_star=draw(st.integers(1, 3000), label="p_star"),
+                         seed=draw(st.integers(0, 2**32 - 1), label="seed"))
+
+
+@given(config=start_configs())
+def test_generated_start_coefficients_equal_reference_loop(config):
+    """The one draw over every used harmonic has the bytes of reference_start;
+    the frame is small (9 bins), since the start does not depend on it."""
+    group = build_speech_atoms(config, FrameParams(16, 4, SR))
+    assert group.coeffs.tobytes() == reference_start(config).tobytes()
 
 
 def test_many_harmonics_start_positive():
