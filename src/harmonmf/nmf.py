@@ -279,8 +279,9 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     groups, a group of other than K rows, or a dense-mode speech row
     summing to 0.
     Psi^T, 1^T Psi and every array of the loop are formed once per solve:
-    V, E, XE, s, the gain quotient and D^T.  The dictionary step rewrites
-    D^T, whose transpose D is returned, and then recomputes V = DX.
+    V, E, XE, s, the gain quotient, D^T and the ones that form s and 1^T Psi.
+    The dictionary step rewrites D^T, whose transpose D is returned, and then
+    recomputes V = DX.
     """
     if mode not in ("lin", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -317,9 +318,10 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
         if d:
             g.coeffs /= g.coeffs.sum(axis=2, keepdims=True)
     Dt, XE, s = (np.empty(shape, dtype) for shape in ((n, K), (n, K), (n, 1)))
+    ones_K, ones_T = np.ones((1, K), dtype), np.ones((T, 1), dtype)
     # (group, dense step?, 1^T Psi, Psi^T, and its rows of D^T, XE and s)
     rows = zip(*(_rows_of(groups, a) for a in (Dt, XE, s)))
-    layout = [(g, d, None if g.psi is None else g.psi.sum(axis=1)[:, None, :],
+    layout = [(g, d, None if g.psi is None else ones_K @ g.psi,
                None if g.psi is None else _psi_t(g), *r)
               for g, d, r in zip(groups, dense, rows)]
     for g, _, _, psi_t, dt, *_ in layout:
@@ -333,7 +335,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
         if not frozen_dictionary:
             _refresh_excess(Y, V, E)
             np.matmul(X, E.T, out=XE)
-            X.sum(axis=1, keepdims=True, out=s)
+            np.matmul(X, ones_T, out=s)
             for g, dense, psi_sums, psi_t, dt, xe, sg in layout:
                 if dense:
                     update_atom_dense(g, xe, sg, settings.alpha, psi_sums)

@@ -116,8 +116,11 @@ def products(ratio, X):
 
 
 def sums_of(group):
-    """The step's 1^T Psi, G x 1 x p, as solve forms it (None if free)."""
-    return None if group.psi is None else group.psi.sum(axis=1)[:, None, :]
+    """The step's 1^T Psi, G x 1 x p, as solve forms it, by the product of a
+    1 x K row of ones with Psi (None if free)."""
+    if group.psi is None:
+        return None
+    return np.ones((1, group.psi.shape[1]), group.psi.dtype) @ group.psi
 
 
 def basis_group(rng, K, p, m, coeffs=None):
@@ -594,15 +597,16 @@ def test_generated_group_step_equals_single_atom_rule(mode, data):
 
 
 def reference_step(group, XE, s, alpha=None):
-    """The per-group step that sums psi itself (dense when alpha is given),
-    written out as the steps were before solve formed 1^T Psi once: the
-    reference for the bytes of the step given 1^T Psi."""
+    """The per-group step that forms 1^T Psi itself, as the product of a row
+    of ones with psi (dense when alpha is given), written out as the steps
+    were before solve formed 1^T Psi once: the reference for the bytes of
+    the step given 1^T Psi."""
     G, m, _ = group.coeffs.shape
     XE, s = XE.reshape(G, m, -1), s.reshape(G, m, 1)
     if group.psi is None:
         num, den = s + XE, s
     else:
-        den = s * group.psi.sum(axis=1)[:, None, :]
+        den = s * (np.ones((1, group.psi.shape[1]), group.psi.dtype) @ group.psi)
         num = den + XE @ group.psi
     A, eps = group.coeffs, nmf.EPSILON
     if alpha is None:
@@ -680,7 +684,8 @@ def reference_realize(groups):
 def reference_solve(Y, groups, settings, mode, frozen, X):
     """solve's loop as an allocating loop: reference_realize, V = D_new X and
     an allocating gain step, from groups, Y and start gains X already in the
-    solve's dtype."""
+    solve's dtype.  The row sums s = X 1 and 1^T Psi (sums_of) are products
+    with ones, as solve forms them."""
     eps, n_speech = nmf.EPSILON, nmf.speech_count(groups)
     steps = []
     for g in groups:
@@ -693,7 +698,7 @@ def reference_solve(Y, groups, settings, mode, frozen, X):
     for _ in range(settings.iterations):
         if not frozen:
             E = Y / np.maximum(V, eps) - 1.0
-            XE, s = X @ E.T, X.sum(axis=1)
+            XE, s = X @ E.T, X @ np.ones((X.shape[1], 1), X.dtype)
             start = 0
             for g, dense, psi_sums in steps:
                 rows = slice(start, start + g.n_atoms)
