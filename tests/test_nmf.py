@@ -597,16 +597,15 @@ def test_generated_group_step_equals_single_atom_rule(mode, data):
 
 
 def reference_step(group, XE, s, alpha=None):
-    """The per-group step that forms 1^T Psi itself, as the product of a row
-    of ones with psi (dense when alpha is given), written out as the steps
-    were before solve formed 1^T Psi once: the reference for the bytes of
-    the step given 1^T Psi."""
+    """The per-group step that forms 1^T Psi itself, by sums_of (dense when
+    alpha is given), written out as the steps were before solve formed 1^T Psi
+    once: the reference for the bytes of the step given 1^T Psi."""
     G, m, _ = group.coeffs.shape
     XE, s = XE.reshape(G, m, -1), s.reshape(G, m, 1)
     if group.psi is None:
         num, den = s + XE, s
     else:
-        den = s * (np.ones((1, group.psi.shape[1]), group.psi.dtype) @ group.psi)
+        den = s * sums_of(group)
         num = den + XE @ group.psi
     A, eps = group.coeffs, nmf.EPSILON
     if alpha is None:
