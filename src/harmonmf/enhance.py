@@ -53,8 +53,11 @@ class EnhanceConfig:
                 f"in [1, {sys.float_info.max:.3g}]", "sr")
         require(self.window_ms > 0, "positive", "window_ms")
         require(0 < self.overlap < 1, "in (0, 1)", "overlap")
-        require(0 < self.f_min, "positive", "f_min")
-        require(self.f_min < self.f_max < self.sr / 2, "in (f_min, sr/2)", "f_max")
+        require(0 < 2.0 * math.pi * self.f_min / self.sr,  # as the bases evaluate it
+                "positive in rad/sample", "f_min")
+        require(self.f_min < self.f_max < self.sr / 2  # 2 pi f / sr may round to pi
+                and 2.0 * math.pi * self.f_max / self.sr < math.pi,
+                "in (f_min, sr/2) and below pi rad/sample", "f_max")
         require(self.L >= 2, "at least 2", "L")
         for name in ("m", "p_star", "r", "m_n", "iterations"):
             require(getattr(self, name) >= 1, "at least 1", name)
@@ -125,33 +128,31 @@ def _check_shapes(shapes: NoiseShapes, params: FrameParams):
         raise ValueError("noise shapes were trained with different frame parameters")
 
 
-def _run(noisy: Signal, groups: list, config: EnhanceConfig, mode: str,
-         frozen: bool = False, trace: bool = True) -> EnhanceResult:
+def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
+         config: EnhanceConfig, frozen: bool = False,
+         trace: bool = True) -> EnhanceResult:
+    """The one pipeline: solve speech_atoms and the noise atoms from shapes
+    in config.mode (frozen: gains only), split the model at the speech
+    columns, and Wiener-filter; returns exactly len(noisy) samples."""
     params = config.frame_params()
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
-    # pad so every input sample sits in the fully overlapped interior region,
-    # where Wiener-filtered overlap-add is well conditioned
-    wl = params.window_len
-    n = len(noisy)
-    padded = Signal(np.pad(noisy.samples, (wl, wl)), config.sr)
-    spec = stft(padded, params)
-    Y = spec.magnitude()
+    # pad by wl: each sample then sits in the fully overlapped, well conditioned
+    # interior; hop <= wl leaves >= n + wl - hop + 1 > n ISTFT samples past wl
+    wl, n = params.window_len, len(noisy)
+    spec = stft(Signal(np.pad(noisy.samples, (wl, wl)), config.sr), params)
+    groups = [speech_atoms, build_noise_bases(shapes, config.m_n, config.seed)]
     # the solve runs in float32; the Wiener mask and the ISTFT in float64
-    result = nmf.solve(Y.values.astype(np.float32), groups,
-                       config.solver_settings(), mode=mode,
+    result = nmf.solve(spec.magnitude().values.astype(np.float32), groups,
+                       config.solver_settings(), mode=config.mode,
                        frozen_dictionary=frozen, trace=trace)
     D, X = result.dictionary.astype(np.float64), result.gains.astype(np.float64)
-    ms = nmf.speech_count(groups)
+    ms = speech_atoms.n_atoms
     speech = MagnitudeSpectrogram(D[:, :ms] @ X[:ms], params)
     noise = MagnitudeSpectrogram(D[:, ms:] @ X[ms:], params)
     total = MagnitudeSpectrogram(speech.values + noise.values, params)
-    filtered = wiener_reconstruct(spec, speech, total)
-    out = istft(filtered).samples[wl:]
-    if out.size < n:
-        out = np.pad(out, (0, n - out.size))
-    denoised = Signal(out[:n], config.sr)
-    return EnhanceResult(denoised, speech, noise, result.trace)
+    out = istft(wiener_reconstruct(spec, speech, total)).samples[wl:wl + n]
+    return EnhanceResult(Signal(out, config.sr), speech, noise, result.trace)
 
 
 def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
@@ -162,39 +163,37 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     empty; the output is the same."""
     params = config.frame_params()
     _check_shapes(shapes, params)
-    groups = [build_speech_atoms(config, params),
-              build_noise_bases(shapes, config.m_n, config.seed)]
-    return _run(noisy, groups, config, config.mode, trace=trace)
+    return _run(noisy, build_speech_atoms(config, params), shapes, config,
+                trace=trace)
 
 
 def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
                    config: EnhanceConfig, oracle_atoms: int = 32,
                    trace: bool = True) -> EnhanceResult:
     """Baseline with the speech dictionary fit on the clean signal and frozen;
-    only the gains adapt.  trace is as in enhance."""
+    only the gains adapt.  Its free columns take the same step in either
+    config.mode and add no density term.  trace is as in enhance."""
     if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
         raise ValueError("clean and noisy signals must be aligned")
     params = config.frame_params()
     _check_shapes(shapes, params)
     clean_mag = stft(clean, params).magnitude()
     D_s = fit_free_dictionary(clean_mag, oracle_atoms, config.seed)
-    groups = [nmf.BasisGroup(psi=None, coeffs=D_s.T[None], kind="speech"),
-              build_noise_bases(shapes, config.m_n, config.seed)]
-    return _run(noisy, groups, config, "lin", frozen=True, trace=trace)
+    speech = nmf.BasisGroup(psi=None, coeffs=D_s.T[None], kind="speech")
+    return _run(noisy, speech, shapes, config, frozen=True, trace=trace)
 
 
 def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
                   free_atoms: int = 132, trace: bool = True) -> EnhanceResult:
     """Unconstrained-NMF baseline: free speech columns, trained noise shapes.
-    trace is as in enhance."""
+    The free columns take the same step in either config.mode and add no
+    density term.  trace is as in enhance."""
     params = config.frame_params()
     _check_shapes(shapes, params)
     rng = np.random.default_rng(config.seed)
-    K = params.n_bins
-    groups = [nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((1, free_atoms, K)),
-                             kind="speech"),
-              build_noise_bases(shapes, config.m_n, config.seed)]
-    return _run(noisy, groups, config, "lin", trace=trace)
+    coeffs = 1.0 - rng.random((1, free_atoms, params.n_bins))
+    speech = nmf.BasisGroup(psi=None, coeffs=coeffs, kind="speech")
+    return _run(noisy, speech, shapes, config, trace=trace)
 
 
 def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import harmonic_signal, white_noise
 
 from harmonmf import dictionary, nmf
-from harmonmf.cli import (CliError, _shapes_fit, build_config, main, make_parser,
-                          parse_config_file)
+from harmonmf.cli import (CliError, _atomic, _shapes_fit, build_config, main,
+                          make_parser, parse_config_file)
 from harmonmf.dictionary import load_noise_shapes
 from harmonmf.enhance import EnhanceConfig
 from harmonmf.signal_io import read_wav, write_wav
@@ -91,6 +91,31 @@ def test_train_noise_deterministic(workdir):
     a = run_train(workdir).read_bytes()
     b = run_train(workdir).read_bytes()
     assert a == b
+
+
+def test_train_noise_rate_mismatch_is_one_line_error(tmp_path, capsys):
+    """A 16 kHz noise WAV against the 8 kHz default: one line naming both
+    rates, and no .nshp written."""
+    write_wav(white_noise(seconds=3.0, sr=16000, seed=2), tmp_path / "n16k.wav")
+    rc = main(["train-noise", str(tmp_path / "n16k.wav"), str(tmp_path / "s.nshp")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "16000" in lines[0] and "8000" in lines[0]
+    assert not (tmp_path / "s.nshp").exists()
+
+
+def test_failed_write_leaves_no_output_or_temp_file(tmp_path):
+    """A writer that raises part-way leaves neither the output file nor the
+    .harmonmf-* temp file it was writing, and the error propagates."""
+    def failing(tmp):
+        with open(tmp, "w") as fh:
+            fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic(tmp_path / "out.wav", failing)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_noise_too_short(tmp_path, capsys):
@@ -294,6 +319,17 @@ def test_config_parsing(tmp_path):
                       "noise_wav": "/x/y.wav"}
 
 
+def test_config_line_without_equals_is_one_line_error(workdir, capsys):
+    cfg = workdir / "noeq.cfg"
+    cfg.write_text("L = 3\nm 1\n")
+    out = workdir / "out.wav"
+    rc = main(["enhance", str(workdir / "clean.wav"), "shapes.nshp", str(out),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: expected 'key = value'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, first, second", [("L", "33", "5"),
                                                  ("noisy_wav", "a.wav", "b.wav")])
 def test_duplicate_config_key_is_one_line_error(workdir, capsys, key, first, second):
@@ -442,6 +478,8 @@ def test_fractional_sample_rate_is_one_line_error(valid_inputs, tmp_path, capsys
     assert not out.exists()
 
 
+# valid in Hz, but 2 pi f / sr rounds to pi, or to 0, at 8 kHz
+BAD_BAND = [("f_max", "3999.9999999999995"), ("f_min", "1e-323")]
 BAD_CONFIG = [
     ("sr", "0"), ("window_ms", "inf"), ("window_ms", "0.1"), ("overlap", "1.0"),
     ("f_min", "0"), ("f_max", "4000"), ("L", "1"), ("m", "0"), ("m", "-1"),
@@ -452,6 +490,7 @@ BAD_CONFIG = [
     ("sr", "1" + "0" * 400),  # sr / 2 overflows
     # window_len >= 2**32 samples does not fit the .nshp header's u32
     ("window_ms", "1e300"), ("window_ms", "1e9"),
+    *BAD_BAND,
 ]
 
 
@@ -470,6 +509,24 @@ def test_bad_config_value_is_one_line_error(valid_inputs, tmp_path, capsys,
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["enhance", "sweep"])
+@pytest.mark.parametrize("key, value", BAD_BAND)
+def test_bad_band_named_before_inputs(tmp_path, capsys, command, key, value):
+    """A fundamental band that rounds onto 0 or pi rad/sample is reported by
+    its config key before any input is read: every input path is missing."""
+    cfg = tmp_path / "band.cfg"
+    cfg.write_text(small_with(key, value))
+    names = {"enhance": ["clean.wav", "shapes.nshp", "out.wav"],
+             "sweep": ["clean.wav", "noise.wav", "shapes.nshp", "out.csv"]}[command]
+    rc = main([command, *(str(tmp_path / n) for n in names), "--config", str(cfg)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be")
+    assert not (tmp_path / names[-1]).exists()
 
 
 # Far beyond any address space (8e15 bytes or more per array), so the

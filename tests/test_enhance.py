@@ -67,7 +67,7 @@ def start_configs(draw):
     """Grid and draw settings; an f_min below 8 Hz keeps more than 500
     harmonics below Nyquist at 8 kHz, where the jitter shrinks to 0.5/p.
     f_max stays 1 Hz below Nyquist: within an ulp of it, 2 pi f_max / sr
-    rounds to pi, which the basis build rejects."""
+    rounds to pi, which EnhanceConfig rejects."""
     f_min = draw(st.one_of(st.floats(1.0, 8.0), st.floats(8.0, 1000.0)),
                  label="f_min")
     f_max = draw(st.floats(f_min, SR / 2 - 1, exclude_min=True), label="f_max")
@@ -190,12 +190,13 @@ def test_trained_and_loaded_shapes_enhance_alike(noise_shapes, desk_mixture,
 
 def test_huge_p_star_pads_to_largest_count(noise_shapes, desk_mixture):
     """The bases are padded to the grid's largest harmonic count,
-    floor(8000 / (2 * 80)) = 50, never to p_star: p_star = 10**9 gives the
-    same bytes as p_star = 50, and its peak traced allocation is no larger
-    than at p_star = 50 (one array sized by p_star would take gigabytes)."""
+    floor(8000 / (2 * 80)) = 50, never to p_star: p_star = 10**9, and
+    10**400 beyond float range, give the same bytes as p_star = 50, and their
+    peak traced allocation is no larger than at p_star = 50 (one array sized
+    by p_star would take gigabytes)."""
     _, noisy = desk_mixture
     runs = []
-    for p_star in (50, 10**9):
+    for p_star in (50, 10**9, 10**400):
         tracemalloc.start()
         try:
             out = enhance(noisy, noise_shapes, small_config(p_star=p_star),
@@ -204,9 +205,10 @@ def test_huge_p_star_pads_to_largest_count(noise_shapes, desk_mixture):
                          tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
-    (bytes_50, peak_50), (bytes_huge, peak_huge) = runs
-    assert bytes_huge == bytes_50
-    assert peak_huge <= peak_50 + 2**20
+    (bytes_50, peak_50), *huge = runs
+    for bytes_huge, peak_huge in huge:
+        assert bytes_huge == bytes_50
+        assert peak_huge <= peak_50 + 2**20
 
 
 def test_config_frame_fits_shapes_header():
@@ -260,6 +262,25 @@ def test_oracle_frozen_and_monotone(noise_shapes, desk_mixture):
     obj = [p.total for p in res.objective_trace]
     for a, b in zip(obj, obj[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
+
+
+@pytest.mark.parametrize("baseline", ["plain", "oracle"])
+def test_baselines_equal_in_lin_and_dense_mode(noise_shapes, desk_mixture, baseline):
+    """The baselines solve in config.mode, but their free speech columns take
+    the same step in either mode and add no density term: lin and dense give
+    the same denoised bytes and the same objective trace."""
+    clean, noisy = desk_mixture
+
+    def run(mode):
+        config = small_config(mode=mode)
+        if baseline == "plain":
+            return enhance_plain(noisy, noise_shapes, config, free_atoms=16)
+        return enhance_oracle(noisy, clean, noise_shapes, config, oracle_atoms=8)
+
+    lin, dense = run("lin"), run("dense")
+    assert lin.denoised.samples.tobytes() == dense.denoised.samples.tobytes()
+    assert lin.objective_trace == dense.objective_trace
+    assert len(lin.objective_trace) == small_config().iterations + 1
 
 
 def test_oracle_on_clean_input(noise_shapes):
