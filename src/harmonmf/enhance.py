@@ -19,6 +19,7 @@ from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
 
 _COEFF_JITTER = 0.001
 _PGM_FLOOR = 1e-10
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,11 @@ class EnhanceConfig:
             if not ok:
                 raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
-        for name in ("window_ms", "overlap", "f_min", "f_max",
-                     "lambda_s", "lambda_n", "alpha"):
+        for name in ("window_ms", "overlap", "f_min", "f_max"):
             require(math.isfinite(getattr(self, name)), "finite", name)
+        for name in ("lambda_s", "lambda_n", "alpha"):  # the solve is float32
+            require(0 <= getattr(self, name) <= _F32_MAX, f"in [0, {_F32_MAX:.8g}]",
+                    name)
         # sr must also fit a float: sr / 2 below overflows otherwise
         require(1 <= self.sr <= sys.float_info.max,
                 f"in [1, {sys.float_info.max:.3g}]", "sr")
@@ -61,13 +64,12 @@ class EnhanceConfig:
         require(self.L >= 2, "at least 2", "L")
         for name in ("m", "p_star", "r", "m_n", "iterations"):
             require(getattr(self, name) >= 1, "at least 1", name)
-        for name in ("lambda_s", "lambda_n", "alpha"):
-            require(getattr(self, name) >= 0, "non-negative", name)
         require(self.mode in ("lin", "dense"), "'lin' or 'dense'", "mode")
         require(self.seed >= 0, "non-negative", "seed")
         try:
-            # the .nshp header stores window_len and hop (<= window_len) as u32
-            if self.frame_params().window_len >= 2**32:
+            # a Hann window of 2 samples is [0, 0]; the .nshp header stores
+            # window_len and hop (<= window_len) as u32
+            if not 3 <= self.frame_params().window_len < 2**32:
                 raise ValueError
         except (ValueError, OverflowError):  # OverflowError: sr * window_ms is inf
             raise ValueError(f"window_ms = {self.window_ms!r} with overlap = "

@@ -1,5 +1,6 @@
-"""Numeric kernels of the multiplicative-update solver: the ratio refresh,
-V = D X in place after a dictionary step, and the floored KL divergence.
+"""Numeric kernels of the multiplicative-update solver: the excess-ratio
+refresh E = Y / max(V, eps) - 1, V = D X in place after a dictionary step,
+and the floored KL divergence.
 
 They stay in their own module, called as ``kernels.<name>``, so that a
 profiler can wrap each one by its module attribute.
@@ -8,9 +9,11 @@ import numpy as np
 
 
 def refresh_ratio(Y, V, eps, out):
-    """out = Y / max(V, eps), elementwise, in place."""
-    np.maximum(V, eps, out=out)
-    np.divide(Y, out, out=out)
+    """out = Y / max(V, eps) - 1, elementwise, in place: the excess E of the
+    ratio over 1, exactly 0 where Y = V >= eps.  The name is the profiler's
+    hook, as for rank1_add, and says ratio although E is the ratio less 1."""
+    np.divide(Y, np.maximum(V, eps, out=out), out=out)
+    out -= 1.0
     return out
 
 

@@ -197,13 +197,6 @@ def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoi
     return ObjectivePoint(iteration, kl, sparsity, density)
 
 
-def _refresh_excess(Y, V, E):
-    """E = Y / max(V, EPSILON) - 1, in place: the ratio minus one."""
-    kernels.refresh_ratio(Y, V, EPSILON, E)
-    E -= 1.0
-    return E
-
-
 def update_gains(X, D, E, settings: SolverSettings, n_speech: int, work):
     """X <- X * (D^T 1 + D^T E) / (D^T 1 + lambda), lambda per row block, in
     place, for E = Y/DX - 1 as solve's refresh forms it.  D^T 1 is the column
@@ -333,7 +326,7 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
-            _refresh_excess(Y, V, E)
+            kernels.refresh_ratio(Y, V, EPSILON, E)
             np.matmul(X, E.T, out=XE)
             np.matmul(X, ones_T, out=s)
             for g, dense, psi_sums, psi_t, dt, xe, sg in layout:
@@ -343,7 +336,8 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
                     update_atom_lin(g, xe, sg, psi_sums)
                 _write_rows(g, psi_t, dt)
             kernels.rank1_add(V, D, X)
-        update_gains(X, D, _refresh_excess(Y, V, E), settings, n_speech, work)
+        kernels.refresh_ratio(Y, V, EPSILON, E)
+        update_gains(X, D, E, settings, n_speech, work)
         np.matmul(D, X, out=V)
         if trace:
             points.append(_objective_point(it, Y, V, groups, X, settings, mode))

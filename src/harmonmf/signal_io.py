@@ -61,6 +61,8 @@ def read_wav(path) -> Signal:
                                f"{2 * n_frames} bytes")
     if n_frames == 0:
         raise AudioFormatError(f"no audio samples in {path}")
+    if rate <= 0:
+        raise AudioFormatError(f"bad sample rate {rate} Hz in {path}")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / _PCM_SCALE
     return Signal(samples, rate)
 

@@ -478,6 +478,28 @@ def test_fractional_sample_rate_is_one_line_error(valid_inputs, tmp_path, capsys
     assert not out.exists()
 
 
+# case -> (byte offset, struct format and value written into a valid WAV,
+# start of the error): a 0 Hz rate, and format tag 3 (IEEE float)
+BAD_WAV_HEADERS = {"rate 0": (24, "<I", 0, "bad sample rate 0 Hz in"),
+                   "float": (20, "<H", 3, "unsupported encoding in")}
+
+
+@pytest.mark.parametrize("case", list(BAD_WAV_HEADERS))
+def test_bad_wav_header_names_its_file(valid_inputs, tmp_path, capsys, case):
+    offset, fmt, value, message = BAD_WAV_HEADERS[case]
+    blob = bytearray((valid_inputs / "clean.wav").read_bytes())
+    struct.pack_into(fmt, blob, offset, value)
+    noisy = tmp_path / "bad.wav"
+    noisy.write_bytes(blob)
+    out = tmp_path / "out.wav"
+    rc = main(["enhance", str(noisy), str(valid_inputs / "shapes.nshp"), str(out),
+               "--config", str(valid_inputs / "small.cfg")])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message} {noisy}")
+    assert not out.exists()
+
+
 # valid in Hz, but 2 pi f / sr rounds to pi, or to 0, at 8 kHz
 BAD_BAND = [("f_max", "3999.9999999999995"), ("f_min", "1e-323")]
 BAD_CONFIG = [
@@ -490,6 +512,8 @@ BAD_CONFIG = [
     ("sr", "1" + "0" * 400),  # sr / 2 overflows
     # window_len >= 2**32 samples does not fit the .nshp header's u32
     ("window_ms", "1e300"), ("window_ms", "1e9"),
+    # above the float32 maximum, 3.4028235e38, in which the solve runs
+    ("lambda_s", "1e308"), ("lambda_n", "1e39"), ("alpha", "3.5e38"),
     *BAD_BAND,
 ]
 
@@ -508,6 +532,23 @@ def test_bad_config_value_is_one_line_error(valid_inputs, tmp_path, capsys,
     assert rc == 1
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["enhance", "train-noise"])
+def test_two_sample_window_is_one_line_error(valid_inputs, tmp_path, capsys,
+                                             command):
+    """At 8 kHz, window_ms = 0.25 with overlap = 0.5 gives a 2-sample frame,
+    whose symmetric Hann window is [0, 0]; the error names window_ms."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(small_with("window_ms", "0.25") + "overlap = 0.5\n")
+    out = tmp_path / "out"
+    inputs = {"enhance": ["clean.wav", "shapes.nshp"], "train-noise": ["noise.wav"]}
+    rc = main([command, *(str(valid_inputs / name) for name in inputs[command]),
+               str(out), "--config", str(cfg)])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: window_ms = 0.25")
     assert not out.exists()
 
 
@@ -576,10 +617,12 @@ def test_bad_flag_reported_before_inputs(tmp_path, capsys, command, flag, value)
 
 
 CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(EnhanceConfig)}
-# 0 is a valid weight or seed; a huge weight or seed is valid, and a huge L,
-# m, m_n, p_star, r or iterations is valid but costs memory or time.
+# 0 is a valid weight or seed; a huge seed is valid, a weight above the
+# float32 maximum is not, and a huge L, m, m_n, p_star, r or iterations is
+# valid but costs memory or time.
 ZERO_VALID = {"lambda_s", "lambda_n", "alpha", "seed"}
-HUGE_INVALID = {"sr", "window_ms", "overlap", "f_min", "f_max", "mode"}
+HUGE_INVALID = {"sr", "window_ms", "overlap", "f_min", "f_max", "lambda_s",
+                "lambda_n", "alpha", "mode"}
 
 
 @st.composite

@@ -347,3 +347,25 @@ def test_speech_atom_total_count():
     # 33 fundamentals x 4 shapes per fundamental
     g = fundamental_grid(80, 400, 33, SR)
     assert len(g) * 4 == 132
+
+
+# case -> (call that raises ValueError, start of its message)
+INVALID_CALLS = {
+    "fundamental 0 rad": (lambda: harmonic_amplitudes(0.0, 3),
+                          r"fundamental must be in \(0, pi\)"),
+    "no harmonic": (lambda: harmonic_amplitudes(1.0, 0), "need at least one harmonic"),
+    "fundamental 0 Hz": (lambda: harmonic_count(0.0, SR, 30),
+                         "fundamental must be positive"),
+    "no noise shape": (lambda: train_noise_shapes(MagnitudeSpectrogram(
+        np.ones((129, 4)), default_frame_params(SR)), 0),
+                       "need at least one noise shape"),
+    "no noise atom": (lambda: build_noise_bases(NoiseShapes(
+        np.full((129, 2), 1 / 129), default_frame_params(SR)), 0, 0),
+                      "need at least one noise atom")}
+
+
+@pytest.mark.parametrize("case", list(INVALID_CALLS))
+def test_invalid_argument_raises(case):
+    call, message = INVALID_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

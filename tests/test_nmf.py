@@ -469,22 +469,36 @@ def test_generated_kl_sparsity_monotone(identity, data):
         assert b <= a + 1e-9 * (1 + abs(a))
 
 
+def as_dtype(groups, dtype):
+    """Cast the groups' bases and coefficients to dtype in place, as solve
+    does on a Y of that dtype; for float64 the values are unchanged."""
+    for g in groups:
+        g.coeffs = g.coeffs.astype(dtype)
+        if g.psi is not None:
+            g.psi = g.psi.astype(dtype)
+    return groups
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
 @pytest.mark.parametrize("identity, mode", [
     pytest.param("only", "lin", id="plain"),
     pytest.param("optional", "lin", id="lin"),
     pytest.param("optional", "dense", id="dense")])
 @given(data=st.data())
-def test_generated_exact_fixed_point(identity, mode, data):
-    """Y = DX is a bitwise-exact fixed point; in dense mode from uniform
+def test_generated_exact_fixed_point(identity, mode, dtype, data):
+    """Y = DX formed in dtype is a bitwise-exact fixed point: the solver forms
+    DX with the same product, so E = 0 bitwise.  In dense mode from uniform
     speech coefficients with widths powers of two, so the simplex is exact.
     Id "plain" draws free columns only."""
     _, groups = data.draw(group_problems(identity,
                                          p_values=st.sampled_from([1, 2, 4, 8])))
     if mode == "dense":
         uniform_speech(groups)
-    D = nmf.realize(groups)
+    D = nmf.realize(as_dtype(groups, dtype))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="X seed"))
-    X0 = rng.random((D.shape[1], data.draw(st.integers(1, 8), label="T"))) + 0.1
+    X0 = (rng.random((D.shape[1], data.draw(st.integers(1, 8), label="T")))
+          + 0.1).astype(dtype)
     coeffs0 = [g.coeffs.copy() for g in groups]
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0, iterations=3)
     result = nmf.solve(D @ X0, groups, s, mode=mode, initial_gains=X0)
@@ -494,17 +508,19 @@ def test_generated_exact_fixed_point(identity, mode, data):
         assert np.array_equal(g.coeffs, c0)
 
 
-def test_exact_fixed_point_at_production_size(frame_params):
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+def test_exact_fixed_point_at_production_size(frame_params, dtype):
     """The default 33 stacked harmonic bases plus 16 noise atoms over 1255
     frames (10 s): with more than one BLAS thread, products this large take
-    the threaded GEMM path, and Y = DX must still be a bitwise-exact fixed
-    point."""
+    the threaded GEMM (and sgemm) path, and Y = DX must still be a
+    bitwise-exact fixed point."""
     rng = np.random.default_rng(31)
     groups = [build_speech_atoms(EnhanceConfig(), frame_params),
               nmf.BasisGroup(psi=rng.random((1, frame_params.n_bins, 16)) + 0.01,
                              coeffs=rng.random((1, 16, 16)) + 0.1, kind="noise")]
-    D = nmf.realize(groups)
-    X0 = rng.random((D.shape[1], 1255)) + 0.1
+    D = nmf.realize(as_dtype(groups, dtype))
+    X0 = (rng.random((D.shape[1], 1255)) + 0.1).astype(dtype)
     coeffs0 = [g.coeffs.copy() for g in groups]
     s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, iterations=3)
     result = nmf.solve(D @ X0, groups, s, mode="lin", initial_gains=X0)
@@ -894,6 +910,31 @@ def test_failing_solve_leaves_groups_unchanged(case, dtype):
         assert g.psi.dtype == psi.dtype and g.psi.tobytes() == psi.tobytes()
 
 
+# case -> (call that raises ValueError, start of its message)
+INVALID_GROUPS = {
+    "unknown kind": (lambda: nmf.BasisGroup(None, np.ones((1, 2, 3)), "music"),
+                     "unknown atom kind"),
+    "coefficient shape": (lambda: nmf.BasisGroup(None, np.ones((2, 3)), "speech"),
+                          "coefficients must be a G x m x p array"),
+    "basis shape": (lambda: nmf.BasisGroup(np.ones((1, 4, 2)), np.ones((1, 2, 3)),
+                                           "speech"),
+                    "basis must be G x K x p"),
+    "negative coefficient": (lambda: nmf.BasisGroup(None, -np.ones((1, 2, 3)),
+                                                    "noise"),
+                             "coefficients must be non-negative"),
+    "negative basis": (lambda: nmf.BasisGroup(-np.ones((1, 4, 3)),
+                                              np.ones((1, 2, 3)), "speech"),
+                       "basis must be non-negative"),
+    "no groups": (lambda: nmf.realize([]), "dictionary needs at least one group")}
+
+
+@pytest.mark.parametrize("case", list(INVALID_GROUPS))
+def test_invalid_group_raises(case):
+    call, message = INVALID_GROUPS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # float32 solve: criteria 1-3 with tolerances from the summation error bound
 
 U32 = 2.0 ** -24  # float32 unit roundoff
@@ -906,16 +947,6 @@ def gamma32(k):
     Numerical Algorithms, 2nd ed., ch. 4), and a chain of such operations of
     total length k errs by at most gamma_k relative."""
     return k * U32 / (1 - k * U32)
-
-
-def as_float32(groups):
-    """Cast the groups' bases and coefficients to float32 in place, as solve
-    does on a float32 Y."""
-    for g in groups:
-        g.coeffs = g.coeffs.astype(np.float32)
-        if g.psi is not None:
-            g.psi = g.psi.astype(np.float32)
-    return groups
 
 
 # id "plain": free columns only (unconstrained NMF), solved in lin mode
@@ -952,49 +983,6 @@ def test_generated_kl_sparsity_monotone_float32(identity, data):
     obj = [p.kl + p.sparsity_term for p in trace]
     for a, b in zip(obj, obj[1:]):
         assert b <= a + 6 * gamma32(N) * (3 * max(a, b) + y_scale)
-
-
-@pytest.mark.parametrize("identity, mode", [
-    pytest.param("only", "lin", id="plain"),
-    pytest.param("optional", "lin", id="lin"),
-    pytest.param("optional", "dense", id="dense")])
-@given(data=st.data())
-def test_generated_exact_fixed_point_float32(identity, mode, data):
-    """Y = DX formed in float32 is a bitwise-exact float32 fixed point: the
-    solver forms DX with the same product, so E = 0 bitwise."""
-    _, groups = data.draw(group_problems(identity,
-                                         p_values=st.sampled_from([1, 2, 4, 8])))
-    if mode == "dense":
-        uniform_speech(groups)
-    D = nmf.realize(as_float32(groups))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="X seed"))
-    X0 = (rng.random((D.shape[1], data.draw(st.integers(1, 8), label="T")))
-          + 0.1).astype(np.float32)
-    coeffs0 = [g.coeffs.copy() for g in groups]
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0, iterations=3)
-    result = nmf.solve(D @ X0, groups, s, mode=mode, initial_gains=X0)
-    assert np.array_equal(result.gains, X0)
-    assert np.array_equal(result.dictionary, D)
-    for g, c0 in zip(result.groups, coeffs0):
-        assert np.array_equal(g.coeffs, c0)
-
-
-def test_exact_fixed_point_at_production_size_float32(frame_params):
-    """test_exact_fixed_point_at_production_size in float32, so the threaded
-    sgemm path is checked too."""
-    rng = np.random.default_rng(31)
-    groups = [build_speech_atoms(EnhanceConfig(), frame_params),
-              nmf.BasisGroup(psi=rng.random((1, frame_params.n_bins, 16)) + 0.01,
-                             coeffs=rng.random((1, 16, 16)) + 0.1, kind="noise")]
-    D = nmf.realize(as_float32(groups))
-    X0 = (rng.random((D.shape[1], 1255)) + 0.1).astype(np.float32)
-    coeffs0 = [g.coeffs.copy() for g in groups]
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, iterations=3)
-    result = nmf.solve(D @ X0, groups, s, mode="lin", initial_gains=X0)
-    assert np.array_equal(result.gains, X0)
-    assert np.array_equal(result.dictionary, D)
-    for g, c0 in zip(result.groups, coeffs0):
-        assert np.array_equal(g.coeffs, c0)
 
 
 @pytest.mark.parametrize("mode", ["lin", "dense"])

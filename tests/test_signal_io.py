@@ -167,3 +167,22 @@ def test_mix_errors():
         mix_at_snr(clean, Signal(np.zeros(100), 8000), 0.0)
     with pytest.raises(ValueError, match="rate"):
         mix_at_snr(clean, Signal(np.ones(100), 16000), 0.0)
+
+
+# case -> (call that raises ValueError, start of its message)
+INVALID_CALLS = {
+    "rate 0": (lambda: Signal(np.zeros(4), 0), "sample_rate must be positive"),
+    "2-D samples": (lambda: Signal(np.zeros((2, 2)), 8000),
+                    "samples must be a non-empty 1-D array"),
+    "no samples": (lambda: Signal(np.zeros(0), 8000),
+                   "samples must be a non-empty 1-D array"),
+    "rate mismatch": (lambda: snr_db(Signal(np.ones(4), 8000),
+                                     Signal(np.ones(4), 16000)),
+                      "sample-rate mismatch")}
+
+
+@pytest.mark.parametrize("case", list(INVALID_CALLS))
+def test_invalid_signal_raises(case):
+    call, message = INVALID_CALLS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

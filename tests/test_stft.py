@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from harmonmf.signal_io import Signal
-from harmonmf.stft import (ComplexSpectrogram, FrameParams, WindowSpectrum,
-                           default_frame_params, hann_window, istft, stft)
+from harmonmf.stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
+                           WindowSpectrum, default_frame_params, hann_window,
+                           istft, stft)
 
 
 def test_hann_small():
@@ -150,3 +151,23 @@ def test_window_spectrum_first_zero():
 def test_frame_params_validation():
     with pytest.raises(ValueError):
         FrameParams(window_len=1, hop=1, sample_rate=8000)
+
+
+# case -> (call that raises ValueError, start of its message)
+INVALID_SPECTROGRAMS = {
+    "bin count": (lambda: ComplexSpectrogram(np.zeros((4, 3), complex),
+                                             FrameParams(8, 2, 8000)),
+                  "bin count does not match"),
+    "negative magnitude": (lambda: MagnitudeSpectrogram(-np.ones((5, 3)),
+                                                        FrameParams(8, 2, 8000)),
+                           "magnitude entries must be finite and non-negative"),
+    "nan magnitude": (lambda: MagnitudeSpectrogram(np.full((5, 3), np.nan),
+                                                   FrameParams(8, 2, 8000)),
+                      "magnitude entries must be finite and non-negative")}
+
+
+@pytest.mark.parametrize("case", list(INVALID_SPECTROGRAMS))
+def test_invalid_spectrogram_raises(case):
+    call, message = INVALID_SPECTROGRAMS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
