@@ -1,6 +1,6 @@
 """Numeric kernels of the multiplicative-update solver: the excess-ratio
-refresh E = Y / max(V, eps) - 1, V = D X in place after a dictionary step,
-and the floored KL divergence.
+refresh E = Y / max(V, eps) - 1, which may overwrite V, V = D X in place
+after a dictionary step, and the floored KL divergence.
 
 They stay in their own module, called as ``kernels.<name>``, so that a
 profiler can wrap each one by its module attribute.
@@ -10,9 +10,12 @@ import numpy as np
 
 def refresh_ratio(Y, V, eps, out):
     """out = Y / max(V, eps) - 1, elementwise, in place: the excess E of the
-    ratio over 1, exactly 0 where Y = V >= eps.  The name is the profiler's
-    hook, as for rank1_add, and says ratio although E is the ratio less 1."""
-    np.divide(Y, np.maximum(V, eps, out=out), out=out)
+    ratio over 1, exactly 0 where Y = V >= eps.  out may be V itself.  The
+    floor is formed only when some V is below eps (or NaN); otherwise
+    max(V, eps) is V, so dividing by V gives the same bits.  The name is the
+    profiler's hook, as for rank1_add, and says ratio although E is the
+    ratio less 1."""
+    np.divide(Y, V if V.min() >= eps else np.maximum(V, eps, out=out), out=out)
     out -= 1.0
     return out
 
@@ -25,13 +28,16 @@ def rank1_add(V, D, X):
 
 
 def kl_divergence_floored(Y, V, eps):
-    """Generalized KL divergence sum(Y log(Y/V) - Y + V) with V floored at eps.
+    """Generalized KL divergence sum(Y log(Y/V) - Y + V) with V floored at eps,
+    for non-negative Y.
 
-    Zero entries of Y contribute V only (0*log 0 taken as 0).  Computed and
-    accumulated in float64 whatever the dtype of Y and V.
+    Zero entries of Y contribute V only (0*log 0 taken as 0): their ratio is
+    left at 1, whose log is 0.  Formed without gathers, as
+    Y . log(Y/V) - sum(Y) + sum(V), computed and accumulated in float64
+    whatever the dtype of Y and V.
     """
     Y = np.asarray(Y, dtype=np.float64)
     Vf = np.maximum(np.asarray(V, dtype=np.float64), eps)
-    pos = Y > 0
-    Yp = Y[pos]
-    return float(np.sum(Yp * np.log(Yp / Vf[pos]) - Yp) + Vf.sum())
+    log = np.divide(Y, Vf, where=Y > 0, out=np.ones_like(Y))
+    np.log(log, out=log)
+    return float(np.vdot(Y, log) - Y.sum() + Vf.sum())

@@ -244,7 +244,11 @@ def update_atom_dense(group: BasisGroup, XE, s, alpha: float, psi_sums):
     num = (_rowdot(a_tilde, den_lin) + num_lin
            + alpha * _rowdot(a_tilde, a_tilde))
     den = den_lin + _rowdot(a_tilde, num_lin) + alpha * a_tilde
-    new = a_tilde * (np.maximum(num, EPSILON) / np.maximum(den, EPSILON))
+    # the quotient only where a_tilde > 0: on zero padding den can fall to
+    # EPSILON and num / EPSILON overflow; there new keeps den, times 0
+    new = np.maximum(den, EPSILON)
+    np.divide(np.maximum(num, EPSILON), new, out=new, where=a_tilde > 0)
+    new *= a_tilde
     A[:] = new / new.sum(axis=2, keepdims=True)
     return A
 
@@ -272,8 +276,11 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     groups, a group of other than K rows, or a dense-mode speech row
     summing to 0.
     Psi^T, 1^T Psi and every array of the loop are formed once per solve:
-    V, E, XE, s, the gain quotient, D^T and the ones that form s and 1^T Psi.
-    The dictionary step rewrites D^T, whose transpose D is returned, and then
+    one K x T buffer for the model V and its excess E, XE, s, the gain
+    quotient, D^T and the ones that form s and 1^T Psi.  Each refresh
+    writes E over V: nothing reads V between a refresh and the product that
+    rewrites V = DX, and the trace reads V after that product.  The
+    dictionary step rewrites D^T, whose transpose D is returned, and then
     recomputes V = DX.
     """
     if mode not in ("lin", "dense"):
@@ -320,7 +327,8 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     for g, _, _, psi_t, dt, *_ in layout:
         _write_rows(g, psi_t, dt)
     D = Dt.T  # a view: D^T is written group by group
-    E, work, V = np.empty_like(Y), np.empty_like(X), D @ X
+    work, V = np.empty_like(X), D @ X
+    E = V  # one K x T buffer: each refresh writes E over the model V
     n_speech = speech_count(groups)
     points = [_objective_point(0, Y, V, groups, X, settings, mode)] if trace else []
 

@@ -149,8 +149,10 @@ def test_criterion_5_plain_rank1_recovery():
     start = time.perf_counter()
     trace = solve(Y, dic, settings, "lin").trace
     elapsed = time.perf_counter() - start
-    report(5, "a free column drives rank-1 KL below 1e-6 of its start",
-           trace[-1].kl < 1e-6 * trace[0].kl and elapsed < 1.0)
+    ratio = trace[-1].kl / trace[0].kl
+    report(5, "a free column drives rank-1 KL below 1e-6 of its start, "
+           f"within 1.0 s: KL ratio {ratio:.3g}, {elapsed:.3f} s",
+           ratio < 1e-6 and elapsed < 1.0)
 
 
 def test_criterion_6_stft_roundtrip():

@@ -30,11 +30,12 @@ seed = 0
 """
 
 
-def small_with(key, value):
-    """SMALL with key set to value: its line replaced when SMALL has one, as
-    a config file may name each key once."""
-    lines = [line for line in SMALL.splitlines() if not line.startswith(f"{key} =")]
-    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+def small_with(key, value, **more):
+    """SMALL with key set to value, and each key of more likewise: its line
+    replaced when SMALL has one, as a config file may name each key once."""
+    keys = {key: value, **more}
+    lines = [line for line in SMALL.splitlines() if line.split(" =")[0] not in keys]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
 
 
 @pytest.fixture
@@ -550,6 +551,23 @@ def test_two_sample_window_is_one_line_error(valid_inputs, tmp_path, capsys,
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: window_ms = 0.25")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha, lambda_s", [("1e30", "1e30"), ("1e38", "1e38"),
+                                             ("3.4e38", "3.4e38")])
+def test_huge_dense_weights_enhance(valid_inputs, tmp_path, alpha, lambda_s):
+    """alpha and lambda_s both huge, in dense mode, with p_star = 12, so that
+    bases of high fundamentals are zero-padded: once the speech gains
+    underflow, a padded coefficient's update denominator falls to the floor,
+    and the quotient there must not overflow into the coefficients."""
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(small_with("mode", "dense", p_star=12, iterations=5,
+                              alpha=alpha, lambda_s=lambda_s))
+    out = tmp_path / "out.wav"
+    assert main(["enhance", str(valid_inputs / "clean.wav"),
+                 str(valid_inputs / "shapes.nshp"), str(out),
+                 "--config", str(cfg)]) == 0
+    assert np.all(np.isfinite(read_wav(out).samples))
 
 
 @pytest.mark.parametrize("command", ["enhance", "sweep"])

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -1046,3 +1047,51 @@ def test_kl_float32_equals_float64():
     assert nmf.kernels.kl_divergence_floored(Y, V, nmf.EPSILON) == \
         nmf.kernels.kl_divergence_floored(Y64, V64, nmf.EPSILON)
     assert nmf.kl_divergence(Y, V) == nmf.kl_divergence(Y64, V64)
+
+
+@st.composite
+def kernel_inputs(draw, dtype, floor):
+    """Y >= 0 with some zero entries, and V > 0.01 except, with floor, at
+    entries set below EPSILON (0, EPSILON / 2 or 1e-30), as K x T arrays of
+    dtype."""
+    K, T = draw(st.integers(2, 8), label="K"), draw(st.integers(2, 8), label="T")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    entries = st.tuples(st.integers(0, K - 1), st.integers(0, T - 1))
+    Y, V = rng.random((K, T)), rng.random((K, T)) + 0.01
+    for i, j in draw(st.lists(entries), label="zeros of Y"):
+        Y[i, j] = 0.0
+    if floor:
+        for i, j in draw(st.lists(entries, min_size=1), label="V below eps"):
+            V[i, j] = draw(st.sampled_from([0.0, nmf.EPSILON / 2, 1e-30]))
+    return Y.astype(dtype), V.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@pytest.mark.parametrize("floor", [False, True], ids=["V>=eps", "V<eps"])
+@pytest.mark.parametrize("over_v", [False, True], ids=["out", "out-is-V"])
+@given(data=st.data())
+def test_generated_refresh_ratio_is_floored_quotient(dtype, floor, over_v, data):
+    """refresh_ratio gives the bits of Y / max(V, eps) - 1, whether it
+    floors V or divides by it directly, and whether it writes a separate
+    array or over V."""
+    Y, V = data.draw(kernel_inputs(dtype, floor))
+    expected = Y / np.maximum(V, nmf.EPSILON) - 1
+    out = V if over_v else np.empty_like(V)
+    result = nmf.kernels.refresh_ratio(Y, V, nmf.EPSILON, out)
+    assert result is out and result.dtype == dtype
+    assert result.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+@given(data=st.data())
+def test_generated_kl_matches_brute_force(dtype, data):
+    """The floored KL is the per-entry sum y log(y/v) - y + v (v for y = 0),
+    v floored at EPSILON, within 1e-12 relative."""
+    Y, V = data.draw(kernel_inputs(dtype, data.draw(st.booleans(), label="floor")))
+    Vf = np.maximum(V.astype(np.float64), nmf.EPSILON)
+    brute = math.fsum(y * math.log(y / v) - y + v if y > 0 else v
+                      for y, v in zip(Y.ravel().tolist(), Vf.ravel().tolist()))
+    kl = nmf.kernels.kl_divergence_floored(Y, V, nmf.EPSILON)
+    assert abs(kl - brute) <= 1e-12 * brute
