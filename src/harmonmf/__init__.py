@@ -7,8 +7,8 @@ from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
                          train_noise_shapes)
 from .enhance import (EnhanceConfig, EnhanceResult, enhance, enhance_oracle,
                       enhance_plain, sweep_atoms_sparsity, wiener_reconstruct)
-from .nmf import (BasisGroup, SolverSettings, kl_divergence, objective, realize,
-                  solve)
+from .nmf import (BasisGroup, SolverSettings, iterate, kl_divergence, objective,
+                  realize, solve)
 from .signal_io import Signal, mix_at_snr, read_wav, snr_db, write_wav
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    WindowSpectrum, hann_window, istft, stft)

@@ -19,7 +19,7 @@ from .enhance import (EnhanceConfig, enhance as run_enhance, enhance_oracle,
                       enhance_plain, sweep_atoms_sparsity, write_magnitude_csv,
                       write_pgm, write_sweep_csv)
 from .dictionary import load_noise_shapes, save_noise_shapes, train_noise_shapes
-from .signal_io import mix_at_snr, read_wav, snr_db, write_wav
+from .signal_io import check_snr_target, mix_at_snr, read_wav, snr_db, write_wav
 from .stft import stft
 
 MIN_NOISE_SECONDS = 2.0
@@ -85,6 +85,15 @@ def _resolve(name, positional, paths):
     return value
 
 
+def _output(path):
+    """path, once it names a file in an existing directory: outputs are
+    written last, so a missing directory, or a directory given as the
+    output, is reported before any input is read."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise CliError(f"cannot write {path}: not a file in an existing directory")
+    return path
+
+
 def _atomic(path, write_fn):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".harmonmf-")
@@ -101,7 +110,7 @@ def _atomic(path, write_fn):
 def cmd_train_noise(args) -> int:
     config, paths = build_config(args)
     noise_path = _resolve("noise_wav", args.noise_wav, paths)
-    out_path = _resolve("shapes_file", args.out_shapes, paths)
+    out_path = _output(_resolve("shapes_file", args.out_shapes, paths))
     noise = read_wav(noise_path)
     if noise.sample_rate != config.sr:
         raise CliError(f"{noise_path}: sample rate {noise.sample_rate} != {config.sr}")
@@ -132,7 +141,8 @@ def cmd_enhance(args) -> int:
     config, paths = build_config(args)
     noisy_path = _resolve("noisy_wav", args.noisy_wav, paths)
     shapes_path = _resolve("shapes_file", args.shapes, paths)
-    out_path = args.out_wav or os.path.join(paths.get("out_dir", "."), "denoised.wav")
+    out_path = _output(args.out_wav
+                       or os.path.join(paths.get("out_dir", "."), "denoised.wav"))
     noisy = read_wav(noisy_path)
     shapes = load_noise_shapes(shapes_path)
     result = run_enhance(noisy, shapes, config, trace=args.dump_diagnostics)
@@ -160,6 +170,15 @@ def _parse_list(flag, text, kind):
     raise CliError(f"{flag}: bad value in {text!r}")
 
 
+def _check_snr_targets(flag, values):
+    """Each value must be a target SNR that mix_at_snr accepts."""
+    for value in values:
+        try:
+            check_snr_target(value)
+        except ValueError as exc:
+            raise CliError(f"{flag}: {exc}") from None
+
+
 def _require_positive(flag, value):
     if value < 1:
         raise CliError(f"{flag} must be at least 1, got {value}")
@@ -169,6 +188,7 @@ def cmd_evaluate(args) -> int:
     _require_positive("--free-atoms", args.free_atoms)
     _require_positive("--oracle-atoms", args.oracle_atoms)
     snr_values = _parse_list("--snr-list", args.snr_list, float)
+    _check_snr_targets("--snr-list", snr_values)
     config, paths = build_config(args)
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
@@ -197,6 +217,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep(args) -> int:
     _require_positive("--jobs", args.jobs)
+    _check_snr_targets("--input-snr", [args.input_snr])
+    _output(args.out_csv)
     L_values = _parse_list("--L-list", args.L_list, int)
     lambda_values = _parse_list("--lambda-list", args.lambda_list, float)
     config, paths = build_config(args, m=5)  # sweep protocol default

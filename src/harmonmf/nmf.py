@@ -33,6 +33,12 @@ and free-column steps (X fixed) and the gain step (D fixed) each do not
 increase KL + sparsity.  The dense rule has no such guarantee: README,
 "Python API", gives a 2-bin, 1-frame instance whose total objective rises.
 
+``iterate`` is the solver loop, a generator: it yields (k, V, D, X) at the
+start (k = 0) and after each iteration k, as read-only views of its own
+buffers that stay valid only until the next step, and its ValueErrors
+arrive at the first next().  ``solve`` runs it to the end, and its
+objective trace is computed from the yielded states.
+
 Ratios, divergences and update quotients floor their operands at EPSILON.
 
 ``solve`` computes in float32 when Y is float32 and in float64 for any other
@@ -86,15 +92,23 @@ class BasisGroup:
 def realize(groups) -> np.ndarray:
     """The K x n dictionary of ordered groups; speech groups must precede
     noise groups.  It is the transpose of a C-ordered n x K array D^T, whose
-    rows each group writes as solve does (see _write_rows)."""
+    rows each group writes as iterate does (see _dictionary)."""
+    return _dictionary(groups)[0]
+
+
+def _dictionary(groups):
+    """(D, each group's Psi^T or None).  D is K x n, the transpose of a
+    C-ordered n x K array D^T, a view, whose rows each group writes by
+    _write_rows.  realize and iterate both build their dictionary here, so
+    Psi^T is formed once per solve."""
     _check_order(groups)
-    first = groups[0]
-    K = first.coeffs.shape[2] if first.psi is None else first.psi.shape[1]
+    K = groups[0].coeffs.shape[2] if groups[0].psi is None else groups[0].psi.shape[1]
     Dt = np.empty((sum(g.n_atoms for g in groups), K), np.result_type(
         *[a for g in groups for a in (g.coeffs, g.psi) if a is not None]))
-    for g, rows in zip(groups, _rows_of(groups, Dt)):
-        _write_rows(g, None if g.psi is None else _psi_t(g), rows)
-    return Dt.T
+    psi_ts = [None if g.psi is None else _psi_t(g) for g in groups]
+    for g, psi_t, rows in zip(groups, psi_ts, _rows_of(groups, Dt)):
+        _write_rows(g, psi_t, rows)
+    return Dt.T, psi_ts
 
 
 def _rows_of(groups, Dt):
@@ -199,9 +213,9 @@ def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoi
 
 def update_gains(X, D, E, settings: SolverSettings, n_speech: int, work):
     """X <- X * (D^T 1 + D^T E) / (D^T 1 + lambda), lambda per row block, in
-    place, for E = Y/DX - 1 as solve's refresh forms it.  D^T 1 is the column
-    sums of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly 1.  The
-    quotient is formed in work, an array like X."""
+    place, for E = Y/DX - 1 as iterate's refresh forms it.  D^T 1 is the
+    column sums of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly
+    1.  The quotient is formed in work, an array like X."""
     q = np.matmul(D.T, E, out=work)
     den = D.sum(axis=0)[:, None]
     q += den
@@ -237,7 +251,7 @@ def update_atom_dense(group: BasisGroup, XE, s, alpha: float, psi_sums):
     """Density-regularized update of every row on l1-normalized coefficients,
     in place, from XE, s and psi_sums as in update_atom_lin; rows are
     renormalized so the simplex holds exactly, and each must have a positive
-    sum (solve checks)."""
+    sum (iterate checks)."""
     A = group.coeffs
     a_tilde = A / A.sum(axis=2, keepdims=True)
     num_lin, den_lin = _lin_terms(group, XE, s, psi_sums)
@@ -258,30 +272,34 @@ def _rowdot(a, b):
     return np.einsum("gij,gij->gi", a, b)[..., None]
 
 
-def solve(Y, groups, settings: SolverSettings, mode: str,
-          frozen_dictionary: bool = False, initial_gains=None,
-          trace: bool = True) -> SolveResult:
-    """Alternate one joint dictionary step and one gain update per iteration.
+def iterate(Y, groups, settings: SolverSettings, mode: str,
+            frozen_dictionary: bool = False, initial_gains=None):
+    """The solver: alternate one joint dictionary step and one gain update
+    per iteration, for settings.iterations iterations.
 
+    A generator.  It yields (k, V, D, X) at k = 0, the start, and after
+    each iteration k: the model V = DX (K x T), the dictionary D (K x n)
+    and the gains X (n x T).  They are read-only views of the solve's own
+    buffers, valid until the next step: copy what must outlive it.
     Updates the groups' coefficients in place, by the rule of each mode.
     With frozen_dictionary only the gains are updated (Oracle baseline).
-    The trace holds the objective at the start and after every iteration;
-    with trace=False it is empty and no objective is computed.
-    Computes in float32 when Y is float32, else in float64, and returns the
+    Computes in float32 when Y is float32, else in float64, and yields the
     dictionary, gains and coefficients in that dtype; the seeded start is
     drawn in float64 and then cast.
-    Deterministic given the settings seed.
-    Raises ValueError before the first iteration, and before any group is
-    changed, on a non-finite or negative Y or initial gains, misordered
-    groups, a group of other than K rows, or a dense-mode speech row
-    summing to 0.
+    Deterministic given the settings seed, and no step reads the iteration
+    count, so the state at k is the same whatever settings.iterations is.
+    Nothing runs before the first next(): an unstarted iterate changes no
+    group.  That next() raises ValueError, before any group is changed, on
+    a non-finite or negative Y or initial gains, a Y with no frames,
+    misordered groups, a group of other than K rows, or a dense-mode speech
+    row summing to 0.
     Psi^T, 1^T Psi and every array of the loop are formed once per solve:
     one K x T buffer for the model V and its excess E, XE, s, the gain
     quotient, D^T and the ones that form s and 1^T Psi.  Each refresh
     writes E over V: nothing reads V between a refresh and the product that
-    rewrites V = DX, and the trace reads V after that product.  The
-    dictionary step rewrites D^T, whose transpose D is returned, and then
-    recomputes V = DX.
+    rewrites V = DX, and the state is yielded after that product.  The
+    dictionary step rewrites D^T, whose transpose is D, and then recomputes
+    V = DX.
     """
     if mode not in ("lin", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -291,6 +309,8 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     K, T = Y.shape
     if not np.all(np.isfinite(Y) & (Y >= 0)):
         raise ValueError("spectrogram must be finite and non-negative")
+    if T == 0:
+        raise ValueError("spectrogram has no frames")
     _check_order(groups)
     if any((g.coeffs.shape[2] if g.psi is None else g.psi.shape[1]) != K
            for g in groups):
@@ -317,20 +337,19 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
             g.psi = g.psi.astype(dtype, copy=False)
         if d:
             g.coeffs /= g.coeffs.sum(axis=2, keepdims=True)
-    Dt, XE, s = (np.empty(shape, dtype) for shape in ((n, K), (n, K), (n, 1)))
+    D, psi_ts = _dictionary(groups)  # D^T is written group by group
+    XE, s = np.empty((n, K), dtype), np.empty((n, 1), dtype)
     ones_K, ones_T = np.ones((1, K), dtype), np.ones((T, 1), dtype)
     # (group, dense step?, 1^T Psi, Psi^T, and its rows of D^T, XE and s)
-    rows = zip(*(_rows_of(groups, a) for a in (Dt, XE, s)))
-    layout = [(g, d, None if g.psi is None else ones_K @ g.psi,
-               None if g.psi is None else _psi_t(g), *r)
-              for g, d, r in zip(groups, dense, rows)]
-    for g, _, _, psi_t, dt, *_ in layout:
-        _write_rows(g, psi_t, dt)
-    D = Dt.T  # a view: D^T is written group by group
+    layout = [(g, d, None if g.psi is None else ones_K @ g.psi, *r) for g, d, *r in zip(
+        groups, dense, psi_ts, *(_rows_of(groups, a) for a in (D.T, XE, s)))]
     work, V = np.empty_like(X), D @ X
     E = V  # one K x T buffer: each refresh writes E over the model V
     n_speech = speech_count(groups)
-    points = [_objective_point(0, Y, V, groups, X, settings, mode)] if trace else []
+    state = [a.view() for a in (V, D, X)]
+    for a in state:
+        a.flags.writeable = False
+    yield (0, *state)
 
     for it in range(1, settings.iterations + 1):
         if not frozen_dictionary:
@@ -347,9 +366,26 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
         kernels.refresh_ratio(Y, V, EPSILON, E)
         update_gains(X, D, E, settings, n_speech, work)
         np.matmul(D, X, out=V)
+        yield (it, *state)
+
+
+def solve(Y, groups, settings: SolverSettings, mode: str,
+          frozen_dictionary: bool = False, initial_gains=None,
+          trace: bool = True) -> SolveResult:
+    """Run iterate to the end and return its last dictionary and gains, as
+    writable arrays, with the groups.
+
+    The trace holds the objective at the start and after every iteration,
+    computed from each state iterate yields; with trace=False it is empty
+    and no objective is computed.  Raises iterate's ValueErrors, before any
+    group is changed.
+    """
+    points = []
+    for it, V, D, X in iterate(Y, groups, settings, mode, frozen_dictionary,
+                               initial_gains):
         if trace:
             points.append(_objective_point(it, Y, V, groups, X, settings, mode))
-
+    D.flags.writeable = X.flags.writeable = True  # iterate is done with them
     return SolveResult(groups, D, X, points)
 
 

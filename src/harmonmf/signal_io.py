@@ -99,21 +99,36 @@ def mix_at_snr(clean: Signal, noise: Signal, target_snr_db: float):
     """Scale noise so the clean/noise power ratio hits the target SNR.
 
     Noise longer than clean is truncated to the clean length; shorter noise
-    is an error (looping would inject artificial periodicity).
+    is an error (looping would inject artificial periodicity).  The target
+    must lie within +-SNR_CAP_DB (check_snr_target), and the scaled noise
+    must be finite.
     Returns (noisy, scaled_noise).
     """
+    check_snr_target(target_snr_db)
     if clean.sample_rate != noise.sample_rate:
         raise ValueError("sample-rate mismatch between clean and noise")
     if len(noise) < len(clean):
         raise ValueError("noise shorter than clean signal")
     n = noise.samples[: len(clean)]
-    p_clean = float(np.sum(clean.samples**2))
-    p_noise = float(np.sum(n**2))
+    # numpy scalars: a divisor that underflows to 0, or a quotient that
+    # overflows, gives inf rather than an exception; the check below sees it
+    p_clean = np.sum(clean.samples**2)
+    p_noise = np.sum(n**2)
     if p_clean == 0.0 or p_noise == 0.0:
         raise ValueError("zero-power input")
-    gain = np.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0)))
-    scaled = n * gain
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scaled = n * np.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0)))
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"noise scaled to {target_snr_db!r} dB SNR is not finite")
     return (
         Signal(clean.samples + scaled, clean.sample_rate),
         Signal(scaled, clean.sample_rate),
     )
+
+
+def check_snr_target(target_snr_db: float) -> None:
+    """A target SNR must be a number within +-SNR_CAP_DB, the range snr_db
+    reports."""
+    if not abs(target_snr_db) <= SNR_CAP_DB:  # also NaN
+        raise ValueError(f"target SNR {target_snr_db!r} dB is not within "
+                         f"+-{SNR_CAP_DB:g} dB")

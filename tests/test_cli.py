@@ -617,7 +617,12 @@ BAD_FLAGS = [("evaluate", "--free-atoms", "0"),
              ("sweep", "--lambda-list", "0.2,"),
              ("sweep", "--lambda-list", "inf"),
              ("sweep", "--L-list", "2,3,1"),
-             ("sweep", "--lambda-list", "0.2,-1")]
+             ("sweep", "--lambda-list", "0.2,-1"),
+             ("evaluate", "--snr-list", "4000"),
+             ("evaluate", "--snr-list", "0,-4000"),
+             ("sweep", "--input-snr", "-4000"),
+             ("sweep", "--input-snr", "-inf"),
+             ("sweep", "--input-snr", "nan")]
 
 
 @pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
@@ -632,6 +637,25 @@ def test_bad_flag_reported_before_inputs(tmp_path, capsys, command, flag, value)
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("out", ["missing/out", "directory", "directory/"])
+@pytest.mark.parametrize("command", ["train-noise", "enhance", "sweep"])
+def test_unwritable_output_reported_before_inputs(tmp_path, capsys, command, out):
+    """An output path in a missing directory, or naming a directory, is one
+    error line naming that path, before any input is read: every input path
+    is missing too."""
+    (tmp_path / "directory").mkdir()
+    out = str(tmp_path / out)
+    inputs = {"train-noise": ["noise.wav"], "enhance": ["noisy.wav", "shapes.nshp"],
+              "sweep": ["clean.wav", "noise.wav", "shapes.nshp"]}[command]
+    rc = main([command, *(str(tmp_path / n) for n in inputs), out])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and out in lines[0]
+    assert [p.name for p in tmp_path.rglob("*")] == ["directory"]
 
 
 CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(EnhanceConfig)}

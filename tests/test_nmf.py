@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from harmonmf import nmf
+from harmonmf.dictionary import build_noise_bases
 from harmonmf.enhance import EnhanceConfig, build_speech_atoms
+from harmonmf.stft import stft
 
 
 def random_problem(seed, K=16, T=12, n_speech=4, n_noise=2, p=5, m=1):
@@ -840,6 +843,60 @@ def test_generated_trace_is_prefix_of_longer_run(mode, frozen, data):
     assert short == long[:k + 1]
 
 
+def desk_problem(desk_mixture, noise_shapes):
+    """The desk mixture's float32 magnitude and fresh groups at the default
+    config (dense), as enhance builds them."""
+    config = EnhanceConfig()
+    params = config.frame_params()
+    Y = stft(desk_mixture[1], params).magnitude().values.astype(np.float32)
+    groups = [build_speech_atoms(config, params),
+              build_noise_bases(noise_shapes, config.m_n, config.seed)]
+    return Y, groups, config
+
+
+def test_iterate_checkpoints_equal_separate_solves(desk_mixture, noise_shapes):
+    """The states at k = 10, 25, 50 of one 50-iteration iterate equal
+    solve(iterations=k) bitwise, and each solve's trace is a prefix of the
+    50-iteration trace; the yielded arrays are read-only and solve's are
+    writable."""
+    Y, groups, config = desk_problem(desk_mixture, noise_shapes)
+    settings = replace(config.solver_settings(), iterations=50)
+    checkpoints = {}
+    for k, V, D, X in nmf.iterate(Y, groups, settings, config.mode):
+        for a in (V, D, X):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
+        if k in (10, 25, 50):
+            checkpoints[k] = D.copy(), X.copy()
+    assert list(checkpoints) == [10, 25, 50]
+    traces = {}
+    for k, (D, X) in checkpoints.items():
+        result = nmf.solve(Y, desk_problem(desk_mixture, noise_shapes)[1],
+                           replace(settings, iterations=k), config.mode)
+        assert result.dictionary.tobytes() == D.tobytes()
+        assert result.gains.tobytes() == X.tobytes()
+        assert result.dictionary.flags.writeable and result.gains.flags.writeable
+        traces[k] = result.trace
+    assert traces[10] == traces[50][:11] and traces[25] == traces[50][:26]
+
+
+def test_unstarted_iterate_changes_no_group(desk_mixture, noise_shapes):
+    """Creating an iterate runs nothing: its groups keep their dtype and
+    bytes, and its ValueErrors arrive at the first next()."""
+    Y, groups, config = desk_problem(desk_mixture, noise_shapes)
+    before = [(g.coeffs.copy(), g.psi.copy()) for g in groups]
+    states = nmf.iterate(Y, groups, config.solver_settings(), config.mode)
+    for g, (coeffs, psi) in zip(groups, before):
+        assert g.coeffs.dtype == coeffs.dtype and g.psi.dtype == psi.dtype
+        assert g.coeffs.tobytes() == coeffs.tobytes()
+        assert g.psi.tobytes() == psi.tobytes()
+    failing = nmf.iterate(Y[:, :0], groups, config.solver_settings(), config.mode)
+    with pytest.raises(ValueError, match="no frames"):
+        next(failing)
+    assert next(states)[0] == 0
+
+
 # case -> (what is corrupted, index, value); a speech row of zeros is bad in
 # dense mode only
 BAD_INPUT = {"Y nan": ("Y", (3, 4), np.nan), "Y inf": ("Y", (0, 0), np.inf),
@@ -885,13 +942,20 @@ def misordered():
     return Y, groups[::-1], None, "lin"
 
 
+def no_frames():
+    """A K x 0 Y in dense mode, which would renormalize the speech rows."""
+    Y, groups = random_problem(31, m=2)
+    return Y[:, :0], groups, None, "dense"
+
+
 # case -> (Y, groups, start gains, mode) on which solve raises ValueError
 FAILING_SOLVES = {
     "unknown mode": lambda: random_problem(31) + (None, "plain"),
     **{case: (lambda case=case: bad_case(case)) for case in BAD_INPUT},
     "gains shape": lambda: random_problem(31) + (np.ones((2, 3)), "lin"),
     "row count": wrong_row_count,
-    "misordered": misordered}
+    "misordered": misordered,
+    "no frames": no_frames}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

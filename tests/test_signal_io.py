@@ -1,3 +1,4 @@
+import math
 import re
 import wave
 
@@ -178,7 +179,17 @@ INVALID_CALLS = {
                    "samples must be a non-empty 1-D array"),
     "rate mismatch": (lambda: snr_db(Signal(np.ones(4), 8000),
                                      Signal(np.ones(4), 16000)),
-                      "sample-rate mismatch")}
+                      "sample-rate mismatch"),
+    **{f"target {target!r} dB": (
+        lambda target=target: mix_at_snr(Signal(np.ones(4), 8000),
+                                         Signal(np.ones(4), 8000), target),
+        "target SNR .* is not within") for target in (4000.0, -4000.0, -300.5,
+                                                     math.inf, -math.inf, math.nan)},
+    # at -300 dB the noise power 4e-320 times 1e-30 underflows to 0
+    "scaled noise not finite": (
+        lambda: mix_at_snr(Signal(np.ones(4), 8000), Signal(np.full(4, 1e-160), 8000),
+                           -300.0),
+        "noise scaled to -300.0 dB SNR is not finite")}
 
 
 @pytest.mark.parametrize("case", list(INVALID_CALLS))
