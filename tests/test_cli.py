@@ -62,7 +62,8 @@ def test_train_noise_writes_shapes(workdir, capsys):
 
 
 def test_train_noise_prints_refit_kl(workdir, capsys):
-    """The printed KL is that of a gains-only refit over the trained shapes."""
+    """The printed KL is that of a gains-only float32 refit over the trained
+    shapes, its KL accumulated in float64."""
     path = run_train(workdir)
     printed = capsys.readouterr().out
     config, _ = build_config(make_parser().parse_args(
@@ -73,8 +74,8 @@ def test_train_noise_prints_refit_kl(workdir, capsys):
               for col in shapes.n_matrix.T]
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=config.iterations, seed=config.seed)
-    refit = nmf.solve(mag.values, groups, settings, mode="lin",
-                      frozen_dictionary=True)
+    refit = nmf.solve(mag.values.astype(np.float32), groups, settings,
+                      mode="lin", frozen_dictionary=True)
     kl = nmf.kl_divergence(mag.values, refit.dictionary @ refit.gains)
     assert _shapes_fit(shapes, mag, config) == kl
     assert f"final KL divergence: {kl:.6g}" in printed

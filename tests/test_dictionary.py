@@ -1,3 +1,5 @@
+import contextlib
+import io
 import re
 import struct
 
@@ -7,13 +9,14 @@ import pytest
 from conftest import white_noise
 
 from harmonmf import dictionary, nmf
-from harmonmf.cli import _shapes_fit
+from harmonmf.cli import _shapes_fit, main
 from harmonmf.dictionary import (FREE_FIT_ITERATIONS, NoiseShapes,
                                  build_harmonic_basis, build_noise_bases,
                                  fundamental_grid, harmonic_amplitudes,
                                  harmonic_count, load_noise_shapes,
                                  save_noise_shapes, train_noise_shapes)
 from harmonmf.enhance import EnhanceConfig, enhance
+from harmonmf.signal_io import write_wav
 from harmonmf.stft import MagnitudeSpectrogram, default_frame_params, stft
 
 SR = 8000
@@ -191,10 +194,12 @@ def test_train_contract_r16(noise_shapes):
     assert np.allclose(N.sum(axis=0), 1.0, atol=1e-12)
 
 
-def test_train_fits_in_float32_normalizes_in_float64(monkeypatch, frame_params):
+def test_train_fits_in_float32_normalizes_in_float64(monkeypatch, frame_params,
+                                                     tmp_path):
     """The fit inside train_noise_shapes solves a float32 Y; the shapes come
     back float64 and are normalized there, so each column sums to 1 within
-    float64 rounding, far inside the .nshp load check (1e-9)."""
+    float64 rounding, far inside the .nshp load check (1e-9).  Both solves of
+    a train-noise run, the fit and the gains-only refit, see a float32 Y."""
     seen, solve = [], nmf.solve
 
     def spy(Y, *args, **kwargs):
@@ -207,6 +212,12 @@ def test_train_fits_in_float32_normalizes_in_float64(monkeypatch, frame_params):
     assert seen == [np.float32]
     assert shapes.n_matrix.dtype == np.float64
     assert np.max(np.abs(shapes.n_matrix.sum(axis=0) - 1.0)) <= 1e-12
+    seen.clear()
+    write_wav(white_noise(seconds=2.0, seed=7), tmp_path / "noise.wav")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train-noise", str(tmp_path / "noise.wav"),
+                     str(tmp_path / "shapes.nshp")]) == 0
+    assert seen == [np.float32, np.float32]
 
 
 def test_train_refit_kl_matches_float64_fit(noise_shapes, frame_params):
@@ -240,6 +251,25 @@ def test_train_refit_kl_matches_float64_fit(noise_shapes, frame_params):
     config = EnhanceConfig()
     kl32 = _shapes_fit(noise_shapes, mag, config)
     kl64 = _shapes_fit(shapes64, mag, config)
+    assert abs(kl32 - kl64) <= 1e-6 * kl64
+
+
+def test_train_refit_kl_matches_float64_refit(noise_shapes, frame_params):
+    """The refit KL train-noise prints (cli._shapes_fit, solved in float32)
+    over the conftest noise shapes is within a relative 1e-6 of a float64
+    refit over the same shapes: the print-precision requirement of
+    test_train_refit_kl_matches_float64_fit."""
+    mag = stft(white_noise(seconds=10.0, seed=7), frame_params).magnitude()
+    config = EnhanceConfig()
+    group = nmf.BasisGroup(psi=None, coeffs=noise_shapes.n_matrix.T[None],
+                           kind="noise")
+    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
+                                  iterations=config.iterations, seed=config.seed)
+    refit = nmf.solve(mag.values, [group], settings, mode="lin",
+                      frozen_dictionary=True, trace=False)
+    assert refit.gains.dtype == np.float64
+    kl64 = nmf.kl_divergence(mag.values, refit.dictionary @ refit.gains)
+    kl32 = _shapes_fit(noise_shapes, mag, config)
     assert abs(kl32 - kl64) <= 1e-6 * kl64
 
 

@@ -704,7 +704,8 @@ def reference_solve(Y, groups, settings, mode, frozen, X):
     """solve's loop as an allocating loop: reference_realize, V = D_new X and
     an allocating gain step, from groups, Y and start gains X already in the
     solve's dtype.  The row sums s = X 1 and 1^T Psi (sums_of) are products
-    with ones, as solve forms them."""
+    with ones, and XE = X E^T is the transpose of E X^T, as solve forms
+    them."""
     eps, n_speech = nmf.EPSILON, nmf.speech_count(groups)
     steps = []
     for g in groups:
@@ -717,7 +718,7 @@ def reference_solve(Y, groups, settings, mode, frozen, X):
     for _ in range(settings.iterations):
         if not frozen:
             E = Y / np.maximum(V, eps) - 1.0
-            XE, s = X @ E.T, X @ np.ones((X.shape[1], 1), X.dtype)
+            XE, s = (E @ X.T).T, X @ np.ones((X.shape[1], 1), X.dtype)
             start = 0
             for g, dense, psi_sums in steps:
                 rows = slice(start, start + g.n_atoms)
@@ -812,7 +813,10 @@ def test_default_dictionary_bytes_equal_hstack(frame_params):
     group's psi @ coeffs^T, so enhance realizes the values it realized with
     that form.  Only float32 is checked: in float64 the two reduction orders
     differ in the last place in 0.14 % of the entries (27 of 19,092, on
-    OpenBLAS 0.3.31)."""
+    OpenBLAS 0.3.31).  The float32 equality holds on OpenBLAS's SkylakeX
+    (AVX-512) kernel, the one it picks at run time on an AVX-512 CPU; under
+    its Haswell or Zen kernel (OPENBLAS_CORETYPE=Haswell, or an AVX2-only
+    CPU) it does not, so there a failure names the kernel, not the code."""
     rng = np.random.default_rng(38)
     groups = cast_copies([
         build_speech_atoms(EnhanceConfig(), frame_params),
