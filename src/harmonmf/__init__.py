@@ -6,7 +6,8 @@ from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
                          load_noise_shapes, save_noise_shapes,
                          train_noise_shapes)
 from .enhance import (EnhanceConfig, EnhanceResult, enhance, enhance_oracle,
-                      enhance_plain, sweep_atoms_sparsity, wiener_reconstruct)
+                      enhance_plain, oracle_speech_atoms, sweep_atoms_sparsity,
+                      wiener_reconstruct)
 from .nmf import (BasisGroup, SolverSettings, iterate, kl_divergence, objective,
                   realize, solve)
 from .signal_io import Signal, mix_at_snr, read_wav, snr_db, write_wav

@@ -17,9 +17,9 @@ import tempfile
 import numpy as np
 
 from . import nmf
-from .enhance import (EnhanceConfig, enhance as run_enhance, enhance_oracle,
-                      enhance_plain, sweep_atoms_sparsity, write_magnitude_csv,
-                      write_pgm, write_sweep_csv)
+from .enhance import (EnhanceConfig, _run, enhance as run_enhance, enhance_plain,
+                      oracle_speech_atoms, sweep_atoms_sparsity,
+                      write_magnitude_csv, write_pgm, write_sweep_csv)
 from .dictionary import load_noise_shapes, save_noise_shapes, train_noise_shapes
 from .signal_io import check_snr_target, mix_at_snr, read_wav, snr_db, write_wav
 from .stft import stft
@@ -198,6 +198,9 @@ def cmd_evaluate(args) -> int:
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))
+    # enhance_oracle is _run over a frozen speech group fit on the clean
+    # signal alone: fit it once, on first use, after lin has checked the inputs
+    oracle = functools.cache(lambda: oracle_speech_atoms(clean, config, args.oracle_atoms))
     print("method,input_snr_db,output_snr_db")
     for target in snr_values:
         noisy, _ = mix_at_snr(clean, noise, target)
@@ -210,9 +213,7 @@ def cmd_evaluate(args) -> int:
                                  trace=False),
             "plain": enhance_plain(noisy, shapes, config,
                                    free_atoms=args.free_atoms, trace=False),
-            "oracle": enhance_oracle(noisy, clean, shapes, config,
-                                     oracle_atoms=args.oracle_atoms,
-                                     trace=False),
+            "oracle": _run(noisy, oracle(), shapes, config, frozen=True, trace=False),
         }
         for method, result in results.items():
             out = snr_db(clean, result.denoised)

@@ -115,14 +115,18 @@ def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisG
 
 
 def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogram,
-                       total_mag: MagnitudeSpectrogram) -> ComplexSpectrogram:
-    """Scale each noisy bin by speech/(speech+noise); gains clipped to [0, 1]."""
+                       noise_mag: MagnitudeSpectrogram) -> ComplexSpectrogram:
+    """Scale each noisy bin by the gain s / max(s + n, EPSILON), formed in one
+    float64 buffer; the result has the layout of noisy.values (frames-major
+    from stft).  For finite s, n >= 0 the rounded s + n is at least s, so the
+    gain lies in [0, 1] without a clip; an overflowing s + n gives gain 0."""
     if speech_mag.values.shape != noisy.values.shape or \
-            total_mag.values.shape != noisy.values.shape:
+            noise_mag.values.shape != noisy.values.shape:
         raise ValueError("spectrogram shape mismatch")
-    gains = speech_mag.values / np.maximum(total_mag.values, nmf.EPSILON)
-    np.clip(gains, 0.0, 1.0, out=gains)
-    return ComplexSpectrogram(noisy.values * gains, noisy.params)
+    gains = np.add(speech_mag.values, noise_mag.values)
+    np.divide(speech_mag.values, np.maximum(gains, nmf.EPSILON, out=gains), out=gains)
+    out = np.empty_like(noisy.values)  # a plain product would be C-ordered
+    return ComplexSpectrogram(np.multiply(noisy.values, gains, out=out), noisy.params)
 
 
 def _check_shapes(shapes: NoiseShapes, params: FrameParams):
@@ -135,7 +139,11 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
          trace: bool = True) -> EnhanceResult:
     """The one pipeline: solve speech_atoms and the noise atoms from shapes
     in config.mode (frozen: gains only), split the model at the speech
-    columns, and Wiener-filter; returns exactly len(noisy) samples."""
+    columns, and Wiener-filter; returns exactly len(noisy) samples.  Each
+    stage's input is dropped once no later stage reads it (the solve result
+    after its float64 casts, D and X once the magnitudes are formed, the
+    unfiltered spectrum once filtered), and no speech + noise total is
+    built: the peak grows by about seven float64 K-vectors per frame."""
     params = config.frame_params()
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
@@ -149,12 +157,14 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
                        config.solver_settings(), mode=config.mode,
                        frozen_dictionary=frozen, trace=trace)
     D, X = result.dictionary.astype(np.float64), result.gains.astype(np.float64)
+    objective, result = result.trace, None
     ms = speech_atoms.n_atoms
     speech = MagnitudeSpectrogram(D[:, :ms] @ X[:ms], params)
     noise = MagnitudeSpectrogram(D[:, ms:] @ X[ms:], params)
-    total = MagnitudeSpectrogram(speech.values + noise.values, params)
-    out = istft(wiener_reconstruct(spec, speech, total)).samples[wl:wl + n]
-    return EnhanceResult(Signal(out, config.sr), speech, noise, result.trace)
+    del D, X
+    spec = wiener_reconstruct(spec, speech, noise)
+    out = istft(spec).samples[wl:wl + n]
+    return EnhanceResult(Signal(out, config.sr), speech, noise, objective)
 
 
 def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
@@ -177,12 +187,20 @@ def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     config.mode and add no density term.  trace is as in enhance."""
     if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
         raise ValueError("clean and noisy signals must be aligned")
-    params = config.frame_params()
-    _check_shapes(shapes, params)
-    clean_mag = stft(clean, params).magnitude()
-    D_s = fit_free_dictionary(clean_mag, oracle_atoms, config.seed)
-    speech = nmf.BasisGroup(psi=None, coeffs=D_s.T[None], kind="speech")
-    return _run(noisy, speech, shapes, config, frozen=True, trace=trace)
+    _check_shapes(shapes, config.frame_params())
+    return _run(noisy, oracle_speech_atoms(clean, config, oracle_atoms), shapes,
+                config, frozen=True, trace=trace)
+
+
+def oracle_speech_atoms(clean: Signal, config: EnhanceConfig,
+                        oracle_atoms: int = 32) -> nmf.BasisGroup:
+    """The oracle's speech group: oracle_atoms free columns fit on the clean
+    signal by fit_free_dictionary.  It depends on clean and config only, and
+    a frozen solve leaves its coefficients' values as they are, so evaluate
+    fits it once for all its mixtures of one clean signal."""
+    D_s = fit_free_dictionary(stft(clean, config.frame_params()).magnitude(),
+                              oracle_atoms, config.seed)
+    return nmf.BasisGroup(psi=None, coeffs=D_s.T[None], kind="speech")
 
 
 def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,

@@ -38,6 +38,9 @@ def default_frame_params(sample_rate: int, window_ms: float = 32.0,
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
+    """K x T complex values.  stft makes them frames-major: values is the
+    transpose of a C-ordered T x K array, each frame's K bins contiguous,
+    so values.T is that array and istft reads it without a copy."""
     values: np.ndarray  # K x T complex
     params: FrameParams
 
@@ -46,7 +49,10 @@ class ComplexSpectrogram:
             raise ValueError("bin count does not match window_len/2 + 1")
 
     def magnitude(self) -> "MagnitudeSpectrogram":
-        return MagnitudeSpectrogram(np.abs(self.values), self.params)
+        """|values| as a C-ordered K x T array, whatever the layout of values:
+        the solve takes its K x T input C-ordered, and would copy an F-ordered
+        one."""
+        return MagnitudeSpectrogram(np.abs(self.values, order="C"), self.params)
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,9 @@ def hann_window(n: int) -> np.ndarray:
 
 
 def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
-    """Hann-windowed one-sided STFT; tail samples not filling a frame are dropped."""
+    """Hann-windowed one-sided STFT; tail samples not filling a frame are
+    dropped.  The values are frames-major (see ComplexSpectrogram): rfft's
+    T x K output, transposed without a copy."""
     if signal.sample_rate != params.sample_rate:
         raise ValueError("signal sample rate does not match frame parameters")
     x = signal.samples
@@ -78,8 +86,7 @@ def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     n_frames = (x.size - wl) // hop + 1
     w = hann_window(wl)
     frames = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop][:n_frames]
-    spec = np.fft.rfft(frames * w, axis=1).T
-    return ComplexSpectrogram(np.ascontiguousarray(spec), params)
+    return ComplexSpectrogram(np.fft.rfft(frames * w, axis=1).T, params)
 
 
 def _overlap_add(frames: np.ndarray, T: int, hop: int) -> np.ndarray:
@@ -99,7 +106,8 @@ def _overlap_add(frames: np.ndarray, T: int, hop: int) -> np.ndarray:
 
 
 def istft(spec: ComplexSpectrogram) -> Signal:
-    """Weighted overlap-add synthesis; inverse of stft on interior samples."""
+    """Weighted overlap-add synthesis; inverse of stft on interior samples.
+    It transforms values.T, which is C-ordered for a frames-major spectrum."""
     params = spec.params
     wl, hop = params.window_len, params.hop
     K, T = spec.values.shape

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import struct
 import tempfile
@@ -15,8 +16,8 @@ from harmonmf import dictionary, nmf
 from harmonmf.cli import (CliError, _atomic, _shapes_fit, build_config, main,
                           make_parser, parse_config_file)
 from harmonmf.dictionary import load_noise_shapes
-from harmonmf.enhance import EnhanceConfig
-from harmonmf.signal_io import read_wav, write_wav
+from harmonmf.enhance import EnhanceConfig, enhance_oracle
+from harmonmf.signal_io import mix_at_snr, read_wav, snr_db, write_wav
 from harmonmf.stft import stft
 
 SMALL = """
@@ -186,6 +187,35 @@ def test_evaluate_rows(workdir, capsys):
         method, snr_in, snr_out = line.split(",")
         assert method in ("lin", "dense", "plain", "oracle")
         assert np.isfinite(float(snr_out))
+
+
+def test_evaluate_fits_oracle_once(workdir, capsys, monkeypatch):
+    """evaluate fits the oracle's dictionary once per run, and its oracle rows
+    are those of enhance_oracle, which fits per call, at every input SNR:
+    the frozen solves leave the shared group's coefficients unchanged."""
+    shapes = run_train(workdir)
+    capsys.readouterr()  # drop train-noise output
+    fits = []
+    enhance_module = importlib.import_module("harmonmf.enhance")  # not the function
+    fit = enhance_module.fit_free_dictionary
+    monkeypatch.setattr(enhance_module, "fit_free_dictionary",
+                        lambda *args: fits.append(args) or fit(*args))
+    assert main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+                 str(shapes), "--config", str(workdir / "small.cfg"),
+                 "--snr-list", "0,5,10", "--oracle-atoms", "3"]) == 0
+    assert len(fits) == 1
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("oracle,")]
+    config, _ = build_config(make_parser().parse_args(
+        ["evaluate", "--config", str(workdir / "small.cfg")]))
+    clean, noise = read_wav(workdir / "clean.wav"), read_wav(workdir / "noise.wav")
+    expected = []
+    for target in (0.0, 5.0, 10.0):
+        noisy, _ = mix_at_snr(clean, noise, target)
+        result = enhance_oracle(noisy, clean, load_noise_shapes(shapes), config,
+                                oracle_atoms=3, trace=False)
+        expected.append(f"oracle,{target!r},{snr_db(clean, result.denoised)!r}")
+    assert rows == expected
 
 
 def test_evaluate_empty_list(workdir, capsys):

@@ -809,24 +809,26 @@ def test_solve_bytes_equal_reference_loop_at_edge_shapes(K, free_columns,
 
 def test_default_dictionary_bytes_equal_hstack(frame_params):
     """The default float32 enhance dictionary, 33 stacked harmonic bases of
-    p = 30 and 16 noise atoms, has the values of the np.hstack of every
-    group's psi @ coeffs^T, so enhance realizes the values it realized with
-    that form.  Only float32 is checked: in float64 the two reduction orders
-    differ in the last place in 0.14 % of the entries (27 of 19,092, on
-    OpenBLAS 0.3.31).  The float32 equality holds on OpenBLAS's SkylakeX
-    (AVX-512) kernel, the one it picks at run time on an AVX-512 CPU; under
-    its Haswell or Zen kernel (OPENBLAS_CORETYPE=Haswell, or an AVX2-only
-    CPU) it does not, so there a failure names the kernel, not the code."""
+    p = 30 and 16 noise atoms, has the bytes of reference_realize, the same
+    batched coeffs @ Psi^T per group, on any OpenBLAS kernel.  Its values
+    are those of the np.hstack of every group's psi @ coeffs^T to float32
+    rounding: each entry sums at most p = 30 non-negative products in
+    another order, so the two differ by at most 2 * 30 * 2**-24 of the
+    entry.  (The two forms are bitwise equal on OpenBLAS's SkylakeX kernel
+    but not on its Haswell or Zen kernels.)"""
     rng = np.random.default_rng(38)
     groups = cast_copies([
         build_speech_atoms(EnhanceConfig(), frame_params),
         nmf.BasisGroup(psi=rng.random((1, frame_params.n_bins, 16)) + 0.01,
                        coeffs=rng.random((1, 16, 16)) + 0.1, kind="noise")], np.float32)
-    hstacked = np.hstack([np.hstack(g.psi @ g.coeffs.transpose(0, 2, 1))
-                          for g in groups])
     D = nmf.realize(groups)
-    assert D.dtype == hstacked.dtype == np.float32
-    assert np.array_equal(D, hstacked)
+    assert D.dtype == np.float32
+    assert D.tobytes() == reference_realize(groups).tobytes()
+    hstacked = np.hstack([np.hstack(g.psi @ g.coeffs.transpose(0, 2, 1))
+                          for g in groups]).astype(np.float64)
+    assert np.all(np.abs(D - hstacked) <= 2 * 30 * 2.0**-24 * hstacked)
+    print(f"largest relative difference: "
+          f"{np.max(np.abs(D - hstacked) / np.maximum(hstacked, 1e-300)):.3g}")
 
 
 @pytest.mark.parametrize("mode, frozen", [("lin", False), ("dense", False),

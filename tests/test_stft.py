@@ -116,6 +116,21 @@ def test_istft_matches_frame_loop(wl, hop, T):
     assert out.tobytes() == y.tobytes()
 
 
+def test_stft_is_frames_major():
+    """stft's values are the transpose of rfft's C-ordered T x K output, with
+    no copy; magnitude() is C-ordered K x T, and neither it nor istft depends
+    on the layout: a C-ordered copy of the spectrum gives the same bytes."""
+    p = default_frame_params(8000)
+    rng = np.random.default_rng(3)
+    spec = stft(Signal(rng.standard_normal(4000), 8000), p)
+    assert spec.values.T.flags.c_contiguous and not spec.values.flags.c_contiguous
+    c_ordered = ComplexSpectrogram(np.ascontiguousarray(spec.values), p)
+    mag = spec.magnitude()
+    assert mag.values.flags.c_contiguous
+    assert mag.values.tobytes() == c_ordered.magnitude().values.tobytes()
+    assert istft(spec).samples.tobytes() == istft(c_ordered).samples.tobytes()
+
+
 def test_energy_scales_quadratically():
     p = default_frame_params(8000)
     rng = np.random.default_rng(2)
