@@ -117,16 +117,18 @@ def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisG
 def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogram,
                        noise_mag: MagnitudeSpectrogram) -> ComplexSpectrogram:
     """Scale each noisy bin by the gain s / max(s + n, EPSILON), formed in one
-    float64 buffer; the result has the layout of noisy.values (frames-major
-    from stft).  For finite s, n >= 0 the rounded s + n is at least s, so the
-    gain lies in [0, 1] without a clip; an overflowing s + n gives gain 0."""
+    float64 buffer, in place: noisy.values is overwritten with the filtered
+    bins, and noisy itself is returned.  Pass a copy to keep the unfiltered
+    bins.  For finite s, n >= 0 the rounded s + n is
+    at least s, so the gain lies in [0, 1] without a clip; an overflowing
+    s + n gives gain 0."""
     if speech_mag.values.shape != noisy.values.shape or \
             noise_mag.values.shape != noisy.values.shape:
         raise ValueError("spectrogram shape mismatch")
     gains = np.add(speech_mag.values, noise_mag.values)
     np.divide(speech_mag.values, np.maximum(gains, nmf.EPSILON, out=gains), out=gains)
-    out = np.empty_like(noisy.values)  # a plain product would be C-ordered
-    return ComplexSpectrogram(np.multiply(noisy.values, gains, out=out), noisy.params)
+    np.multiply(noisy.values, gains, out=noisy.values)
+    return noisy
 
 
 def _check_shapes(shapes: NoiseShapes, params: FrameParams):
@@ -139,11 +141,13 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
          trace: bool = True) -> EnhanceResult:
     """The one pipeline: solve speech_atoms and the noise atoms from shapes
     in config.mode (frozen: gains only), split the model at the speech
-    columns, and Wiener-filter; returns exactly len(noisy) samples.  Each
-    stage's input is dropped once no later stage reads it (the solve result
-    after its float64 casts, D and X once the magnitudes are formed, the
-    unfiltered spectrum once filtered), and no speech + noise total is
-    built: the peak grows by about seven float64 K-vectors per frame."""
+    columns, and Wiener-filter; returns exactly len(noisy) samples.  The
+    spectrum is _run's own, so the Wiener gain filters it in place.  The
+    gains are cast to float64 one group at a time, and each magnitude is
+    D_g X_g: the frames-major (X_g^T D_g^T)^T, in the spectrum's layout,
+    differs from it in the last bit at some shapes.  No speech + noise
+    total is built, and the solve result is dropped once cast: the peak
+    grows by about five float64 K-vectors per frame."""
     params = config.frame_params()
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
@@ -156,12 +160,12 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
     result = nmf.solve(spec.magnitude().values.astype(np.float32), groups,
                        config.solver_settings(), mode=config.mode,
                        frozen_dictionary=frozen, trace=trace)
-    D, X = result.dictionary.astype(np.float64), result.gains.astype(np.float64)
-    objective, result = result.trace, None
+    D, objective = result.dictionary.astype(np.float64), result.trace
     ms = speech_atoms.n_atoms
-    speech = MagnitudeSpectrogram(D[:, :ms] @ X[:ms], params)
-    noise = MagnitudeSpectrogram(D[:, ms:] @ X[ms:], params)
-    del D, X
+    speech, noise = (MagnitudeSpectrogram(D[:, g] @ result.gains[g].astype(np.float64),
+                                          params)
+                     for g in (slice(None, ms), slice(ms, None)))
+    del result, D
     spec = wiener_reconstruct(spec, speech, noise)
     out = istft(spec).samples[wl:wl + n]
     return EnhanceResult(Signal(out, config.sr), speech, noise, objective)

@@ -7,6 +7,8 @@ profiler can wrap each one by its module attribute.
 """
 import numpy as np
 
+KL_ROWS = 16  # rows of Y and V that kl_divergence_floored takes at a time
+
 
 def refresh_ratio(Y, V, eps, out):
     """out = Y / max(V, eps) - 1, elementwise, in place: the excess E of the
@@ -34,10 +36,14 @@ def kl_divergence_floored(Y, V, eps):
     Zero entries of Y contribute V only (0*log 0 taken as 0): their ratio is
     left at 1, whose log is 0.  Formed without gathers, as
     Y . log(Y/V) - sum(Y) + sum(V), computed and accumulated in float64
-    whatever the dtype of Y and V.
+    whatever the dtype of Y and V, over KL_ROWS rows at a time: no float64
+    copy of the whole of Y or V is built.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    Vf = np.maximum(np.asarray(V, dtype=np.float64), eps)
-    log = np.divide(Y, Vf, where=Y > 0, out=np.ones_like(Y))
-    np.log(log, out=log)
-    return float(np.vdot(Y, log) - Y.sum() + Vf.sum())
+    Y, V, total = np.asarray(Y), np.asarray(V), 0.0
+    for k in range(0, len(Y), KL_ROWS):
+        y = np.asarray(Y[k:k + KL_ROWS], dtype=np.float64)
+        v = np.maximum(V[k:k + KL_ROWS], eps, dtype=np.float64)
+        log = np.divide(y, v, where=y > 0, out=np.ones_like(y))
+        np.log(log, out=log)
+        total += np.vdot(y, log) - y.sum() + v.sum()
+    return float(total)

@@ -334,8 +334,8 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
         if not np.all(np.isfinite(X) & (X >= 0)):
             raise ValueError("initial gains must be finite and non-negative")
     else:
-        rng = np.random.default_rng(settings.seed)
-        X = (1.0 - rng.random((n, T))).astype(dtype, copy=False)  # uniform (0, 1]
+        X = np.random.default_rng(settings.seed).random((n, T))
+        X = np.subtract(1.0, X, out=X).astype(dtype, copy=False)  # uniform (0, 1]
     for g, d in zip(groups, dense):
         g.coeffs = g.coeffs.astype(dtype, copy=False)
         if g.psi is not None:

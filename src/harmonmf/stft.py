@@ -11,6 +11,7 @@ from .signal_io import Signal
 
 _WSUM_FLOOR = 1e-12
 WINDOW_OVERSAMPLE = 8
+FRAME_BLOCK = 64  # frames windowed and transformed at a time by stft and istft
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,10 @@ def hann_window(n: int) -> np.ndarray:
 
 def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     """Hann-windowed one-sided STFT; tail samples not filling a frame are
-    dropped.  The values are frames-major (see ComplexSpectrogram): rfft's
-    T x K output, transposed without a copy."""
+    dropped.  The values are frames-major (see ComplexSpectrogram): a
+    C-ordered T x K array, transposed without a copy.  FRAME_BLOCK frames
+    are windowed and transformed at a time, so no T x window_len windowed
+    copy is built; each frame's bins are those of one rfft over all frames."""
     if signal.sample_rate != params.sample_rate:
         raise ValueError("signal sample rate does not match frame parameters")
     x = signal.samples
@@ -86,37 +89,48 @@ def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     n_frames = (x.size - wl) // hop + 1
     w = hann_window(wl)
     frames = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop][:n_frames]
-    return ComplexSpectrogram(np.fft.rfft(frames * w, axis=1).T, params)
+    out = np.empty((n_frames, params.n_bins), np.complex128)
+    for l in range(0, n_frames, FRAME_BLOCK):
+        out[l:l + FRAME_BLOCK] = np.fft.rfft(frames[l:l + FRAME_BLOCK] * w, axis=1)
+    return ComplexSpectrogram(out.T, params)
 
 
-def _overlap_add(frames: np.ndarray, T: int, hop: int) -> np.ndarray:
-    """Overlap-add of T frames of wl samples placed hop apart: frames is
-    T x wl, or one frame of wl samples repeated T times.  Block j of a frame
-    (samples j*hop up to (j+1)*hop) lands on output block l + j for frame l,
-    so ceil(wl / hop) strided adds cover every frame.  They run from the
-    last block to the first, so each output sample adds its frames in
-    increasing l, the order of a frame-by-frame loop."""
+def _overlap_add(out, frames, first, count, hop):
+    """Add count frames of wl samples, placed hop apart from frame first on,
+    into out, the (T + ceil(wl / hop) - 1) x hop blocks of the output:
+    frames is count x wl, or one frame of wl samples repeated count times.
+    Block j of a frame (samples j*hop up to (j+1)*hop) lands on output
+    block l + j for frame l, so ceil(wl / hop) strided adds cover every
+    frame.  They run from the last block to the first, so each output
+    sample adds these frames in increasing l; calls over increasing first
+    keep that order, the order of a frame-by-frame loop."""
     wl = frames.shape[-1]
-    B = -(-wl // hop)
-    out = np.zeros((T + B - 1, hop))
-    for j in range(B - 1, -1, -1):
+    for j in range(-(-wl // hop) - 1, -1, -1):
         block = frames[..., j * hop:(j + 1) * hop]
-        out[j:j + T, :block.shape[-1]] += block
-    return out.ravel()[:(T - 1) * hop + wl]
+        out[first + j:first + j + count, :block.shape[-1]] += block
 
 
 def istft(spec: ComplexSpectrogram) -> Signal:
     """Weighted overlap-add synthesis; inverse of stft on interior samples.
-    It transforms values.T, which is C-ordered for a frames-major spectrum."""
+    It transforms values.T, C-ordered for a frames-major spectrum,
+    FRAME_BLOCK frames at a time and adds each block into the output, so
+    no T x window_len frames array is built; the bytes are a frame-by-frame
+    loop's.  The window-sum normalizer is floored in place."""
     params = spec.params
     wl, hop = params.window_len, params.hop
     K, T = spec.values.shape
     w = hann_window(wl)
-    # n = wl: for an odd window irfft's default length is 2(K - 1) = wl - 1
-    frames = np.fft.irfft(spec.values.T, n=wl, axis=1)
-    frames *= w
-    y = _overlap_add(frames, T, hop)
-    y /= np.maximum(_overlap_add(w * w, T, hop), _WSUM_FLOOR)
+    y = np.zeros((T + -(-wl // hop) - 1, hop))  # T + ceil(wl / hop) - 1 blocks
+    for l in range(0, T, FRAME_BLOCK):
+        # n = wl: for an odd window irfft's default length is 2(K - 1) = wl - 1
+        frames = np.fft.irfft(spec.values.T[l:l + FRAME_BLOCK], n=wl, axis=1)
+        frames *= w
+        _overlap_add(y, frames, l, len(frames), hop)
+    wsum = np.zeros_like(y)
+    _overlap_add(wsum, w * w, 0, T, hop)
+    n = (T - 1) * hop + wl
+    y, wsum = y.ravel()[:n], wsum.ravel()[:n]
+    y /= np.maximum(wsum, _WSUM_FLOOR, out=wsum)
     return Signal(y, params.sample_rate)
 
 

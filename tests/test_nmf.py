@@ -1123,8 +1123,9 @@ def test_kl_float32_equals_float64():
 def kernel_inputs(draw, dtype, floor):
     """Y >= 0 with some zero entries, and V > 0.01 except, with floor, at
     entries set below EPSILON (0, EPSILON / 2 or 1e-30), as K x T arrays of
-    dtype."""
-    K, T = draw(st.integers(2, 8), label="K"), draw(st.integers(2, 8), label="T")
+    dtype.  K reaches past two of the KL's row blocks."""
+    K = draw(st.integers(2, 2 * nmf.kernels.KL_ROWS + 3), label="K")
+    T = draw(st.integers(2, 8), label="T")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     entries = st.tuples(st.integers(0, K - 1), st.integers(0, T - 1))
     Y, V = rng.random((K, T)), rng.random((K, T)) + 0.01
@@ -1163,5 +1164,21 @@ def test_generated_kl_matches_brute_force(dtype, data):
     Vf = np.maximum(V.astype(np.float64), nmf.EPSILON)
     brute = math.fsum(y * math.log(y / v) - y + v if y > 0 else v
                       for y, v in zip(Y.ravel().tolist(), Vf.ravel().tolist()))
+    kl = nmf.kernels.kl_divergence_floored(Y, V, nmf.EPSILON)
+    assert abs(kl - brute) <= 1e-12 * brute
+
+
+def test_kl_of_spectrogram_size_matches_fsum():
+    """At a 10 s spectrogram's size, 129 x 1247 in float32 with zeros in Y
+    and V below EPSILON, the row-blocked KL is the correctly rounded sum of
+    its terms within 1e-12 relative."""
+    rng = np.random.default_rng(36)
+    Y, V = rng.random((129, 1247)).astype(np.float32), rng.random((129, 1247))
+    Y[Y < 0.05], V[V < 0.01] = 0.0, nmf.EPSILON / 2
+    V = V.astype(np.float32)
+    y, v = Y.astype(np.float64), np.maximum(V.astype(np.float64), nmf.EPSILON)
+    safe = np.where(y > 0, y, 1.0)
+    terms = np.where(y > 0, y * np.log(safe / v) - y, 0.0) + v
+    brute = math.fsum(terms.ravel().tolist())
     kl = nmf.kernels.kl_divergence_floored(Y, V, nmf.EPSILON)
     assert abs(kl - brute) <= 1e-12 * brute

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from harmonmf.signal_io import Signal
-from harmonmf.stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
-                           WindowSpectrum, default_frame_params, hann_window,
-                           istft, stft)
+from harmonmf.stft import (FRAME_BLOCK, ComplexSpectrogram, FrameParams,
+                           MagnitudeSpectrogram, WindowSpectrum,
+                           default_frame_params, hann_window, istft, stft)
 
 
 def test_hann_small():
@@ -89,6 +89,26 @@ def test_istft_zero():
     assert np.all(istft(spec).samples == 0)
 
 
+# frame counts one below, at and one above stft's and istft's block of
+# frames, and several blocks past it
+BLOCK_ROWS = [(256, 64, FRAME_BLOCK - 1), (256, 64, FRAME_BLOCK),
+              (256, 64, FRAME_BLOCK + 1), (255, 100, 3 * FRAME_BLOCK + 5)]
+
+
+@pytest.mark.parametrize("wl,hop,T", [(256, 64, 1), (256, 64, 130), *BLOCK_ROWS])
+def test_stft_matches_one_rfft(wl, hop, T):
+    """stft transforms its frames a block at a time and gives the bytes of
+    one rfft over all windowed frames, the tail that fills no frame
+    dropped."""
+    p = FrameParams(window_len=wl, hop=hop, sample_rate=8000)
+    x = np.random.default_rng(T).standard_normal((T - 1) * hop + wl + hop - 1)
+    frames = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop][:T]
+    expected = np.fft.rfft(frames * hann_window(wl), axis=1).T
+    out = stft(Signal(x, 8000), p).values
+    assert out.shape == (p.n_bins, T)
+    assert out.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("wl,hop,T", [
     (256, 64, 130),   # default: hop divides the window
     (256, 100, 20),   # last block of each frame shorter than hop
@@ -96,10 +116,12 @@ def test_istft_zero():
     (255, 64, 9),     # odd window: irfft needs n = wl
     (10, 3, 1),       # one frame
     (64, 100, 4),     # hop longer than the window: gaps
+    *BLOCK_ROWS,
 ])
 def test_istft_matches_frame_loop(wl, hop, T):
     """The strided overlap-add adds each sample's frames in the order of a
-    frame-by-frame loop, so it gives that loop's bytes."""
+    frame-by-frame loop, within a block of frames and across blocks, so it
+    gives that loop's bytes."""
     p = FrameParams(window_len=wl, hop=hop, sample_rate=8000)
     rng = np.random.default_rng(T)
     values = (rng.standard_normal((p.n_bins, T))
