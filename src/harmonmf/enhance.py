@@ -136,12 +136,24 @@ def _check_shapes(shapes: NoiseShapes, params: FrameParams):
         raise ValueError("noise shapes were trained with different frame parameters")
 
 
+def _spectrum(noisy: Signal, params: FrameParams) -> ComplexSpectrogram:
+    """The pipeline's spectrum of noisy: its n samples padded by wl - hop
+    zeros before and wl - 1 after, so every sample sits in the fully
+    overlapped interior and every one of the T = (n + wl - 1) // hop frames
+    holds a sample.  They are the frames of a (wl, wl) pad less its frames
+    of padding alone: the first, and the last when hop divides n + wl."""
+    wl, hop = params.window_len, params.hop
+    return stft(Signal(np.pad(noisy.samples, (wl - hop, wl - 1)), noisy.sample_rate),
+                params)
+
+
 def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
          config: EnhanceConfig, frozen: bool = False,
          trace: bool = True) -> EnhanceResult:
     """The one pipeline: solve speech_atoms and the noise atoms from shapes
-    in config.mode (frozen: gains only), split the model at the speech
-    columns, and Wiener-filter; returns exactly len(noisy) samples.  The
+    in config.mode (frozen: gains only) on _spectrum(noisy), split the model
+    at the speech columns, and Wiener-filter; returns exactly len(noisy)
+    samples, from the end of _spectrum's leading pad on.  The
     spectrum is _run's own, so the Wiener gain filters it in place.  The
     gains are cast to float64 one group at a time, and each magnitude is
     D_g X_g: the frames-major (X_g^T D_g^T)^T, in the spectrum's layout,
@@ -151,10 +163,7 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
     params = config.frame_params()
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
-    # pad by wl: each sample then sits in the fully overlapped, well conditioned
-    # interior; hop <= wl leaves >= n + wl - hop + 1 > n ISTFT samples past wl
-    wl, n = params.window_len, len(noisy)
-    spec = stft(Signal(np.pad(noisy.samples, (wl, wl)), config.sr), params)
+    spec = _spectrum(noisy, params)
     groups = [speech_atoms, build_noise_bases(shapes, config.m_n, config.seed)]
     # the solve runs in float32; the Wiener mask and the ISTFT in float64
     result = nmf.solve(spec.magnitude().values.astype(np.float32), groups,
@@ -167,7 +176,9 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
                      for g in (slice(None, ms), slice(ms, None)))
     del result, D
     spec = wiener_reconstruct(spec, speech, noise)
-    out = istft(spec).samples[wl:wl + n]
+    # _spectrum's leading pad; T hop >= n + wl - hop leaves n ISTFT samples past it
+    lead = params.window_len - params.hop
+    out = istft(spec).samples[lead:lead + len(noisy)]
     return EnhanceResult(Signal(out, config.sr), speech, noise, objective)
 
 

@@ -290,7 +290,9 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
     With frozen_dictionary only the gains are updated (Oracle baseline).
     Computes in float32 when Y is float32, else in float64, and yields the
     dictionary, gains and coefficients in that dtype; the seeded start is
-    drawn in float64 and then cast.
+    drawn in float64 and then cast.  In it the gains of each silent frame,
+    a column of Y with no energy, are 0: their KL-optimal value, which every
+    step keeps exactly.  Given initial_gains are used as they are.
     Deterministic given the settings seed, and no step reads the iteration
     count, so the state at k is the same whatever settings.iterations is.
     Nothing runs before the first next(): an unstarted iterate changes no
@@ -336,6 +338,7 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
     else:
         X = np.random.default_rng(settings.seed).random((n, T))
         X = np.subtract(1.0, X, out=X).astype(dtype, copy=False)  # uniform (0, 1]
+        X[:, ~Y.any(axis=0)] = 0  # a silent frame's KL-optimal gains
     for g, d in zip(groups, dense):
         g.coeffs = g.coeffs.astype(dtype, copy=False)
         if g.psi is not None:

@@ -9,8 +9,8 @@ from conftest import SR, harmonic_signal, white_noise
 
 import harmonmf as h
 from harmonmf import nmf
-from harmonmf.enhance import (EnhanceConfig, build_speech_atoms, enhance,
-                              enhance_oracle, enhance_plain,
+from harmonmf.enhance import (EnhanceConfig, _spectrum, build_speech_atoms,
+                              enhance, enhance_oracle, enhance_plain,
                               sweep_atoms_sparsity, wiener_reconstruct,
                               write_magnitude_csv, write_pgm)
 from harmonmf.signal_io import Signal, snr_db
@@ -272,14 +272,13 @@ def test_enhance_magnitudes_are_dictionary_times_gains(noise_shapes, mode):
     """The speech and noise magnitudes are the bytes of D_g X_g, the float64
     dictionary's group columns times the float64 gains of the same solve.
     Forming them frames-major as (X_g^T D_g^T)^T changes last bits at some
-    shapes, as at this 4 s clip's 505 frames on OpenBLAS's SkylakeX and
-    Haswell kernels."""
+    shapes, as at 505 frames on OpenBLAS's SkylakeX and Haswell kernels.
+    The spectrum is the pipeline's own, from enhance._spectrum."""
     noisy, _ = h.mix_at_snr(harmonic_signal(seconds=4.0),
                             white_noise(seconds=4.0, seed=3), 0.0)
     config = EnhanceConfig(mode=mode, iterations=3)
     params = config.frame_params()
-    wl = params.window_len
-    mag = stft(Signal(np.pad(noisy.samples, (wl, wl)), SR), params).magnitude()
+    mag = _spectrum(noisy, params).magnitude()
     speech = build_speech_atoms(config, params)
     groups = [speech, h.build_noise_bases(noise_shapes, config.m_n, config.seed)]
     result = nmf.solve(mag.values.astype(np.float32), groups,
@@ -291,9 +290,65 @@ def test_enhance_magnitudes_are_dictionary_times_gains(noise_shapes, mode):
     assert out.noise_magnitude.values.tobytes() == (D[:, ms:] @ X[ms:]).tobytes()
 
 
+@pytest.mark.parametrize("n, overlap", [(8000, 0.75), (8063, 0.75), (8001, 0.75),
+                                         (1, 0.75), (768, 0.001), (1000, 0.001)])
+def test_spectrum_drops_only_frames_of_padding(n, overlap):
+    """The pipeline's spectrum is the (wl, wl)-padded spectrum less exactly
+    its frames that lie wholly in the padding, byte for byte: the first,
+    and the last when hop divides n + wl (n = 8000, 1, 768).  Those frames
+    are all zero.  A kept frame may be zero too: at n = 1 and 8001 the last
+    one holds only the last sample, at the Hann window's zero.  hop == wl
+    at overlap 0.001.  The enhanced output has exactly n samples."""
+    config = small_config(overlap=overlap)
+    params = config.frame_params()
+    wl, hop = params.window_len, params.hop
+    noisy = Signal(np.random.default_rng(n).standard_normal(n) * 0.1, SR)
+    padded = stft(Signal(np.pad(noisy.samples, (wl, wl)), SR), params).values
+    starts = hop * np.arange(padded.shape[1])
+    holds = (starts > 0) & (starts < n + wl)  # frame l covers l*hop + [0, wl)
+    dropped = [0] + ([padded.shape[1] - 1] if (n + wl) % hop == 0 else [])
+    assert np.flatnonzero(~holds).tolist() == dropped
+    assert not padded[:, ~holds].any()
+    spec = _spectrum(noisy, params).values
+    assert spec.shape[1] == (n + wl - 1) // hop
+    assert spec.tobytes() == padded[:, holds].tobytes()
+    shapes = h.train_noise_shapes(stft(white_noise(), params).magnitude(),
+                                  config.m_n, seed=0)
+    assert len(enhance(noisy, shapes, config, trace=False).denoised) == n
+
+
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+@pytest.mark.parametrize("pad", ["pipeline", "wl"])
+def test_solve_states_hold_no_float32_subnormal(noise_shapes, mode, pad):
+    """No state that nmf.iterate yields on a 1 s mix's spectrum at the
+    default config holds a float32 subnormal in V or X.  On the pipeline's
+    spectrum every frame holds a sample.  The (wl, wl)-padded spectrum has
+    two zero columns, frames of padding alone: their gains start at 0 and
+    stay exactly 0.  Started at the seed's draw, such gains fall by about
+    1e-12 per step and are subnormal around iterations 3 to 6, where every
+    product that touches them slows."""
+    noisy, _ = h.mix_at_snr(harmonic_signal(), white_noise(seed=3), 0.0)
+    config = EnhanceConfig(mode=mode)
+    params = config.frame_params()
+    wl = params.window_len
+    spec = (_spectrum(noisy, params) if pad == "pipeline" else
+            stft(Signal(np.pad(noisy.samples, (wl, wl)), SR), params))
+    Y = spec.magnitude().values.astype(np.float32)
+    silent = ~Y.any(axis=0)
+    assert silent.sum() == (0 if pad == "pipeline" else 2)
+    groups = [build_speech_atoms(config, params),
+              h.build_noise_bases(noise_shapes, config.m_n, config.seed)]
+    tiny = np.finfo(np.float32).tiny
+    for k, V, D, X in nmf.iterate(Y, groups, config.solver_settings(), mode):
+        for name, a in (("V", V), ("X", X)):
+            normal = (a == 0) | (np.abs(a) >= tiny)
+            assert normal.all(), f"{name} subnormal at iteration {k}"
+        assert not X[:, silent].any()
+
+
 def test_enhance_peak_grows_at_most_5_5_vectors_per_frame(noise_shapes):
-    """enhance's transient working set: from a 4 s to an 8 s clip (505 to
-    1005 frames) its peak traced allocation grows by at most 5.5 float64
+    """enhance's transient working set: from a 4 s to an 8 s clip (503 to
+    1003 frames) its peak traced allocation grows by at most 5.5 float64
     K-vectors per added frame.  It measured 4.99 (numpy 2.4): at the Wiener
     step the complex spectrum (2 vectors), filtered in place, the speech
     and noise magnitudes and the gain (1 each); stft and istft build no
@@ -316,7 +371,7 @@ def test_enhance_peak_grows_at_most_5_5_vectors_per_frame(noise_shapes):
             tracemalloc.stop()
 
     peak(1.0)  # builds the memoized harmonic bases outside the compared runs
-    frames = {s: (s * SR + params.window_len) // params.hop + 1 for s in (4, 8)}
+    frames = {s: (s * SR + params.window_len - 1) // params.hop for s in (4, 8)}
     growth = (peak(8.0) - peak(4.0)) / ((frames[8] - frames[4]) * params.n_bins * 8)
     print(f"enhance peak growth: {growth:.2f} float64 K-vectors per frame")
     assert growth <= 5.5

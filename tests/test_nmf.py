@@ -903,6 +903,26 @@ def test_unstarted_iterate_changes_no_group(desk_mixture, noise_shapes):
     assert next(states)[0] == 0
 
 
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+def test_seeded_start_zeroes_the_gains_of_silent_frames(mode):
+    """With the seeded start, the gains of the frames of Y with no energy
+    start at 0, their KL-optimal value, and stay exactly 0; every other
+    frame starts at the seed's draw.  Given initial gains are used as they
+    are, silent frames too."""
+    Y, groups = random_problem(33)
+    Y[:, [0, 5, -1]] = 0
+    silent = ~Y.any(axis=0)
+    settings = nmf.SolverSettings(iterations=5, seed=4)
+    drawn = 1.0 - np.random.default_rng(4).random((len(groups), Y.shape[1]))
+    states = [X.copy() for _, _, _, X in nmf.iterate(Y, groups, settings, mode)]
+    assert states[0][:, ~silent].tobytes() == drawn[:, ~silent].tobytes()
+    assert not any(X[:, silent].any() for X in states)
+    assert all(X[:, ~silent].all() for X in states)
+    given = nmf.iterate(Y, random_problem(33)[1], settings, mode,
+                        initial_gains=drawn)
+    assert next(given)[3].tobytes() == drawn.tobytes()
+
+
 # case -> (what is corrupted, index, value); a speech row of zeros is bad in
 # dense mode only
 BAD_INPUT = {"Y nan": ("Y", (3, 4), np.nan), "Y inf": ("Y", (0, 0), np.inf),
