@@ -14,13 +14,12 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import nmf
-from .enhance import (EnhanceConfig, _run, enhance as run_enhance, enhance_plain,
-                      oracle_speech_atoms, sweep_atoms_sparsity,
+from .enhance import (EnhanceConfig, enhance as run_enhance, enhance_oracle,
+                      enhance_plain, oracle_speech_atoms, sweep_atoms_sparsity,
                       write_magnitude_csv, write_pgm, write_sweep_csv)
-from .dictionary import load_noise_shapes, save_noise_shapes, train_noise_shapes
+from .dictionary import (load_noise_shapes, save_noise_shapes, shapes_fit,
+                         train_noise_shapes)
 from .signal_io import check_snr_target, mix_at_snr, read_wav, snr_db, write_wav
 from .stft import stft
 
@@ -121,25 +120,10 @@ def cmd_train_noise(args) -> int:
                        f"({noise.duration:.2f} s < {MIN_NOISE_SECONDS} s)")
     mag = stft(noise, config.frame_params()).magnitude()
     shapes = train_noise_shapes(mag, config.r, seed=config.seed)
-    fit = _shapes_fit(shapes, mag, config)
+    fit = shapes_fit(shapes, mag, config.iterations, config.seed)
     _atomic(out_path, lambda tmp: save_noise_shapes(shapes, tmp))
     print(f"final KL divergence: {fit:.6g}")
     return 0
-
-
-def _shapes_fit(shapes, mag, config) -> float:
-    """KL divergence of a gains-only refit, solved in float32 without a
-    trace, at its final point: how well the trained shapes span the noise.
-    The fit and every enhance use the shapes in float32 too; the KL of the
-    float32 model D X is accumulated in float64, and lies within 1e-6
-    relative of a float64 refit's, below the printed 6 digits."""
-    group = nmf.BasisGroup(psi=None, coeffs=shapes.n_matrix.T[None],
-                           kind="noise")
-    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=config.iterations, seed=config.seed)
-    result = nmf.solve(mag.values.astype(np.float32), [group], settings,
-                       mode="lin", frozen_dictionary=True, trace=False)
-    return nmf.kl_divergence(mag.values, result.dictionary @ result.gains)
 
 
 def cmd_enhance(args) -> int:
@@ -198,8 +182,8 @@ def cmd_evaluate(args) -> int:
     clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))
-    # enhance_oracle is _run over a frozen speech group fit on the clean
-    # signal alone: fit it once, on first use, after lin has checked the inputs
+    # the oracle's speech group depends on the clean signal alone: fit it
+    # once, on first use, after lin has checked the inputs
     oracle = functools.cache(lambda: oracle_speech_atoms(clean, config, args.oracle_atoms))
     print("method,input_snr_db,output_snr_db")
     for target in snr_values:
@@ -213,7 +197,7 @@ def cmd_evaluate(args) -> int:
                                  trace=False),
             "plain": enhance_plain(noisy, shapes, config,
                                    free_atoms=args.free_atoms, trace=False),
-            "oracle": _run(noisy, oracle(), shapes, config, frozen=True, trace=False),
+            "oracle": enhance_oracle(noisy, oracle(), shapes, config, trace=False),
         }
         for method, result in results.items():
             out = snr_db(clean, result.denoised)

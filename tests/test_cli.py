@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import harmonic_signal, white_noise
 
 from harmonmf import dictionary, nmf
-from harmonmf.cli import (CliError, _atomic, _shapes_fit, build_config, main,
-                          make_parser, parse_config_file)
-from harmonmf.dictionary import load_noise_shapes
-from harmonmf.enhance import EnhanceConfig, enhance_oracle
+from harmonmf.cli import (CliError, _atomic, build_config, main, make_parser,
+                          parse_config_file)
+from harmonmf.dictionary import load_noise_shapes, shapes_fit
+from harmonmf.enhance import EnhanceConfig, enhance_oracle, oracle_speech_atoms
 from harmonmf.signal_io import mix_at_snr, read_wav, snr_db, write_wav
 from harmonmf.stft import stft
 
@@ -79,7 +79,7 @@ def test_train_noise_prints_refit_kl(workdir, capsys):
     refit = nmf.solve(mag.values.astype(np.float32), groups, settings,
                       mode="lin", frozen_dictionary=True)
     kl = nmf.kl_divergence(mag.values, refit.dictionary @ refit.gains)
-    assert _shapes_fit(shapes, mag, config) == kl
+    assert shapes_fit(shapes, mag, config.iterations, config.seed) == kl
     assert f"final KL divergence: {kl:.6g}" in printed
 
 
@@ -219,7 +219,7 @@ def test_evaluate_rows(workdir, capsys):
 
 def test_evaluate_fits_oracle_once(workdir, capsys, monkeypatch):
     """evaluate fits the oracle's dictionary once per run, and its oracle rows
-    are those of enhance_oracle, which fits per call, at every input SNR:
+    are those of enhance_oracle over a group fit anew for each mixture:
     the frozen solves leave the shared group's coefficients unchanged."""
     shapes = run_train(workdir)
     capsys.readouterr()  # drop train-noise output
@@ -240,10 +240,31 @@ def test_evaluate_fits_oracle_once(workdir, capsys, monkeypatch):
     expected = []
     for target in (0.0, 5.0, 10.0):
         noisy, _ = mix_at_snr(clean, noise, target)
-        result = enhance_oracle(noisy, clean, load_noise_shapes(shapes), config,
-                                oracle_atoms=3, trace=False)
+        result = enhance_oracle(noisy, oracle_speech_atoms(clean, config, 3),
+                                load_noise_shapes(shapes), config, trace=False)
         expected.append(f"oracle,{target!r},{snr_db(clean, result.denoised)!r}")
     assert rows == expected
+
+
+def test_evaluate_shapes_mismatch_fails_before_oracle_fit(workdir, capsys,
+                                                          monkeypatch):
+    """Shapes trained with other frame parameters end evaluate in one error
+    line, raised by the pipeline's one shapes check before the oracle's
+    dictionary is fit."""
+    shapes = run_train(workdir)
+    capsys.readouterr()  # drop train-noise output
+    (workdir / "short.cfg").write_text(small_with("window_ms", "16"))
+    fits = []
+    monkeypatch.setattr(importlib.import_module("harmonmf.enhance"),
+                        "fit_free_dictionary", lambda *args: fits.append(args))
+    rc = main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+               str(shapes), "--config", str(workdir / "short.cfg"),
+               "--snr-list", "0"])
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "frame parameters" in lines[0]
+    assert fits == []
 
 
 def test_evaluate_empty_list(workdir, capsys):

@@ -5,17 +5,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import white_noise
 
 from harmonmf import dictionary, nmf
-from harmonmf.cli import _shapes_fit, main
+from harmonmf.cli import main
 from harmonmf.dictionary import (FREE_FIT_ITERATIONS, NoiseShapes,
                                  build_harmonic_basis, build_noise_bases,
                                  fundamental_grid, harmonic_amplitudes,
                                  harmonic_count, load_noise_shapes,
-                                 save_noise_shapes, train_noise_shapes)
-from harmonmf.enhance import EnhanceConfig, enhance
+                                 save_noise_shapes, shapes_fit,
+                                 train_noise_shapes)
+from harmonmf.enhance import EnhanceConfig, build_speech_atoms, enhance
 from harmonmf.signal_io import write_wav
 from harmonmf.stft import MagnitudeSpectrogram, default_frame_params, stft
 
@@ -98,6 +100,33 @@ def test_stacked_bases_padded_to_largest_count():
         p = harmonic_count(f, SR, 30)
         assert own.shape[1] == p
         assert np.array_equal(basis[:, :p], own) and not basis[:, p:].any()
+
+
+@given(sr=st.sampled_from([4000, 8000, 11025, 16000]),
+       window_ms=st.floats(4.0, 64.0), overlap=st.floats(0.1, 0.9),
+       f_min=st.floats(2.0, 1000.0), f_max_share=st.floats(0.01, 0.99),
+       L=st.sampled_from([2, 3, 5, 10, 20, 33, 50, 75, 100]),
+       p_star=st.integers(1, 300))
+@example(sr=8000, window_ms=32.0, overlap=0.75, f_min=2.0, f_max_share=0.001,
+         L=2, p_star=5000)
+def test_basis_nonzero_columns_are_its_first_harmonic_count(
+        sr, window_ms, overlap, f_min, f_max_share, L, p_star):
+    """The columns a basis holds any nonzero entry in are exactly its first
+    harmonic_count, and build_speech_atoms, which reads the count off them,
+    starts its atoms' coefficients positive on exactly those columns.
+    f_max lies f_max_share of the way from f_min to Nyquist."""
+    f_max = f_min + f_max_share * (sr / 2 - f_min)
+    try:
+        config = EnhanceConfig(sr=sr, window_ms=window_ms, overlap=overlap,
+                               f_min=f_min, f_max=f_max, L=L, p_star=p_star)
+    except ValueError:
+        assume(False)
+    f0 = fundamental_grid(config.f_min, config.f_max, L, sr)
+    group = build_speech_atoms(config, config.frame_params())
+    for basis, coeffs, f in zip(group.psi, group.coeffs, f0):
+        first = np.arange(basis.shape[1]) < harmonic_count(f, sr, p_star)
+        assert np.array_equal(basis.any(axis=0), first)
+        assert np.array_equal(coeffs > 0, np.broadcast_to(first, coeffs.shape))
 
 
 def test_uniform_atom_is_comb():
@@ -221,7 +250,7 @@ def test_train_fits_in_float32_normalizes_in_float64(monkeypatch, frame_params,
 
 
 def test_train_refit_kl_matches_float64_fit(noise_shapes, frame_params):
-    """The gains-only refit KL (cli._shapes_fit, the KL train-noise prints)
+    """The gains-only refit KL (dictionary.shapes_fit, the KL train-noise prints)
     over the trained shapes is within a relative 1e-6 of the same refit over
     shapes fit by a float64 solve from the same start.
 
@@ -249,13 +278,13 @@ def test_train_refit_kl_matches_float64_fit(noise_shapes, frame_params):
                    / shapes64.n_matrix)
     assert delta < 1e-4
     config = EnhanceConfig()
-    kl32 = _shapes_fit(noise_shapes, mag, config)
-    kl64 = _shapes_fit(shapes64, mag, config)
+    kl32 = shapes_fit(noise_shapes, mag, config.iterations, config.seed)
+    kl64 = shapes_fit(shapes64, mag, config.iterations, config.seed)
     assert abs(kl32 - kl64) <= 1e-6 * kl64
 
 
 def test_train_refit_kl_matches_float64_refit(noise_shapes, frame_params):
-    """The refit KL train-noise prints (cli._shapes_fit, solved in float32)
+    """The refit KL train-noise prints (dictionary.shapes_fit, solved in float32)
     over the conftest noise shapes is within a relative 1e-6 of a float64
     refit over the same shapes: the print-precision requirement of
     test_train_refit_kl_matches_float64_fit."""
@@ -269,7 +298,7 @@ def test_train_refit_kl_matches_float64_refit(noise_shapes, frame_params):
                       frozen_dictionary=True, trace=False)
     assert refit.gains.dtype == np.float64
     kl64 = nmf.kl_divergence(mag.values, refit.dictionary @ refit.gains)
-    kl32 = _shapes_fit(noise_shapes, mag, config)
+    kl32 = shapes_fit(noise_shapes, mag, config.iterations, config.seed)
     assert abs(kl32 - kl64) <= 1e-6 * kl64
 
 

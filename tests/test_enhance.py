@@ -11,8 +11,8 @@ import harmonmf as h
 from harmonmf import nmf
 from harmonmf.enhance import (EnhanceConfig, _spectrum, build_speech_atoms,
                               enhance, enhance_oracle, enhance_plain,
-                              sweep_atoms_sparsity, wiener_reconstruct,
-                              write_magnitude_csv, write_pgm)
+                              oracle_speech_atoms, sweep_atoms_sparsity,
+                              wiener_reconstruct, write_magnitude_csv, write_pgm)
 from harmonmf.signal_io import Signal, snr_db
 from harmonmf.stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                            stft)
@@ -392,9 +392,20 @@ def test_enhance_rate_mismatch(noise_shapes):
         enhance(bad, noise_shapes, small_config())
 
 
-def test_enhance_shapes_params_mismatch(noise_shapes):
+@pytest.mark.parametrize("entry", ["enhance", "plain", "oracle"])
+def test_enhance_shapes_params_mismatch(noise_shapes, entry):
+    """enhance and both baselines reject shapes trained with other frame
+    parameters: the pipeline they share checks them."""
+    config = small_config(window_ms=16.0)
+    noisy = white_noise()
     with pytest.raises(ValueError, match="frame parameters"):
-        enhance(white_noise(), noise_shapes, small_config(window_ms=16.0))
+        if entry == "enhance":
+            enhance(noisy, noise_shapes, config)
+        elif entry == "plain":
+            enhance_plain(noisy, noise_shapes, config, free_atoms=4)
+        else:
+            enhance_oracle(noisy, oracle_speech_atoms(noisy, config, 2),
+                           noise_shapes, config)
 
 
 def test_noise_only_mostly_suppressed(noise_shapes):
@@ -423,8 +434,9 @@ def test_plain_baseline(noise_shapes, desk_mixture):
 
 def test_oracle_frozen_and_monotone(noise_shapes, desk_mixture):
     clean, noisy = desk_mixture
-    res = enhance_oracle(noisy, clean, noise_shapes, small_config(),
-                         oracle_atoms=8)
+    config = small_config()
+    res = enhance_oracle(noisy, oracle_speech_atoms(clean, config, 8), noise_shapes,
+                         config)
     obj = [p.total for p in res.objective_trace]
     for a, b in zip(obj, obj[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
@@ -441,7 +453,8 @@ def test_baselines_equal_in_lin_and_dense_mode(noise_shapes, desk_mixture, basel
         config = small_config(mode=mode)
         if baseline == "plain":
             return enhance_plain(noisy, noise_shapes, config, free_atoms=16)
-        return enhance_oracle(noisy, clean, noise_shapes, config, oracle_atoms=8)
+        return enhance_oracle(noisy, oracle_speech_atoms(clean, config, 8),
+                              noise_shapes, config)
 
     lin, dense = run("lin"), run("dense")
     assert lin.denoised.samples.tobytes() == dense.denoised.samples.tobytes()
@@ -451,16 +464,10 @@ def test_baselines_equal_in_lin_and_dense_mode(noise_shapes, desk_mixture, basel
 
 def test_oracle_on_clean_input(noise_shapes):
     clean = harmonic_signal()
-    res = enhance_oracle(clean, clean, noise_shapes, EnhanceConfig(seed=0),
-                         oracle_atoms=32)
+    config = EnhanceConfig(seed=0)
+    res = enhance_oracle(clean, oracle_speech_atoms(clean, config, 32), noise_shapes,
+                         config)
     assert snr_db(clean, res.denoised) >= 20.0
-
-
-def test_oracle_alignment_check(noise_shapes):
-    clean = harmonic_signal()
-    short = Signal(clean.samples[:-10], clean.sample_rate)
-    with pytest.raises(ValueError, match="aligned"):
-        enhance_oracle(short, clean, noise_shapes, small_config())
 
 
 def test_sweep_single_cell_matches_direct(noise_shapes, desk_mixture):
