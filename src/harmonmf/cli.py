@@ -118,6 +118,9 @@ def cmd_train_noise(args) -> int:
     if noise.duration < MIN_NOISE_SECONDS:
         raise CliError(f"{noise_path}: noise sample too short "
                        f"({noise.duration:.2f} s < {MIN_NOISE_SECONDS} s)")
+    # float32 samples (exact for 16-bit PCM): a complex64 spectrum, and a
+    # float32 magnitude the float32 fit takes without a copy
+    noise = dataclasses.replace(noise, samples=noise.samples.astype("float32"))
     mag = stft(noise, config.frame_params()).magnitude()
     shapes = train_noise_shapes(mag, config.r, seed=config.seed)
     fit = shapes_fit(shapes, mag, config.iterations, config.seed)
@@ -185,8 +188,7 @@ def cmd_evaluate(args) -> int:
     # the oracle's speech group depends on the clean signal alone: fit it
     # once, on first use, after lin has checked the inputs
     oracle = functools.cache(lambda: oracle_speech_atoms(clean, config, args.oracle_atoms))
-    print("method,input_snr_db,output_snr_db")
-    for target in snr_values:
+    for i, target in enumerate(snr_values):
         noisy, _ = mix_at_snr(clean, noise, target)
         results = {
             "lin": run_enhance(noisy, shapes,
@@ -199,6 +201,8 @@ def cmd_evaluate(args) -> int:
                                    free_atoms=args.free_atoms, trace=False),
             "oracle": enhance_oracle(noisy, oracle(), shapes, config, trace=False),
         }
+        if i == 0:  # once the first enhance has checked the inputs
+            print("method,input_snr_db,output_snr_db")
         for method, result in results.items():
             out = snr_db(clean, result.denoised)
             print(f"{method},{target!r},{out!r}")

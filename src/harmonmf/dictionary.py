@@ -86,12 +86,12 @@ def _harmonic_basis(fundamentals_hz: tuple, params: FrameParams, p_star: int):
 def _free_solve(mag: MagnitudeSpectrogram, columns: np.ndarray, iterations: int,
                 seed: int, frozen: bool = False) -> nmf.SolveResult:
     """The free-column fit: lin KL-NMF of mag over the K x n columns, with no
-    penalty, in float32 (solve follows Y's dtype) and without a trace;
-    frozen solves the gains only."""
+    penalty, in float32 (solve follows Y's dtype; a float32 mag is not
+    copied) and without a trace; frozen solves the gains only."""
     group = nmf.BasisGroup(psi=None, coeffs=columns.T[None], kind="noise")
     settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
                                   iterations=iterations, seed=seed)
-    return nmf.solve(mag.values.astype(np.float32), [group], settings,
+    return nmf.solve(mag.values.astype(np.float32, copy=False), [group], settings,
                      mode="lin", frozen_dictionary=frozen, trace=False)
 
 

@@ -4,6 +4,7 @@ the Oracle and unconstrained-NMF baselines and the atoms-vs-sparsity sweep.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -12,7 +13,7 @@ import numpy as np
 
 from . import nmf
 from .dictionary import (NoiseShapes, build_harmonic_basis, build_noise_bases,
-                         fit_free_dictionary, fundamental_grid)
+                         fit_free_dictionary, fundamental_grid, harmonic_count)
 from .signal_io import Signal, snr_db
 from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    default_frame_params, istft, stft)
@@ -102,27 +103,40 @@ def build_speech_atoms(config: EnhanceConfig, params: FrameParams) -> nmf.BasisG
     large p is (the jitter is _COEFF_JITTER for p <= 500)."""
     f0 = fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
     psi = build_harmonic_basis(f0, params, config.p_star)
-    rng = np.random.default_rng(config.seed)
-    coeffs = np.zeros((config.L, config.m, psi.shape[2]))  # first: a huge m fails here
-    # a basis's nonzero columns, its first harmonic_count (p of them); psi >= 0,
-    # so they are those of positive sum, a product 5x cheaper than psi.any(axis=1)
-    used = np.broadcast_to((np.ones(psi.shape[1]) @ psi > 0)[:, None], coeffs.shape)
-    p = used[:, :1].sum(axis=2, keepdims=True)
+    coeffs = _start_coeffs(tuple(f0.tolist()), params, config.p_star, config.m,
+                           config.seed)
+    return nmf.BasisGroup(psi=psi, coeffs=coeffs, kind="speech")
+
+
+@functools.lru_cache(maxsize=1)
+def _start_coeffs(f0: tuple, params: FrameParams, p_star: int, m: int, seed: int):
+    """build_speech_atoms' seeded start, memoized like the basis: on the
+    basis's key plus m and seed, only the last key's, as one read-only array
+    (BasisGroup copies its coefficients, so a solve never writes into it).
+    Basis l's used columns are its first harmonic_count, the columns the
+    basis fills."""
+    p = np.array([harmonic_count(f, params.sample_rate, p_star)
+                  for f in f0])[:, None, None]  # L x 1 x 1
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros((len(f0), m, p.max()))  # first: a huge m fails here
+    used = np.broadcast_to(np.arange(coeffs.shape[2]) < p, coeffs.shape)
     jitter = np.minimum(_COEFF_JITTER, 0.5 / p)
     lo, hi = (np.broadcast_to(b, coeffs.shape)[used]
               for b in (1.0 / p - jitter, 1.0 / p + jitter))
     coeffs[used] = lo + (hi - lo) * rng.random(lo.size)  # as rng.uniform draws
-    return nmf.BasisGroup(psi=psi, coeffs=coeffs, kind="speech")
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogram,
                        noise_mag: MagnitudeSpectrogram) -> ComplexSpectrogram:
     """Scale each noisy bin by the gain s / max(s + n, EPSILON), formed in one
-    float64 buffer, in place: noisy.values is overwritten with the filtered
-    bins, and noisy itself is returned.  Pass a copy to keep the unfiltered
-    bins.  For finite s, n >= 0 the rounded s + n is
-    at least s, so the gain lies in [0, 1] without a clip; an overflowing
-    s + n gives gain 0."""
+    buffer of the magnitudes' dtype (float32 magnitudes give a float32 gain,
+    float64 ones a float64 gain), in place: noisy.values is overwritten with
+    the filtered bins, and noisy itself is returned.  Pass a copy to keep
+    the unfiltered bins.  For finite s, n >= 0 the rounded s + n is at least
+    s, so the gain lies in [0, 1] without a clip; an overflowing s + n gives
+    gain 0."""
     if speech_mag.values.shape != noisy.values.shape or \
             noise_mag.values.shape != noisy.values.shape:
         raise ValueError("spectrogram shape mismatch")
@@ -133,14 +147,15 @@ def wiener_reconstruct(noisy: ComplexSpectrogram, speech_mag: MagnitudeSpectrogr
 
 
 def _spectrum(noisy: Signal, params: FrameParams) -> ComplexSpectrogram:
-    """The pipeline's spectrum of noisy: its n samples padded by wl - hop
-    zeros before and wl - 1 after, so every sample sits in the fully
-    overlapped interior and every one of the T = (n + wl - 1) // hop frames
-    holds a sample.  They are the frames of a (wl, wl) pad less its frames
-    of padding alone: the first, and the last when hop divides n + wl."""
+    """The pipeline's complex64 spectrum of noisy: its n samples in float32
+    (exact for read_wav's 16-bit samples), padded by wl - hop zeros before
+    and wl - 1 after, so every sample sits in the fully overlapped interior
+    and every one of the T = (n + wl - 1) // hop frames holds a sample.
+    They are the frames of a (wl, wl) pad less its frames of padding alone:
+    the first, and the last when hop divides n + wl."""
     wl, hop = params.window_len, params.hop
-    return stft(Signal(np.pad(noisy.samples, (wl - hop, wl - 1)), noisy.sample_rate),
-                params)
+    samples = np.pad(noisy.samples.astype(np.float32), (wl - hop, wl - 1))
+    return stft(Signal(samples, noisy.sample_rate), params)
 
 
 def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
@@ -151,13 +166,15 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
     then solve speech_atoms and the noise atoms from shapes in config.mode
     (frozen: gains only) on _spectrum(noisy), split the model at the speech
     columns, and Wiener-filter; returns exactly len(noisy) samples, from the
-    end of _spectrum's leading pad on.  The
-    spectrum is _run's own, so the Wiener gain filters it in place.  The
-    gains are cast to float64 one group at a time, and each magnitude is
-    D_g X_g: the frames-major (X_g^T D_g^T)^T, in the spectrum's layout,
-    differs from it in the last bit at some shapes.  No speech + noise
-    total is built, and the solve result is dropped once cast: the peak
-    grows by about five float64 K-vectors per frame."""
+    end of _spectrum's leading pad on.  Everything runs in float32, as the
+    solve does: its input is the complex64 spectrum's magnitude as it is,
+    each magnitude is the float32 D_g X_g (the frames-major
+    (X_g^T D_g^T)^T, in the spectrum's layout, differs from it in the last
+    bit at some shapes), and the Wiener gain and the ISTFT follow; only the
+    returned samples are cast to float64.  The spectrum is _run's own, so
+    the Wiener gain filters it in place.  No speech + noise total is built,
+    and the solve result is dropped once the magnitudes are formed: the
+    peak grows by about three float64 K-vectors per frame."""
     params = config.frame_params()
     if shapes.params != params:
         raise ValueError("noise shapes were trained with different frame parameters")
@@ -165,27 +182,25 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
         raise ValueError("input sample rate does not match configuration")
     spec = _spectrum(noisy, params)
     groups = [speech_atoms, build_noise_bases(shapes, config.m_n, config.seed)]
-    # the solve runs in float32; the Wiener mask and the ISTFT in float64
-    result = nmf.solve(spec.magnitude().values.astype(np.float32), groups,
-                       config.solver_settings(), mode=config.mode,
-                       frozen_dictionary=frozen, trace=trace)
-    D, objective = result.dictionary.astype(np.float64), result.trace
+    result = nmf.solve(spec.magnitude().values, groups, config.solver_settings(),
+                       mode=config.mode, frozen_dictionary=frozen, trace=trace)
+    D, X, objective = result.dictionary, result.gains, result.trace
     ms = speech_atoms.n_atoms
-    speech, noise = (MagnitudeSpectrogram(D[:, g] @ result.gains[g].astype(np.float64),
-                                          params)
+    speech, noise = (MagnitudeSpectrogram(D[:, g] @ X[g], params)
                      for g in (slice(None, ms), slice(ms, None)))
-    del result, D
+    del result, D, X
     spec = wiener_reconstruct(spec, speech, noise)
     # _spectrum's leading pad; T hop >= n + wl - hop leaves n ISTFT samples past it
     lead = params.window_len - params.hop
-    out = istft(spec).samples[lead:lead + len(noisy)]
+    out = istft(spec).samples[lead:lead + len(noisy)].astype(np.float64)
     return EnhanceResult(Signal(out, config.sr), speech, noise, objective)
 
 
 def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
             trace: bool = True) -> EnhanceResult:
     """Constrained enhancement with harmonic speech atoms (lin or dense mode).
-    The factorization runs in float32, the Wiener filter in float64.
+    The spectrum, factorization, Wiener filter and ISTFT run in float32;
+    the denoised samples are float64.
     With trace=False no objective is computed and the objective trace is
     empty; the output is the same."""
     return _run(noisy, build_speech_atoms(config, config.frame_params()), shapes,
@@ -206,8 +221,10 @@ def oracle_speech_atoms(clean: Signal, config: EnhanceConfig,
     """The oracle's speech group: oracle_atoms free columns fit on the clean
     signal by fit_free_dictionary.  It depends on clean and config only, and
     a frozen solve leaves its coefficients' values as they are, so evaluate
-    fits it once for all its mixtures of one clean signal."""
-    D_s = fit_free_dictionary(stft(clean, config.frame_params()).magnitude(),
+    fits it once for all its mixtures of one clean signal.  The fit takes
+    the complex64 spectrum of clean's samples in float32."""
+    clean32 = Signal(clean.samples.astype(np.float32), clean.sample_rate)
+    D_s = fit_free_dictionary(stft(clean32, config.frame_params()).magnitude(),
                               oracle_atoms, config.seed)
     return nmf.BasisGroup(psi=None, coeffs=D_s.T[None], kind="speech")
 

@@ -20,11 +20,15 @@ class AudioFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Signal:
-    samples: np.ndarray  # float64, nominally in [-1, 1]
+    """Mono samples, nominally in [-1, 1], at sample_rate Hz.  float32 samples
+    are kept as given; any other dtype becomes float64."""
+    samples: np.ndarray  # float32 or float64
     sample_rate: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        x = np.asarray(self.samples)
+        object.__setattr__(self, "samples", x if x.dtype == np.float32
+                           else np.asarray(x, dtype=np.float64))
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if self.samples.ndim != 1 or self.samples.size < 1:

@@ -39,9 +39,10 @@ def default_frame_params(sample_rate: int, window_ms: float = 32.0,
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
-    """K x T complex values.  stft makes them frames-major: values is the
-    transpose of a C-ordered T x K array, each frame's K bins contiguous,
-    so values.T is that array and istft reads it without a copy."""
+    """K x T complex values, complex64 or complex128.  stft makes them
+    frames-major: values is the transpose of a C-ordered T x K array, each
+    frame's K bins contiguous, so values.T is that array and istft reads it
+    without a copy."""
     values: np.ndarray  # K x T complex
     params: FrameParams
 
@@ -76,8 +77,10 @@ def hann_window(n: int) -> np.ndarray:
 
 def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     """Hann-windowed one-sided STFT; tail samples not filling a frame are
-    dropped.  The values are frames-major (see ComplexSpectrogram): a
-    C-ordered T x K array, transposed without a copy.  FRAME_BLOCK frames
+    dropped.  It follows the samples' dtype: float32 samples, windowed by
+    the float32 window, give a complex64 spectrum, and float64 samples a
+    complex128 one.  The values are frames-major (see ComplexSpectrogram):
+    a C-ordered T x K array, transposed without a copy.  FRAME_BLOCK frames
     are windowed and transformed at a time, so no T x window_len windowed
     copy is built; each frame's bins are those of one rfft over all frames."""
     if signal.sample_rate != params.sample_rate:
@@ -87,9 +90,9 @@ def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     if x.size < wl:
         raise ValueError("signal shorter than one analysis window")
     n_frames = (x.size - wl) // hop + 1
-    w = hann_window(wl)
+    w = hann_window(wl).astype(x.dtype, copy=False)
     frames = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop][:n_frames]
-    out = np.empty((n_frames, params.n_bins), np.complex128)
+    out = np.empty((n_frames, params.n_bins), np.result_type(x, np.complex64))
     for l in range(0, n_frames, FRAME_BLOCK):
         out[l:l + FRAME_BLOCK] = np.fft.rfft(frames[l:l + FRAME_BLOCK] * w, axis=1)
     return ComplexSpectrogram(out.T, params)
@@ -112,15 +115,17 @@ def _overlap_add(out, frames, first, count, hop):
 
 def istft(spec: ComplexSpectrogram) -> Signal:
     """Weighted overlap-add synthesis; inverse of stft on interior samples.
-    It transforms values.T, C-ordered for a frames-major spectrum,
-    FRAME_BLOCK frames at a time and adds each block into the output, so
-    no T x window_len frames array is built; the bytes are a frame-by-frame
-    loop's.  The window-sum normalizer is floored in place."""
+    It follows the values' precision: complex64 values give float32
+    samples and complex128 values float64 ones, window and window sum in
+    that dtype too.  It transforms values.T, C-ordered for a frames-major
+    spectrum, FRAME_BLOCK frames at a time and adds each block into the
+    output, so no T x window_len frames array is built; the bytes are a
+    frame-by-frame loop's.  The window-sum normalizer is floored in place."""
     params = spec.params
     wl, hop = params.window_len, params.hop
     K, T = spec.values.shape
-    w = hann_window(wl)
-    y = np.zeros((T + -(-wl // hop) - 1, hop))  # T + ceil(wl / hop) - 1 blocks
+    w = hann_window(wl).astype(spec.values.real.dtype, copy=False)
+    y = np.zeros((T + -(-wl // hop) - 1, hop), w.dtype)  # T + ceil(wl/hop) - 1 blocks
     for l in range(0, T, FRAME_BLOCK):
         # n = wl: for an odd window irfft's default length is 2(K - 1) = wl - 1
         frames = np.fft.irfft(spec.values.T[l:l + FRAME_BLOCK], n=wl, axis=1)

@@ -112,8 +112,9 @@ def test_stacked_bases_padded_to_largest_count():
 def test_basis_nonzero_columns_are_its_first_harmonic_count(
         sr, window_ms, overlap, f_min, f_max_share, L, p_star):
     """The columns a basis holds any nonzero entry in are exactly its first
-    harmonic_count, and build_speech_atoms, which reads the count off them,
-    starts its atoms' coefficients positive on exactly those columns.
+    harmonic_count, and build_speech_atoms, which takes the count from
+    harmonic_count, starts its atoms' coefficients positive on exactly those
+    columns.
     f_max lies f_max_share of the way from f_min to Nyquist."""
     f_max = f_min + f_max_share * (sr / 2 - f_min)
     try:

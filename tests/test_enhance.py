@@ -9,13 +9,14 @@ from conftest import SR, harmonic_signal, white_noise
 
 import harmonmf as h
 from harmonmf import nmf
-from harmonmf.enhance import (EnhanceConfig, _spectrum, build_speech_atoms,
-                              enhance, enhance_oracle, enhance_plain,
-                              oracle_speech_atoms, sweep_atoms_sparsity,
-                              wiener_reconstruct, write_magnitude_csv, write_pgm)
+from harmonmf.enhance import (EnhanceConfig, _spectrum, _start_coeffs,
+                              build_speech_atoms, enhance, enhance_oracle,
+                              enhance_plain, oracle_speech_atoms,
+                              sweep_atoms_sparsity, wiener_reconstruct,
+                              write_magnitude_csv, write_pgm)
 from harmonmf.signal_io import Signal, snr_db
 from harmonmf.stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
-                           stft)
+                           istft, stft)
 
 
 def small_config(**kw):
@@ -98,6 +99,30 @@ def test_many_harmonics_start_positive():
     assert np.all(group.coeffs[0] > 0)
     assert np.all(group.coeffs[1, :, :10] > 0)
     assert not group.coeffs[1, :, 10:].any()
+
+
+@pytest.mark.parametrize("L, m", [(33, 4), (10, 5)])  # the default; a sweep cell
+def test_start_coefficients_memoized_and_kept(noise_shapes, desk_mixture, L, m):
+    """build_speech_atoms draws its start once per key: the memoized array is
+    read-only and has the bytes of an uncached draw, reference_start.  A
+    float64 solve, which updates a group's coefficients in place, changes
+    the group it is given and leaves the next call's start as it was."""
+    config = EnhanceConfig(L=L, m=m, iterations=2)
+    params = config.frame_params()
+    start = reference_start(config)
+    _start_coeffs.cache_clear()
+    group = build_speech_atoms(config, params)
+    assert group.coeffs.tobytes() == start.tobytes()
+    Y = _spectrum(desk_mixture[1], params).magnitude().values.astype(np.float64)
+    nmf.solve(Y, [group, h.build_noise_bases(noise_shapes, config.m_n, config.seed)],
+              config.solver_settings(), mode="dense", trace=False)
+    assert group.coeffs.dtype == np.float64
+    assert not np.array_equal(group.coeffs, start)
+    assert build_speech_atoms(config, params).coeffs.tobytes() == start.tobytes()
+    assert _start_coeffs.cache_info()[:2] == (1, 1)  # hits, misses
+    f0 = h.fundamental_grid(config.f_min, config.f_max, L, config.sr)
+    cached = _start_coeffs(tuple(f0.tolist()), params, config.p_star, m, config.seed)
+    assert not cached.flags.writeable
 
 
 def random_spec(frame_params, seed=0):
@@ -269,41 +294,81 @@ def test_huge_p_star_pads_to_largest_count(noise_shapes, desk_mixture):
 
 @pytest.mark.parametrize("mode", ["lin", "dense"])
 def test_enhance_magnitudes_are_dictionary_times_gains(noise_shapes, mode):
-    """The speech and noise magnitudes are the bytes of D_g X_g, the float64
-    dictionary's group columns times the float64 gains of the same solve.
-    Forming them frames-major as (X_g^T D_g^T)^T changes last bits at some
-    shapes, as at 505 frames on OpenBLAS's SkylakeX and Haswell kernels.
-    The spectrum is the pipeline's own, from enhance._spectrum."""
+    """The speech and noise magnitudes are the float32 bytes of D_g X_g, the
+    dictionary's group columns times the gains of the same solve, in the
+    solve's dtype, with no cast.  Forming them frames-major as
+    (X_g^T D_g^T)^T changes last bits at some shapes, as it did in float64
+    at 505 frames on OpenBLAS's SkylakeX and Haswell kernels.  The spectrum
+    is the pipeline's own complex64 one, from enhance._spectrum, whose
+    magnitude is the solve's input as it is."""
     noisy, _ = h.mix_at_snr(harmonic_signal(seconds=4.0),
                             white_noise(seconds=4.0, seed=3), 0.0)
     config = EnhanceConfig(mode=mode, iterations=3)
     params = config.frame_params()
     mag = _spectrum(noisy, params).magnitude()
+    assert mag.values.dtype == np.float32
     speech = build_speech_atoms(config, params)
     groups = [speech, h.build_noise_bases(noise_shapes, config.m_n, config.seed)]
-    result = nmf.solve(mag.values.astype(np.float32), groups,
-                       config.solver_settings(), mode=mode, trace=False)
-    D, X = result.dictionary.astype(np.float64), result.gains.astype(np.float64)
+    result = nmf.solve(mag.values, groups, config.solver_settings(), mode=mode,
+                       trace=False)
+    D, X = result.dictionary, result.gains
+    assert D.dtype == X.dtype == np.float32
     ms = speech.n_atoms
     out = enhance(noisy, noise_shapes, config, trace=False)
+    assert out.speech_magnitude.values.dtype == np.float32
     assert out.speech_magnitude.values.tobytes() == (D[:, :ms] @ X[:ms]).tobytes()
     assert out.noise_magnitude.values.tobytes() == (D[:, ms:] @ X[ms:]).tobytes()
+
+
+def float64_spectral_path(noisy, shapes, config):
+    """enhance's pipeline with a float64 spectral path around the same
+    float32 solve: the complex128 spectrum of the float64 samples, its
+    magnitude cast to float32 for the solve, and D_g X_g, the Wiener gain
+    and the ISTFT in float64."""
+    params = config.frame_params()
+    lead, wl = params.window_len - params.hop, params.window_len
+    spec = stft(Signal(np.pad(noisy.samples, (lead, wl - 1)), SR), params)
+    speech = build_speech_atoms(config, params)
+    groups = [speech, h.build_noise_bases(shapes, config.m_n, config.seed)]
+    result = nmf.solve(spec.magnitude().values.astype(np.float32), groups,
+                       config.solver_settings(), mode=config.mode, trace=False)
+    D, X = result.dictionary.astype(np.float64), result.gains.astype(np.float64)
+    ms = speech.n_atoms
+    s, n = (MagnitudeSpectrogram(D[:, g] @ X[g], params)
+            for g in (slice(None, ms), slice(ms, None)))
+    return Signal(istft(wiener_reconstruct(spec, s, n)).samples[lead:lead + len(noisy)],
+                  SR)
+
+
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+def test_float32_spectral_path_keeps_output_snr(noise_shapes, desk_mixture, mode):
+    """enhance's output SNR on the desk mixture lies within 1e-3 dB of the
+    float64 spectral path's, and its denoised samples are float64."""
+    clean, noisy = desk_mixture
+    config = EnhanceConfig(mode=mode)
+    out = enhance(noisy, noise_shapes, config, trace=False).denoised
+    assert out.samples.dtype == np.float64
+    reference = float64_spectral_path(noisy, noise_shapes, config)
+    assert abs(snr_db(clean, out) - snr_db(clean, reference)) <= 1e-3
 
 
 @pytest.mark.parametrize("n, overlap", [(8000, 0.75), (8063, 0.75), (8001, 0.75),
                                          (1, 0.75), (768, 0.001), (1000, 0.001)])
 def test_spectrum_drops_only_frames_of_padding(n, overlap):
-    """The pipeline's spectrum is the (wl, wl)-padded spectrum less exactly
-    its frames that lie wholly in the padding, byte for byte: the first,
-    and the last when hop divides n + wl (n = 8000, 1, 768).  Those frames
-    are all zero.  A kept frame may be zero too: at n = 1 and 8001 the last
-    one holds only the last sample, at the Hann window's zero.  hop == wl
-    at overlap 0.001.  The enhanced output has exactly n samples."""
+    """The pipeline's spectrum is the (wl, wl)-padded spectrum of the float32
+    samples less exactly its frames that lie wholly in the padding, byte for
+    byte (complex64): the first, and the last when hop divides n + wl
+    (n = 8000, 1, 768).  Those frames are all zero.  A kept frame may be
+    zero too: at n = 1 and 8001 the last one holds only the last sample, at
+    the Hann window's zero.  hop == wl at overlap 0.001.  The enhanced
+    output has exactly n samples."""
     config = small_config(overlap=overlap)
     params = config.frame_params()
     wl, hop = params.window_len, params.hop
     noisy = Signal(np.random.default_rng(n).standard_normal(n) * 0.1, SR)
-    padded = stft(Signal(np.pad(noisy.samples, (wl, wl)), SR), params).values
+    padded = stft(Signal(np.pad(noisy.samples, (wl, wl)).astype(np.float32), SR),
+                  params).values
+    assert padded.dtype == np.complex64
     starts = hop * np.arange(padded.shape[1])
     holds = (starts > 0) & (starts < n + wl)  # frame l covers l*hop + [0, wl)
     dropped = [0] + ([padded.shape[1] - 1] if (n + wl) % hop == 0 else [])
@@ -346,17 +411,18 @@ def test_solve_states_hold_no_float32_subnormal(noise_shapes, mode, pad):
         assert not X[:, silent].any()
 
 
-def test_enhance_peak_grows_at_most_5_5_vectors_per_frame(noise_shapes):
+def test_enhance_peak_grows_at_most_3_5_vectors_per_frame(noise_shapes):
     """enhance's transient working set: from a 4 s to an 8 s clip (503 to
-    1003 frames) its peak traced allocation grows by at most 5.5 float64
-    K-vectors per added frame.  It measured 4.99 (numpy 2.4): at the Wiener
-    step the complex spectrum (2 vectors), filtered in place, the speech
-    and noise magnitudes and the gain (1 each); stft and istft build no
-    T x window_len frames array.  A pipeline that builds the windowed
-    frames, the ISTFT frames and a filtered copy of the spectrum measured
-    7.21, and one that also builds a speech + noise total, keeps the solve
-    result, D, X and the unfiltered spectrum to the end, and copies the
-    spectrum to bins-major order 12.2."""
+    1003 frames) its peak traced allocation grows by at most 3.5 float64
+    K-vectors per added frame.  It measured 3.15 (numpy 2.4) with the
+    spectral path in float32: the complex64 spectrum (1 vector), filtered
+    in place, the float32 speech and noise magnitudes and gain (half a
+    vector each), and the float32 ISTFT output.  The same pipeline with a
+    float64 spectral path around the float32 solve measured 5.00; one that
+    also builds the windowed frames, the ISTFT frames and a filtered copy of
+    the spectrum 7.21, and one that further builds a speech + noise total,
+    keeps the solve result, D, X and the unfiltered spectrum to the end,
+    and copies the spectrum to bins-major order 12.2."""
     config = EnhanceConfig()
     params = config.frame_params()
 
@@ -374,7 +440,7 @@ def test_enhance_peak_grows_at_most_5_5_vectors_per_frame(noise_shapes):
     frames = {s: (s * SR + params.window_len - 1) // params.hop for s in (4, 8)}
     growth = (peak(8.0) - peak(4.0)) / ((frames[8] - frames[4]) * params.n_bins * 8)
     print(f"enhance peak growth: {growth:.2f} float64 K-vectors per frame")
-    assert growth <= 5.5
+    assert growth <= 3.5
 
 
 def test_config_frame_fits_shapes_header():
