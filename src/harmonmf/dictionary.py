@@ -63,15 +63,21 @@ def build_harmonic_basis(fundamentals_hz, params: FrameParams,
     harmonic k of f0_l, scaled by the sinc^2 amplitude profile, for its
     harmonic_count(f0_l) columns, zero-padded to the largest count p; entries
     below COLUMN_TRUNCATION of their column's peak are zeroed for sparsity.
-    Memoized on (fundamentals as floats, params, p_star): equal keys share one
-    read-only array.  Only the last key's L*K*p float64 values are kept, 1 MB
-    at the default 33x129x30; a new key replaces the entry."""
+    The values are computed in float64 and returned in float32, the dtype
+    of the solve that uses them, so a float64 caller gets float32-rounded
+    values.  Memoized on (fundamentals as floats, params, p_star): equal
+    keys share one read-only array.  Only the last key's L*K*p float32
+    values are kept, 0.5 MB at the default 33x129x30; a new key replaces
+    the entry."""
     return _harmonic_basis(tuple(np.asarray(fundamentals_hz, dtype=float).tolist()),
                            params, p_star)
 
 
 @functools.lru_cache(maxsize=1)
 def _harmonic_basis(fundamentals_hz: tuple, params: FrameParams, p_star: int):
+    """build_harmonic_basis's memo: amplitudes, window spectrum and
+    truncation in float64, then one cast of the finished bases to float32,
+    the dtype the solve runs in."""
     counts = [harmonic_count(f, params.sample_rate, p_star) for f in fundamentals_hz]
     k = np.arange(1, max(counts) + 1)
     w0 = 2.0 * np.pi * np.asarray(fundamentals_hz)[:, None] / params.sample_rate
@@ -79,6 +85,7 @@ def _harmonic_basis(fundamentals_hz: tuple, params: FrameParams, p_star: int):
     omegas = 2.0 * np.pi * np.arange(params.n_bins)[:, None] / params.window_len
     psi = WindowSpectrum(params).evaluate(omegas - (k * w0)[:, None]) * c[:, None]
     psi[psi < COLUMN_TRUNCATION * psi.max(axis=1, keepdims=True)] = 0.0
+    psi = psi.astype(np.float32)
     psi.flags.writeable = False
     return psi
 

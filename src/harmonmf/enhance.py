@@ -152,7 +152,9 @@ def _spectrum(noisy: Signal, params: FrameParams) -> ComplexSpectrogram:
     and wl - 1 after, so every sample sits in the fully overlapped interior
     and every one of the T = (n + wl - 1) // hop frames holds a sample.
     They are the frames of a (wl, wl) pad less its frames of padding alone:
-    the first, and the last when hop divides n + wl."""
+    the first, and the last when hop divides n + wl.  Deterministic: _run
+    analyses noisy twice, for the solve's magnitude and for the Wiener
+    step, and gets the same bytes both times."""
     wl, hop = params.window_len, params.hop
     samples = np.pad(noisy.samples.astype(np.float32), (wl - hop, wl - 1))
     return stft(Signal(samples, noisy.sample_rate), params)
@@ -164,35 +166,41 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
     """The one pipeline: check that shapes were trained with config's frame
     parameters and that noisy is at config.sr (its callers check neither),
     then solve speech_atoms and the noise atoms from shapes in config.mode
-    (frozen: gains only) on _spectrum(noisy), split the model at the speech
-    columns, and Wiener-filter; returns exactly len(noisy) samples, from the
-    end of _spectrum's leading pad on.  Everything runs in float32, as the
-    solve does: its input is the complex64 spectrum's magnitude as it is,
-    each magnitude is the float32 D_g X_g (the frames-major
-    (X_g^T D_g^T)^T, in the spectrum's layout, differs from it in the last
-    bit at some shapes), and the Wiener gain and the ISTFT follow; only the
-    returned samples are cast to float64.  The spectrum is _run's own, so
-    the Wiener gain filters it in place.  No speech + noise total is built,
-    and the solve result is dropped once the magnitudes are formed: the
-    peak grows by about three float64 K-vectors per frame."""
+    (frozen: gains only) on the magnitude of _spectrum(noisy), split the
+    model at the speech columns, and Wiener-filter; returns exactly
+    len(noisy) samples, from the end of _spectrum's leading pad on.
+    Everything runs in float32, as the solve does: its input is the
+    complex64 spectrum's magnitude as it is, each magnitude is the float32
+    D_g X_g (the frames-major (X_g^T D_g^T)^T, in the spectrum's layout,
+    differs from it in the last bit at some shapes), and the Wiener gain and
+    the ISTFT follow; only the returned samples are cast to float64.  The
+    solve holds the magnitude alone: the spectrum is dropped before it and
+    analysed again after it (the same bytes, as _spectrum is
+    deterministic), into a spectrum of _run's own that the Wiener gain
+    filters in place and that is dropped once the ISTFT returns.  No
+    speech + noise total is built; the solve's input is dropped as the
+    solve returns, its result once the magnitudes are formed: the peak
+    grows by about two float64 K-vectors per frame, 2.15 in the solve and
+    2.5 in the Wiener step and the ISTFT, which set it past about 14 s of
+    input."""
     params = config.frame_params()
     if shapes.params != params:
         raise ValueError("noise shapes were trained with different frame parameters")
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
-    spec = _spectrum(noisy, params)
     groups = [speech_atoms, build_noise_bases(shapes, config.m_n, config.seed)]
-    result = nmf.solve(spec.magnitude().values, groups, config.solver_settings(),
-                       mode=config.mode, frozen_dictionary=frozen, trace=trace)
+    result = nmf.solve(_spectrum(noisy, params).magnitude().values, groups,
+                       config.solver_settings(), mode=config.mode,
+                       frozen_dictionary=frozen, trace=trace)
     D, X, objective = result.dictionary, result.gains, result.trace
     ms = speech_atoms.n_atoms
     speech, noise = (MagnitudeSpectrogram(D[:, g] @ X[g], params)
                      for g in (slice(None, ms), slice(ms, None)))
     del result, D, X
-    spec = wiener_reconstruct(spec, speech, noise)
+    denoised = istft(wiener_reconstruct(_spectrum(noisy, params), speech, noise))
     # _spectrum's leading pad; T hop >= n + wl - hop leaves n ISTFT samples past it
     lead = params.window_len - params.hop
-    out = istft(spec).samples[lead:lead + len(noisy)].astype(np.float64)
+    out = denoised.samples[lead:lead + len(noisy)].astype(np.float64)
     return EnhanceResult(Signal(out, config.sr), speech, noise, objective)
 
 

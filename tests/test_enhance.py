@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from conftest import SR, harmonic_signal, white_noise
 
 import harmonmf as h
 from harmonmf import nmf
-from harmonmf.enhance import (EnhanceConfig, _spectrum, _start_coeffs,
+from harmonmf.dictionary import COLUMN_TRUNCATION
+from harmonmf.enhance import (EnhanceConfig, _run, _spectrum, _start_coeffs,
                               build_speech_atoms, enhance, enhance_oracle,
                               enhance_plain, oracle_speech_atoms,
                               sweep_atoms_sparsity, wiener_reconstruct,
@@ -411,14 +413,19 @@ def test_solve_states_hold_no_float32_subnormal(noise_shapes, mode, pad):
         assert not X[:, silent].any()
 
 
-def test_enhance_peak_grows_at_most_3_5_vectors_per_frame(noise_shapes):
+def test_enhance_peak_grows_at_most_2_5_vectors_per_frame(noise_shapes):
     """enhance's transient working set: from a 4 s to an 8 s clip (503 to
-    1003 frames) its peak traced allocation grows by at most 3.5 float64
-    K-vectors per added frame.  It measured 3.15 (numpy 2.4) with the
-    spectral path in float32: the complex64 spectrum (1 vector), filtered
-    in place, the float32 speech and noise magnitudes and gain (half a
-    vector each), and the float32 ISTFT output.  The same pipeline with a
-    float64 spectral path around the float32 solve measured 5.00; one that
+    1003 frames) its peak traced allocation grows by at most 2.5 float64
+    K-vectors per added frame.  It measured 2.15 (numpy 2.4), set by the
+    solve: the float32 magnitude it solves on, its model buffer and the
+    gains with their work buffer (half a vector each, the gains' 148 rows
+    a little more).  The harmonic bases are float32 at the source, so the
+    solve casts no copy of them, and no spectrum is alive during the solve:
+    _run analyses the input again for the Wiener step, which holds the
+    complex64 spectrum (1 vector), filtered in place, and the speech and
+    noise magnitudes and gain (half a vector each), 2.5 vectors with a
+    smaller fixed part.  Holding the spectrum through the solve measured
+    3.15; a float64 spectral path around the float32 solve 5.00; one that
     also builds the windowed frames, the ISTFT frames and a filtered copy of
     the spectrum 7.21, and one that further builds a speech + noise total,
     keeps the solve result, D, X and the unfiltered spectrum to the end,
@@ -440,7 +447,91 @@ def test_enhance_peak_grows_at_most_3_5_vectors_per_frame(noise_shapes):
     frames = {s: (s * SR + params.window_len - 1) // params.hop for s in (4, 8)}
     growth = (peak(8.0) - peak(4.0)) / ((frames[8] - frames[4]) * params.n_bins * 8)
     print(f"enhance peak growth: {growth:.2f} float64 K-vectors per frame")
-    assert growth <= 3.5
+    assert growth <= 2.5
+
+
+def spy_on_solve(monkeypatch, on_call):
+    """Replace nmf.solve, which _run calls through its module, by one that
+    calls on_call(groups) and then solves."""
+    solve = nmf.solve
+
+    def spy(Y, groups, *args, **kwargs):
+        on_call(groups)
+        return solve(Y, groups, *args, **kwargs)
+
+    monkeypatch.setattr(nmf, "solve", spy)
+
+
+def live_spectra():
+    gc.collect()
+    return sum(isinstance(o, ComplexSpectrogram) for o in gc.get_objects())
+
+
+def test_no_spectrum_alive_during_the_solve(monkeypatch, desk_mixture, noise_shapes):
+    """The solve reads only the magnitude: _run drops the complex spectrum
+    before nmf.solve and analyses the input again for the Wiener step."""
+    alive = []
+    spy_on_solve(monkeypatch, lambda groups: alive.append(live_spectra()))
+    before = live_spectra()
+    enhance(desk_mixture[1], noise_shapes, small_config(), trace=False)
+    assert alive == [before]
+
+
+def test_enhance_solves_on_the_memoized_float32_bases(monkeypatch, desk_mixture,
+                                                      noise_shapes):
+    """build_harmonic_basis memoizes float32 bases, read-only, and a default
+    enhance solves on them as they are: its speech group's psi shares the
+    memo's memory, with no float32 copy."""
+    config = EnhanceConfig()
+    solved = []
+    spy_on_solve(monkeypatch, lambda groups: solved.append(groups[0]))
+    enhance(desk_mixture[1], noise_shapes, config, trace=False)
+    memo = h.build_harmonic_basis(
+        h.fundamental_grid(config.f_min, config.f_max, config.L, config.sr),
+        config.frame_params(), config.p_star)
+    assert memo.dtype == np.float32 and not memo.flags.writeable
+    assert np.shares_memory(solved[0].psi, memo)
+
+
+def float64_bases(config):
+    """config's harmonic bases in float64, column by column: each used
+    harmonic's window spectrum times its amplitude, truncated below
+    COLUMN_TRUNCATION of its peak; the values build_harmonic_basis casts."""
+    params = config.frame_params()
+    f0 = h.fundamental_grid(config.f_min, config.f_max, config.L, config.sr)
+    counts = [h.harmonic_count(f, config.sr, config.p_star) for f in f0]
+    window = h.WindowSpectrum(params)
+    omegas = 2.0 * np.pi * np.arange(params.n_bins) / params.window_len
+    psi = np.zeros((len(f0), params.n_bins, max(counts)))
+    for basis, f, p in zip(psi, f0, counts):
+        w0 = 2.0 * np.pi * f / config.sr
+        for k, c in enumerate(h.harmonic_amplitudes(w0, p), 1):
+            column = window.evaluate(omegas - k * w0) * c
+            column[column < COLUMN_TRUNCATION * column.max()] = 0.0
+            basis[:, k - 1] = column
+    return psi
+
+
+@pytest.mark.parametrize("mode", ["dense", "lin"])
+def test_float32_bases_leave_enhance_output_unchanged(desk_mixture, noise_shapes,
+                                                      mode):
+    """The memoized bases are the float64 values cast to float32, and
+    enhance gives the same samples, magnitudes and trace, byte for byte, as
+    the same pipeline fed the float64 bases, which the float32 solve casts
+    itself."""
+    config = EnhanceConfig(mode=mode)
+    psi64 = float64_bases(config)
+    atoms = build_speech_atoms(config, config.frame_params())
+    assert atoms.psi.tobytes() == psi64.astype(np.float32).tobytes()
+    noisy = desk_mixture[1]
+    out = enhance(noisy, noise_shapes, config)
+    ref = _run(noisy, nmf.BasisGroup(psi64, atoms.coeffs, "speech"), noise_shapes,
+               config)
+    for a, b in ((out.denoised.samples, ref.denoised.samples),
+                 (out.speech_magnitude.values, ref.speech_magnitude.values),
+                 (out.noise_magnitude.values, ref.noise_magnitude.values)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert out.objective_trace == ref.objective_trace
 
 
 def test_config_frame_fits_shapes_header():
