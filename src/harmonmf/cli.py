@@ -51,17 +51,13 @@ def parse_config_file(path) -> dict:
             if key in _PATH_KEYS:
                 values[key] = raw
             elif key in _CONFIG_KEYS:
-                values[key] = _parse_value(key, raw)
+                try:
+                    values[key] = _CONFIG_KEYS[key](raw)
+                except ValueError:
+                    raise CliError(f"bad value for {key!r}: {raw!r}")
             else:
                 raise CliError(f"{path}:{lineno}: unknown key {key!r}")
     return values
-
-
-def _parse_value(key, raw):
-    try:
-        return _CONFIG_KEYS[key](raw)
-    except ValueError:
-        raise CliError(f"bad value for {key!r}: {raw!r}")
 
 
 def build_config(args, **defaults) -> tuple[EnhanceConfig, dict]:

@@ -113,17 +113,14 @@ def _start_coeffs(f0: tuple, params: FrameParams, p_star: int, m: int, seed: int
     """build_speech_atoms' seeded start, memoized like the basis: on the
     basis's key plus m and seed, only the last key's, as one read-only array
     (BasisGroup copies its coefficients, so a solve never writes into it).
-    Basis l's used columns are its first harmonic_count, the columns the
-    basis fills."""
-    p = np.array([harmonic_count(f, params.sample_rate, p_star)
-                  for f in f0])[:, None, None]  # L x 1 x 1
+    Drawn basis by basis from one seeded stream, over basis l's first
+    harmonic_count columns, the columns the basis fills."""
+    counts = [harmonic_count(f, params.sample_rate, p_star) for f in f0]
     rng = np.random.default_rng(seed)
-    coeffs = np.zeros((len(f0), m, p.max()))  # first: a huge m fails here
-    used = np.broadcast_to(np.arange(coeffs.shape[2]) < p, coeffs.shape)
-    jitter = np.minimum(_COEFF_JITTER, 0.5 / p)
-    lo, hi = (np.broadcast_to(b, coeffs.shape)[used]
-              for b in (1.0 / p - jitter, 1.0 / p + jitter))
-    coeffs[used] = lo + (hi - lo) * rng.random(lo.size)  # as rng.uniform draws
+    coeffs = np.zeros((len(f0), m, max(counts)))  # first: a huge m fails here
+    for l, p in enumerate(counts):
+        j = min(_COEFF_JITTER, 0.5 / p)
+        coeffs[l, :, :p] = rng.uniform(1 / p - j, 1 / p + j, (m, p))
     coeffs.flags.writeable = False
     return coeffs
 
@@ -258,20 +255,19 @@ def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,
     """
     cells = [replace(config, L=int(L), lambda_s=float(lam), mode="dense")
              for L in L_values for lam in lambda_values]
-    args = [(noisy, clean, shapes, cell) for cell in cells]
+    run_cell = functools.partial(_sweep_cell, noisy, clean, shapes)
     workers = min(jobs, len(cells))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, args))
+            rows = list(pool.map(run_cell, cells))
     else:
-        rows = [_sweep_cell(a) for a in args]
+        rows = list(map(run_cell, cells))
     return sorted(rows, key=lambda r: (r[0], r[1]))
 
 
-def _sweep_cell(arg):
-    noisy, clean, shapes, config = arg
+def _sweep_cell(noisy, clean, shapes, config):
     result = enhance(noisy, shapes, config, trace=False)
     return (config.L, config.lambda_s, config.L * config.m + config.m_n,
             snr_db(clean, result.denoised))
