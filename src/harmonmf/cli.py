@@ -168,7 +168,8 @@ def _check_snr_targets(flag, values):
 
 
 def _require_positive(flag, value):
-    if value < 1:
+    """A flag given (not None) must be at least 1."""
+    if value is not None and value < 1:
         raise CliError(f"{flag} must be at least 1, got {value}")
 
 
@@ -262,7 +263,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("noise_wav", nargs="?")
     p.add_argument("shapes", nargs="?")
     p.add_argument("--snr-list", default="-5,0,5,15")
-    p.add_argument("--free-atoms", type=int, default=132)
+    p.add_argument("--free-atoms", type=int, default=None)  # L * m of the config
     p.add_argument("--oracle-atoms", type=int, default=32)
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)

@@ -235,10 +235,13 @@ def oracle_speech_atoms(clean: Signal, config: EnhanceConfig,
 
 
 def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
-                  free_atoms: int = 132, trace: bool = True) -> EnhanceResult:
-    """Unconstrained-NMF baseline: free speech columns, trained noise shapes.
-    The free columns take the same step in either config.mode and add no
-    density term.  trace is as in enhance."""
+                  free_atoms: int | None = None, trace: bool = True) -> EnhanceResult:
+    """Unconstrained-NMF baseline: free_atoms free speech columns, by default
+    config.L * config.m, as many as enhance's harmonic atoms, and the
+    trained noise shapes.  The free columns take the same step in either
+    config.mode and add no density term.  trace is as in enhance."""
+    if free_atoms is None:
+        free_atoms = config.L * config.m
     rng = np.random.default_rng(config.seed)
     coeffs = 1.0 - rng.random((1, free_atoms, config.frame_params().n_bins))
     speech = nmf.BasisGroup(psi=None, coeffs=coeffs, kind="speech")

@@ -1,6 +1,7 @@
 """KL-divergence NMF over shared-basis groups of dictionary atoms.
 
-A dictionary is an ordered list of basis groups, speech groups first.  A
+A dictionary is a list of basis groups, each of kind speech or noise, in
+any order: a group's kind, not its position, sets its sparsity weight.  A
 group stacks G non-negative bases Psi (G x K x p) under a G x m x p
 coefficient array A: atom (b, i) is the column Psi[b] A[b, i], and columns
 run basis-major.  A basis of fewer than p columns is zero-padded, and so
@@ -94,9 +95,9 @@ class BasisGroup:
 
 
 def realize(groups) -> np.ndarray:
-    """The K x n dictionary of ordered groups; speech groups must precede
-    noise groups.  It is the transpose of a C-ordered n x K array D^T, whose
-    rows each group writes as iterate does (see _dictionary)."""
+    """The K x n dictionary of the groups, their columns in list order.  It
+    is the transpose of a C-ordered n x K array D^T, whose rows each group
+    writes as iterate does (see _dictionary)."""
     return _dictionary(groups)[0]
 
 
@@ -105,7 +106,8 @@ def _dictionary(groups):
     C-ordered n x K array D^T, a view, whose rows each group writes by
     _write_rows.  realize and iterate both build their dictionary here, so
     Psi^T is formed once per solve."""
-    _check_order(groups)
+    if not groups:
+        raise ValueError("dictionary needs at least one group")
     K = groups[0].coeffs.shape[2] if groups[0].psi is None else groups[0].psi.shape[1]
     Dt = np.empty((sum(g.n_atoms for g in groups), K), np.result_type(
         *[a for g in groups for a in (g.coeffs, g.psi) if a is not None]))
@@ -132,19 +134,6 @@ def _write_rows(group, psi_t, rows):
         rows[:] = group.coeffs
     else:
         np.matmul(group.coeffs, psi_t, out=rows)
-
-
-def _check_order(groups):
-    kinds = [g.kind for g in groups]
-    if not kinds:
-        raise ValueError("dictionary needs at least one group")
-    if any(a == "noise" and b == "speech" for a, b in zip(kinds, kinds[1:])):
-        raise ValueError("speech groups must precede noise groups")
-
-
-def speech_count(groups) -> int:
-    """Number of speech columns, which lead the dictionary."""
-    return sum(g.n_atoms for g in groups if g.kind == "speech")
 
 
 @dataclass(frozen=True)
@@ -199,11 +188,15 @@ def objective(Y, groups, X, settings: SolverSettings, mode: str) -> float:
                             mode).total
 
 
+def _sparsity_weight(settings, group) -> float:
+    """lambda_speech or lambda_noise, by the group's kind."""
+    return settings.lambda_speech if group.kind == "speech" else settings.lambda_noise
+
+
 def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoint:
     kl = kernels.kl_divergence_floored(Y, V, EPSILON)
-    n_speech = speech_count(groups)
-    sparsity = (settings.lambda_speech * float(X[:n_speech].sum(dtype=np.float64))
-                + settings.lambda_noise * float(X[n_speech:].sum(dtype=np.float64)))
+    sparsity = sum(_sparsity_weight(settings, g) * float(x.sum(dtype=np.float64))
+                   for g, x in zip(groups, _rows_of(groups, X)))
     density = 0.0
     if mode == "dense":
         density = settings.alpha * sum(
@@ -212,16 +205,15 @@ def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoi
     return ObjectivePoint(iteration, kl, sparsity, density)
 
 
-def update_gains(X, D, E, settings: SolverSettings, n_speech: int, work):
-    """X <- X * (D^T 1 + D^T E) / (D^T 1 + lambda), lambda per row block, in
-    place, for E = Y/DX - 1 as iterate's refresh forms it.  D^T 1 is the
-    column sums of D, so at Y = DX (E = 0, lambda 0) the quotient is exactly
-    1.  The quotient is formed in work, an array like X."""
+def update_gains(X, D, E, lam, work):
+    """X <- X * (D^T 1 + D^T E) / (D^T 1 + lam) in place, for E = Y/DX - 1
+    as iterate's refresh forms it and lam the n x 1 sparsity weights of the
+    atoms.  D^T 1 is the column sums of D, so at Y = DX (E = 0, lam 0) the
+    quotient is exactly 1.  The quotient is formed in work, an array like X."""
     q = np.matmul(D.T, E, out=work)
     den = D.sum(axis=0)[:, None]
     q += den
-    den[:n_speech] += settings.lambda_speech
-    den[n_speech:] += settings.lambda_noise
+    den += lam
     X *= np.divide(np.maximum(q, EPSILON, out=q), np.maximum(den, EPSILON), out=q)
     return X
 
@@ -293,15 +285,16 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
     count, so the state at k is the same whatever settings.iterations is.
     Nothing runs before the first next(): an unstarted iterate changes no
     group.  That next() raises ValueError, before any group is changed, on
-    a non-finite or negative Y or initial gains, a Y with no frames,
-    misordered groups, a group of other than K rows, or a dense-mode speech
-    row summing to 0.
+    a non-finite or negative Y or initial gains, a Y with no frames, no
+    group, a group of other than K rows, or a dense-mode speech row summing
+    to 0.
     Psi^T, 1^T Psi and every array of the loop are formed once per solve:
     one K x T buffer for the model V and its excess E, a K x n buffer for
-    E X^T, whose transpose is XE, s, the gain quotient, D^T and the ones
-    that form s and 1^T Psi.  Each refresh writes E over V: nothing reads V
-    between a refresh and the product that rewrites V = DX, and the state
-    is yielded after that product.  The dictionary step rewrites D^T, whose
+    E X^T, whose transpose is XE, s, the gain quotient, D^T, the ones
+    that form s and 1^T Psi, and the n x 1 sparsity weights, lambda_speech
+    or lambda_noise by the kind of each atom's group.  Each refresh writes E
+    over V: nothing reads V between a refresh and the product that rewrites
+    V = DX, and the state is yielded after that product.  The dictionary step rewrites D^T, whose
     transpose is D, and then recomputes V = DX.
     """
     if mode not in ("lin", "dense"):
@@ -314,7 +307,6 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
         raise ValueError("spectrogram must be finite and non-negative")
     if T == 0:
         raise ValueError("spectrogram has no frames")
-    _check_order(groups)
     if any((g.coeffs.shape[2] if g.psi is None else g.psi.shape[1]) != K
            for g in groups):
         raise ValueError("dictionary row count does not match spectrogram")
@@ -349,7 +341,8 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
         groups, dense, psi_ts, *(_rows_of(groups, a) for a in (D.T, XEt.T, s)))]
     work, V = np.empty_like(X), D @ X
     E = V  # one K x T buffer: each refresh writes E over the model V
-    n_speech = speech_count(groups)
+    lam = np.repeat([_sparsity_weight(settings, g) for g in groups],
+                    [g.n_atoms for g in groups]).astype(dtype)[:, None]
     state = [a.view() for a in (V, D, X)]
     for a in state:
         a.flags.writeable = False
@@ -368,7 +361,7 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
                 _write_rows(g, psi_t, dt)
             kernels.rank1_add(V, D, X)
         kernels.refresh_ratio(Y, V, EPSILON, E)
-        update_gains(X, D, E, settings, n_speech, work)
+        update_gains(X, D, E, lam, work)
         np.matmul(D, X, out=V)
         yield (it, *state)
 

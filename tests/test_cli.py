@@ -219,6 +219,22 @@ def test_evaluate_rows(workdir, capsys):
         assert np.isfinite(float(snr_out))
 
 
+def test_evaluate_plain_defaults_to_L_times_m_columns(workdir, monkeypatch):
+    """Without --free-atoms the plain baseline has as many speech columns as
+    lin and dense have harmonic atoms: the config's L * m, 3 * 1 here."""
+    shapes = run_train(workdir)
+    enhance_module = importlib.import_module("harmonmf.enhance")
+    run, speech_columns = enhance_module._run, []
+    monkeypatch.setattr(enhance_module, "_run", lambda noisy, speech, *args, **kw:
+                        speech_columns.append(speech.n_atoms)
+                        or run(noisy, speech, *args, **kw))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+                     str(shapes), "--config", str(workdir / "small.cfg"),
+                     "--snr-list", "0", "--oracle-atoms", "5"]) == 0
+    assert speech_columns == [3, 3, 3, 5]  # lin, dense, plain, oracle
+
+
 def test_evaluate_fits_oracle_once(workdir, capsys, monkeypatch):
     """evaluate fits the oracle's dictionary once per run, and its oracle rows
     are those of enhance_oracle over a group fit anew for each mixture:

@@ -1,6 +1,9 @@
 """Module boundaries of the package: each module reaches another only through
 its public names, so a private helper can change without its callers."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,15 @@ def test_private_reach_in_is_found(source):
 ])
 def test_public_use_is_not_flagged(source):
     assert private_reach_ins(source) == []
+
+
+def test_cli_import_loads_no_process_pool():
+    """The sweep imports its process pool only when it starts one: a fresh
+    interpreter that imports harmonmf.cli loads neither concurrent.futures
+    nor multiprocessing, which take milliseconds of every command's start."""
+    code = ("import sys, harmonmf.cli; print(*sorted(m for m in sys.modules if "
+            "m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert loaded == []

@@ -80,19 +80,26 @@ def test_objective_density_term_uniform():
     assert density == pytest.approx(10.0 * m_s / p, rel=1e-12)
 
 
-def gain_step(X, D, Y, settings, n_speech):
+def sparsity_weights(groups, settings, dtype=np.float64):
+    """The n x 1 sparsity weights in dtype: lambda_speech on the rows of
+    every speech group, lambda_noise on those of every noise group."""
+    return np.concatenate([np.full((g.n_atoms, 1), settings.lambda_speech
+                                   if g.kind == "speech" else settings.lambda_noise,
+                                   dtype) for g in groups])
+
+
+def gain_step(X, D, Y, lam):
     """One update_gains step, handed E = Y / max(DX, EPSILON) - 1 and a
     quotient buffer like X, as solve hands them."""
     E = Y / np.maximum(D @ X, nmf.EPSILON) - 1.0
-    return nmf.update_gains(X, D, E, settings, n_speech, np.empty_like(X))
+    return nmf.update_gains(X, D, E, lam, np.empty_like(X))
 
 
 def test_update_gains_scalar_case():
     X = np.array([[1.0]])
     D = np.array([[1.0]])
     Y = np.array([[2.0]])
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0)
-    gain_step(X, D, Y, s, n_speech=1)
+    gain_step(X, D, Y, np.zeros((1, 1)))
     assert X[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -101,8 +108,7 @@ def test_update_gains_fixed_point_exact():
     X = np.random.default_rng(4).random((len(d), Y.shape[1])) + 0.5
     Y = nmf.realize(d) @ X
     X0 = X.copy()
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0)
-    gain_step(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
+    gain_step(X, nmf.realize(d), Y, np.zeros((len(d), 1)))
     assert np.array_equal(X, X0)
 
 
@@ -110,8 +116,7 @@ def test_update_gains_zero_locking():
     Y, d = random_problem(5)
     X = np.random.default_rng(6).random((len(d), Y.shape[1]))
     X[2, :] = 0.0
-    s = nmf.SolverSettings()
-    gain_step(X, nmf.realize(d), Y, s, n_speech=nmf.speech_count(d))
+    gain_step(X, nmf.realize(d), Y, sparsity_weights(d, nmf.SolverSettings()))
     assert np.all(X[2, :] == 0.0)
     assert np.all(X >= 0)
 
@@ -417,21 +422,35 @@ def test_solver_settings_validation():
         nmf.SolverSettings(iterations=0)
 
 
-def test_dictionary_ordering_enforced():
-    a = nmf.BasisGroup(psi=None, coeffs=[[np.ones(4)]], kind="noise")
-    b = nmf.BasisGroup(psi=None, coeffs=[[np.ones(4)]], kind="speech")
-    with pytest.raises(ValueError, match="precede"):
-        nmf.realize([a, b])
+@pytest.mark.parametrize("mode", ["lin", "dense"])
+def test_noise_first_groups_weigh_by_kind(mode):
+    """Group order carries no meaning: noise groups ahead of speech groups
+    solve to the gains of the speech-first list, rows permuted, and the
+    sparsity term is lambda_s * sum X_speech + lambda_n * sum X_noise."""
+    Y, groups = random_problem(40, n_speech=2, n_noise=3)
+    X0 = np.random.default_rng(41).random((5, Y.shape[1])) + 0.1
+    perm = [2, 3, 4, 0, 1]  # the noise rows, then the speech rows
+    s = nmf.SolverSettings(lambda_speech=0.3, lambda_noise=0.1, iterations=5)
+    speech_first = nmf.solve(Y, cast_copies(groups, np.float64), s, mode,
+                             initial_gains=X0)
+    noise_first = nmf.solve(Y, cast_copies(groups[2:] + groups[:2], np.float64),
+                            s, mode, initial_gains=X0[perm])
+    assert np.allclose(noise_first.gains, speech_first.gains[perm], rtol=1e-9, atol=0)
+    for point, X in ((noise_first.trace[0], X0[perm]),
+                     (noise_first.trace[-1], noise_first.gains)):
+        assert point.sparsity_term == pytest.approx(
+            0.3 * X[3:].sum() + 0.1 * X[:3].sum(), rel=1e-12)
 
 
 @st.composite
 def group_problems(draw, identity="optional", p_values=st.integers(1, 5),
                    zero_lines=False):
-    """Y and ordered groups of random K, T, group count, and per group m and
-    the widths of its G = 1 to 3 stacked bases.  Each basis and its
-    coefficients are zero-padded to the group's widest basis.
-    identity: "optional" may add one identity group (first if speech, last
-    if noise), "none" adds none, "only" makes every group an identity group
+    """Y and groups of random K, T, group count, and per group its kind, m
+    and the widths of its G = 1 to 3 stacked bases, speech and noise groups
+    in any order.  Each basis and its coefficients are zero-padded to the
+    group's widest basis.
+    identity: "optional" may add one identity group of either kind at any
+    position, "none" adds none, "only" makes every group an identity group
     (G = 1, widths unused).
     zero_lines: set random rows and columns of Y, possibly all, to 0."""
     K = draw(st.integers(2, 10), label="K")
@@ -439,13 +458,13 @@ def group_problems(draw, identity="optional", p_values=st.integers(1, 5),
     sizes = draw(st.lists(st.tuples(st.integers(1, 3),
                                     st.lists(p_values, min_size=1, max_size=3)),
                           min_size=1, max_size=4), label="(m, widths) per group")
-    n_speech = draw(st.integers(0, len(sizes)), label="speech groups")
+    kinds = draw(st.lists(st.sampled_from(["speech", "noise"]), min_size=len(sizes),
+                          max_size=len(sizes)), label="kind per group")
     free = draw(st.sampled_from([None, "speech", "noise"])
                 if identity == "optional" else st.none(), label="identity group")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     groups = []
-    for i, (m, widths) in enumerate(sizes):
-        kind = "speech" if i < n_speech else "noise"
+    for kind, (m, widths) in zip(kinds, sizes):
         if identity == "only":
             groups.append(nmf.BasisGroup(psi=None, kind=kind,
                                          coeffs=rng.random((1, m, K)) + 0.1))
@@ -459,7 +478,8 @@ def group_problems(draw, identity="optional", p_values=st.integers(1, 5),
     if free is not None:
         group = nmf.BasisGroup(psi=None, kind=free,
                                coeffs=rng.random((1, draw(st.integers(1, 3)), K)) + 0.1)
-        groups.insert(0 if free == "speech" else len(groups), group)
+        groups.insert(draw(st.integers(0, len(groups)), label="identity position"),
+                      group)
     Y = rng.random((K, T)) + 0.01
     if zero_lines:
         Y[draw(st.lists(st.integers(0, K - 1)), label="zero rows"), :] = 0.0
@@ -732,7 +752,7 @@ def reference_solve(Y, groups, settings, mode, frozen, X):
     solve's dtype.  The row sums s = X 1 and 1^T Psi (sums_of) are products
     with ones, and XE = X E^T is the transpose of E X^T, as solve forms
     them."""
-    eps, n_speech = nmf.EPSILON, nmf.speech_count(groups)
+    eps, lam = nmf.EPSILON, sparsity_weights(groups, settings, X.dtype)
     steps = []
     for g in groups:
         dense = mode == "dense" and g.kind == "speech" and g.psi is not None
@@ -760,8 +780,7 @@ def reference_solve(Y, groups, settings, mode, frozen, X):
         E = Y / np.maximum(V, eps) - 1.0
         den = D.sum(axis=0)[:, None]
         num = den + D.T @ E
-        den[:n_speech] += settings.lambda_speech
-        den[n_speech:] += settings.lambda_noise
+        den += lam
         X *= np.maximum(num, eps) / np.maximum(den, eps)
         V = D @ X
     return D, X
@@ -782,7 +801,7 @@ def assert_solve_matches_reference(Y, groups, mode, frozen, X0):
         assert_transposed_c_order(D)
         assert D.dtype == ref.dtype and D.strides == ref.strides
         assert D.tobytes() == ref.tobytes()
-    s = nmf.SolverSettings(iterations=4)
+    s = nmf.SolverSettings(lambda_noise=0.1, iterations=4)
     expected = cast_copies(groups, dtype)
     D_ref, X_ref = reference_solve(Y, expected, s, mode, frozen, X0.copy())
     result = nmf.solve(Y, cast_copies(groups, np.float64), s, mode,
@@ -989,11 +1008,6 @@ def wrong_row_count():
                                                 kind="speech")], None, "dense")
 
 
-def misordered():
-    Y, groups = random_problem(31, m=2)
-    return Y, groups[::-1], None, "lin"
-
-
 def no_frames():
     """A K x 0 Y in dense mode, which would renormalize the speech rows."""
     Y, groups = random_problem(31, m=2)
@@ -1006,7 +1020,7 @@ FAILING_SOLVES = {
     **{case: (lambda case=case: bad_case(case)) for case in BAD_INPUT},
     "gains shape": lambda: random_problem(31) + (np.ones((2, 3)), "lin"),
     "row count": wrong_row_count,
-    "misordered": misordered,
+    "no groups": lambda: (random_problem(31)[0], [], None, "lin"),
     "no frames": no_frames}
 
 
