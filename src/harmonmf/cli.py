@@ -114,10 +114,12 @@ def cmd_train_noise(args) -> int:
     if noise.duration < MIN_NOISE_SECONDS:
         raise CliError(f"{noise_path}: noise sample too short "
                        f"({noise.duration:.2f} s < {MIN_NOISE_SECONDS} s)")
-    # float32 samples (exact for 16-bit PCM): a complex64 spectrum, and a
-    # float32 magnitude the float32 fit takes without a copy
+    # float32 samples (exact for 16-bit PCM), analysed straight to the
+    # float32 magnitude the float32 fit takes without a copy; no complex
+    # spectrum is built, and the samples are dropped before the fit
     noise = dataclasses.replace(noise, samples=noise.samples.astype("float32"))
-    mag = stft(noise, config.frame_params()).magnitude()
+    mag = stft(noise, config.frame_params(), magnitude=True)
+    del noise
     shapes = train_noise_shapes(mag, config.r, seed=config.seed)
     fit = shapes_fit(shapes, mag, config.iterations, config.seed)
     _atomic(out_path, lambda tmp: save_noise_shapes(shapes, tmp))

@@ -75,14 +75,18 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * t / (n - 1))
 
 
-def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
+def stft(signal: Signal, params: FrameParams,
+         magnitude: bool = False) -> ComplexSpectrogram | MagnitudeSpectrogram:
     """Hann-windowed one-sided STFT; tail samples not filling a frame are
     dropped.  It follows the samples' dtype: float32 samples, windowed by
     the float32 window, give a complex64 spectrum, and float64 samples a
     complex128 one.  The values are frames-major (see ComplexSpectrogram):
     a C-ordered T x K array, transposed without a copy.  FRAME_BLOCK frames
     are windowed and transformed at a time, so no T x window_len windowed
-    copy is built; each frame's bins are those of one rfft over all frames."""
+    copy is built; each frame's bins are those of one rfft over all frames.
+    With magnitude=True no complex spectrum is built: each block's |rfft|
+    goes straight into a C-ordered K x T array in the samples' float dtype,
+    returned as a MagnitudeSpectrogram with the bytes of magnitude()."""
     if signal.sample_rate != params.sample_rate:
         raise ValueError("signal sample rate does not match frame parameters")
     x = signal.samples
@@ -92,6 +96,12 @@ def stft(signal: Signal, params: FrameParams) -> ComplexSpectrogram:
     n_frames = (x.size - wl) // hop + 1
     w = hann_window(wl).astype(x.dtype, copy=False)
     frames = np.lib.stride_tricks.sliding_window_view(x, wl)[::hop][:n_frames]
+    if magnitude:
+        out = np.empty((params.n_bins, n_frames), x.dtype)
+        for l in range(0, n_frames, FRAME_BLOCK):
+            block = np.fft.rfft(frames[l:l + FRAME_BLOCK] * w, axis=1)
+            np.abs(block.T, out=out[:, l:l + FRAME_BLOCK])
+        return MagnitudeSpectrogram(out, params)
     out = np.empty((n_frames, params.n_bins), np.result_type(x, np.complex64))
     for l in range(0, n_frames, FRAME_BLOCK):
         out[l:l + FRAME_BLOCK] = np.fft.rfft(frames[l:l + FRAME_BLOCK] * w, axis=1)

@@ -190,6 +190,43 @@ def test_generated_float32_roundtrip_interior(seed, wl, hop_share, extra, level)
     assert err <= 1e-6 * np.linalg.norm(x[interior].astype(np.float64))
 
 
+@given(seed=st.integers(0, 2**32 - 1), wl=st.integers(3, 512),
+       hop_share=st.floats(0.0, 1.0),
+       T=st.sampled_from([1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1,
+                          2 * FRAME_BLOCK, 2 * FRAME_BLOCK + 1]),
+       tail_share=st.floats(0.0, 1.0), dtype=st.sampled_from([np.float32, np.float64]),
+       level=st.integers(-20, 20))
+def test_generated_magnitude_analysis_is_the_spectrum_magnitude(
+        seed, wl, hop_share, T, tail_share, dtype, level):
+    """stft(x, p, magnitude=True) gives the bytes of stft(x, p).magnitude(),
+    in its dtype (float32 for float32 samples, float64 for float64), as a
+    C-ordered K x T MagnitudeSpectrogram, for any window of 3 to 512 samples
+    and hop from 1 to the window, at frame counts on both sides of
+    FRAME_BLOCK and a tail of fewer than hop samples that fills no frame."""
+    hop = 1 + round(hop_share * (wl - 1))
+    n = (T - 1) * hop + wl + round(tail_share * (hop - 1))
+    x = np.random.default_rng(seed).standard_normal(n) * 2.0**level
+    signal, p = Signal(x.astype(dtype), 8000), FrameParams(wl, hop, 8000)
+    mag = stft(signal, p, magnitude=True)
+    reference = stft(signal, p).magnitude().values
+    assert isinstance(mag, MagnitudeSpectrogram) and mag.params == p
+    assert mag.values.dtype == reference.dtype == dtype
+    assert mag.values.shape == (p.n_bins, T) and mag.values.flags.c_contiguous
+    assert mag.values.tobytes() == reference.tobytes()
+
+
+def test_magnitude_analysis_runs_the_magnitude_checks():
+    """The magnitude analysis returns a MagnitudeSpectrogram built through its
+    checks: a NaN sample is refused, where the complex analysis passes it
+    on."""
+    p = default_frame_params(8000)
+    x = np.zeros(1000, np.float32)
+    x[500] = np.nan
+    assert not np.isfinite(stft(Signal(x, 8000), p).values).all()
+    with pytest.raises(ValueError, match="finite"):
+        stft(Signal(x, 8000), p, magnitude=True)
+
+
 @pytest.mark.parametrize("wl, bound", [(1024, 6.5e-7), (2048, 1.6e-6)])
 def test_float32_roundtrip_interior_at_hop_1(wl, bound):
     """Past 8-fold overlap the float32 round trip's interior error grows
