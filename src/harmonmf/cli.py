@@ -1,12 +1,14 @@
 """Command-line frontend: noise training, enhancement, evaluation and sweeps.
 
 Precedence for every setting: command-line flag > config file > built-in
-default.  All file outputs are written to a temp file and renamed on
-success, so failures leave no partial output.
+default.  Every CSV, PGM and stdout table is formatted here.  All file
+outputs are written to a temp file and renamed on success, so failures
+leave no partial output.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -14,16 +16,17 @@ import os
 import sys
 import tempfile
 
-from . import nmf
+import numpy as np
+
 from .enhance import (EnhanceConfig, enhance as run_enhance, enhance_oracle,
-                      enhance_plain, oracle_speech_atoms, sweep_atoms_sparsity,
-                      write_magnitude_csv, write_pgm, write_sweep_csv)
+                      enhance_plain, oracle_speech_atoms, sweep_atoms_sparsity)
 from .dictionary import (load_noise_shapes, save_noise_shapes, shapes_fit,
                          train_noise_shapes)
 from .signal_io import check_snr_target, mix_at_snr, read_wav, snr_db, write_wav
 from .stft import stft
 
 MIN_NOISE_SECONDS = 2.0
+_PGM_FLOOR = 1e-10
 _PATH_KEYS = ("noise_wav", "noisy_wav", "clean_wav", "shapes_file", "out_dir")
 # EnhanceConfig's annotations are postponed, so each field's type is a string
 _CONFIG_KEYS = {f.name: {"int": int, "float": float, "str": str}[f.type]
@@ -104,6 +107,26 @@ def _atomic(path, write_fn):
         raise
 
 
+def write_rows(rows, path=None) -> None:
+    """One comma-joined line per row, ended by "\\n", to path, or to stdout
+    when path is None: a str as it is, any other value by repr."""
+    with open(path, "w", newline="\n") if path else contextlib.nullcontext() as fh:
+        for row in rows:
+            print(",".join(v if isinstance(v, str) else repr(v) for v in row), file=fh)
+
+
+def write_pgm(mag, path) -> None:
+    """Log-magnitude spectrogram, floored at _PGM_FLOOR, as binary 8-bit PGM,
+    min-max normalized, frequency increasing from the bottom row up."""
+    logm = np.log10(np.maximum(mag.values, _PGM_FLOOR))
+    lo, hi = logm.min(), logm.max()
+    scaled = np.zeros_like(logm) if hi == lo else (logm - lo) / (hi - lo)
+    img = np.flipud(np.round(scaled * 255).astype(np.uint8))
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        fh.write(img.tobytes())
+
+
 def cmd_train_noise(args) -> int:
     config, paths = build_config(args)
     noise_path = _resolve("noise_wav", args.noise_wav, paths)
@@ -138,13 +161,14 @@ def cmd_enhance(args) -> int:
     result = run_enhance(noisy, shapes, config, trace=args.dump_diagnostics)
     _atomic(out_path, lambda tmp: write_wav(result.denoised, tmp))
     if args.dump_diagnostics:
-        base = os.path.splitext(out_path)[0]
-        _atomic(base + "_trace.csv",
-                lambda tmp: nmf.write_trace_csv(result.objective_trace, tmp))
-        _atomic(base + "_speech.pgm",
-                lambda tmp: write_pgm(result.speech_magnitude, tmp))
-        _atomic(base + "_speech.csv",
-                lambda tmp: write_magnitude_csv(result.speech_magnitude, tmp))
+        base, speech = os.path.splitext(out_path)[0], result.speech_magnitude
+        trace = [("iteration", "kl", "sparsity_term", "density_term", "total"),
+                 *((p.iteration, p.kl, p.sparsity_term, p.density_term, p.total)
+                   for p in result.objective_trace)]
+        _atomic(base + "_trace.csv", lambda tmp: write_rows(trace, tmp))
+        _atomic(base + "_speech.pgm", lambda tmp: write_pgm(speech, tmp))
+        _atomic(base + "_speech.csv", lambda tmp: np.savetxt(  # one row per bin
+            tmp, speech.values, delimiter=",", newline="\n"))
     print(f"wrote {out_path}")
     return 0
 
@@ -181,7 +205,12 @@ def cmd_evaluate(args) -> int:
     snr_values = _parse_list("--snr-list", args.snr_list, float)
     _check_snr_targets("--snr-list", snr_values)
     config, paths = build_config(args)
-    clean = read_wav(_resolve("clean_wav", args.clean_wav, paths))
+    clean_path = _resolve("clean_wav", args.clean_wav, paths)
+    clean = read_wav(clean_path)
+    # the oracle fits clean unpadded: refuse a clip shorter than one window
+    # here, not after lin, dense and plain have solved
+    if len(clean) < config.frame_params().window_len:
+        raise CliError(f"{clean_path}: shorter than the oracle fit's analysis window")
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))
     # the oracle's speech group depends on the clean signal alone: fit it
@@ -201,10 +230,9 @@ def cmd_evaluate(args) -> int:
             "oracle": enhance_oracle(noisy, oracle(), shapes, config, trace=False),
         }
         if i == 0:  # once the first enhance has checked the inputs
-            print("method,input_snr_db,output_snr_db")
-        for method, result in results.items():
-            out = snr_db(clean, result.denoised)
-            print(f"{method},{target!r},{out!r}")
+            write_rows([("method", "input_snr_db", "output_snr_db")])
+        write_rows((method, target, snr_db(clean, result.denoised))
+                   for method, result in results.items())
     return 0
 
 
@@ -228,7 +256,8 @@ def cmd_sweep(args) -> int:
     noisy, _ = mix_at_snr(clean, noise, args.input_snr)
     rows = sweep_atoms_sparsity(noisy, clean, shapes, config,
                                     L_values, lambda_values, jobs=args.jobs)
-    _atomic(args.out_csv, lambda tmp: write_sweep_csv(rows, tmp))
+    _atomic(args.out_csv, lambda tmp: write_rows(
+        [("L", "lambda_s", "total_atoms", "output_snr_db"), *rows], tmp))
     print(f"wrote {args.out_csv}")
     return 0
 

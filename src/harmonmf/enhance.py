@@ -19,7 +19,6 @@ from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    default_frame_params, istft, stft)
 
 _COEFF_JITTER = 0.001
-_PGM_FLOOR = 1e-10
 _F32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -279,26 +278,3 @@ def _sweep_cell(noisy, clean, shapes, config):
     return (config.L, config.lambda_s, config.L * config.m + config.m_n,
             snr_db(clean, result.denoised))
 
-
-def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("L,lambda_s,total_atoms,output_snr_db\n")
-        for L, lam, n_atoms, out_snr in rows:
-            fh.write(f"{L},{lam!r},{n_atoms},{out_snr!r}\n")
-
-
-def write_pgm(mag: MagnitudeSpectrogram, path) -> None:
-    """Log-magnitude spectrogram, floored at _PGM_FLOOR, as binary 8-bit PGM,
-    min-max normalized, frequency increasing from the bottom row up."""
-    logm = np.log10(np.maximum(mag.values, _PGM_FLOOR))
-    lo, hi = logm.min(), logm.max()
-    scaled = np.zeros_like(logm) if hi == lo else (logm - lo) / (hi - lo)
-    img = np.flipud(np.round(scaled * 255).astype(np.uint8))
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
-        fh.write(img.tobytes())
-
-
-def write_magnitude_csv(mag: MagnitudeSpectrogram, path) -> None:
-    """Raw magnitudes, one row per frequency bin."""
-    np.savetxt(path, mag.values, delimiter=",", newline="\n")

@@ -385,11 +385,3 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     D.flags.writeable = X.flags.writeable = True  # iterate is done with them
     return SolveResult(groups, D, X, points)
 
-
-def write_trace_csv(trace, path) -> None:
-    """Objective trace as iteration,kl,sparsity_term,density_term,total."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("iteration,kl,sparsity_term,density_term,total\n")
-        for p in trace:
-            fh.write(f"{p.iteration},{p.kl!r},{p.sparsity_term!r},"
-                     f"{p.density_term!r},{p.total!r}\n")

@@ -50,7 +50,7 @@ def read_wav(path) -> Signal:
         raise FileNotFoundError(f"no such file: {path}")
     except wave.Error as exc:
         raise AudioFormatError(f"unsupported encoding in {path}: {exc}")
-    except (EOFError, struct.error):
+    except (EOFError, RuntimeError, struct.error):  # RuntimeError: a chunk past EOF
         raise AudioFormatError(f"truncated WAV header in {path}")
     with wf:
         if wf.getnchannels() != 1:

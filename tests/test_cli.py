@@ -1,11 +1,14 @@
 import contextlib
+import csv
 import dataclasses
 import importlib
 import io
+import math
 import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +18,12 @@ from conftest import harmonic_signal, white_noise
 
 from harmonmf import dictionary, nmf
 from harmonmf.cli import (CliError, _atomic, build_config, main, make_parser,
-                          parse_config_file)
+                          parse_config_file, write_pgm, write_rows)
 from harmonmf.dictionary import load_noise_shapes, shapes_fit
-from harmonmf.enhance import EnhanceConfig, enhance_oracle, oracle_speech_atoms
+from harmonmf.enhance import (EnhanceConfig, enhance, enhance_oracle,
+                              oracle_speech_atoms)
 from harmonmf.signal_io import mix_at_snr, read_wav, snr_db, write_wav
-from harmonmf.stft import stft
+from harmonmf.stft import MagnitudeSpectrogram, stft
 
 SMALL = """
 L = 3
@@ -205,8 +209,85 @@ def test_enhance_dump_diagnostics(workdir):
     trace = (workdir / "out_trace.csv").read_text().splitlines()
     assert trace[0] == "iteration,kl,sparsity_term,density_term,total"
     assert len(trace) == 2 + 2  # header + initial + 2 iterations
+    for it, line in enumerate(trace[1:]):
+        iteration, kl, sparsity, density, total = line.split(",")
+        assert int(iteration) == it
+        assert float(total) == pytest.approx(float(kl) + float(sparsity) + float(density))
     assert (workdir / "out_speech.pgm").exists()
     assert (workdir / "out_speech.csv").exists()
+
+
+def test_pgm_and_csv_dumps(workdir):
+    """--dump-diagnostics' speech magnitude, that of enhance's result: as an
+    8-bit PGM of one column per frame and one row per bin, min-max
+    normalized, and as CSV of one row per bin that reads back to the same
+    values."""
+    shapes = run_train(workdir)
+    cfg = ["--config", str(workdir / "small.cfg")]
+    assert main(["enhance", str(workdir / "clean.wav"), str(shapes),
+                 str(workdir / "out.wav"), "--dump-diagnostics", *cfg]) == 0
+    config, _ = build_config(make_parser().parse_args(["enhance", *cfg]))
+    speech = enhance(read_wav(workdir / "clean.wav"), load_noise_shapes(shapes),
+                     config, trace=False).speech_magnitude.values
+    K, T = speech.shape
+    header = f"P5\n{T} {K}\n255\n".encode()
+    data = (workdir / "out_speech.pgm").read_bytes()
+    assert data.startswith(header) and len(data) == len(header) + K * T
+    pixels = np.frombuffer(data, np.uint8, offset=len(header))
+    assert pixels.min() == 0 and pixels.max() == 255
+    back = np.loadtxt(workdir / "out_speech.csv", delimiter=",")
+    assert np.array_equal(back, speech)
+
+
+def test_pgm_of_a_flat_spectrogram_is_black(tmp_path, frame_params):
+    """A spectrogram of one value, or of values all below the floor, has no
+    range to normalize: every pixel is 0."""
+    for value in (0.5, 0.0):
+        mag = MagnitudeSpectrogram(np.full((frame_params.n_bins, 3), value),
+                                   frame_params)
+        write_pgm(mag, tmp_path / "flat.pgm")
+        header = f"P5\n3 {frame_params.n_bins}\n255\n".encode()
+        assert (tmp_path / "flat.pgm").read_bytes() == \
+            header + bytes(3 * frame_params.n_bins)
+
+
+ROW_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-310,
+                     1e308, -1e308]),
+    st.floats())
+# table -> (its header, a strategy for one of its rows)
+TABLES = {
+    "trace": (("iteration", "kl", "sparsity_term", "density_term", "total"),
+              st.tuples(st.integers(0), ROW_FLOATS, ROW_FLOATS, ROW_FLOATS,
+                        ROW_FLOATS)),
+    "sweep": (("L", "lambda_s", "total_atoms", "output_snr_db"),
+              st.tuples(st.integers(2), ROW_FLOATS, st.integers(1), ROW_FLOATS)),
+    "evaluate": (("method", "input_snr_db", "output_snr_db"),
+                 st.tuples(st.sampled_from(["lin", "dense", "plain", "oracle"]),
+                           ROW_FLOATS, ROW_FLOATS)),
+}
+
+
+@pytest.mark.parametrize("table", list(TABLES))
+@given(data=st.data())
+def test_generated_rows_match_csv_writer(table, data, tmp_path_factory):
+    """write_rows writes exactly the bytes of csv.writer with a "\\n" line
+    terminator, fed each str as it is and each number's repr, to a file and
+    to stdout alike: for the rows of the trace, the sweep and evaluate,
+    with floats including +-inf, nan, -0.0, subnormals and +-1e308 (the CI
+    digests cover one finite table of each)."""
+    header, row = TABLES[table]
+    rows = [header, *data.draw(st.lists(row, max_size=8), label="rows")]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerows([v if isinstance(v, str) else repr(v) for v in r] for r in rows)
+    path = tmp_path_factory.getbasetemp() / f"drawn_{table}.csv"
+    write_rows(rows, path)
+    assert path.read_bytes() == expected.getvalue().encode()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write_rows(rows)
+    assert out.getvalue() == expected.getvalue()
 
 
 def test_evaluate_rows(workdir, capsys):
@@ -223,6 +304,23 @@ def test_evaluate_rows(workdir, capsys):
         method, snr_in, snr_out = line.split(",")
         assert method in ("lin", "dense", "plain", "oracle")
         assert np.isfinite(float(snr_out))
+
+
+def test_evaluate_clean_shorter_than_a_window_fails_before_any_solve(workdir, capsys):
+    """The oracle fits its speech group on the clean signal without padding,
+    so a clean signal shorter than one analysis window (256 samples here)
+    is refused before lin, dense and plain have solved."""
+    shapes = run_train(workdir)
+    capsys.readouterr()
+    short = workdir / "short.wav"
+    write_wav(harmonic_signal(seconds=0.03), short)  # 240 samples
+    with mock.patch.object(nmf, "iterate", wraps=nmf.iterate) as spy:
+        rc = main(["evaluate", str(short), str(workdir / "noise.wav"), str(shapes),
+                   "--config", str(workdir / "small.cfg"), "--snr-list", "0"])
+    assert rc == 1 and spy.call_count == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {short}: shorter than the oracle fit's analysis window\n"
 
 
 def test_evaluate_plain_defaults_to_L_times_m_columns(workdir, monkeypatch):
@@ -587,9 +685,12 @@ def test_fractional_sample_rate_is_one_line_error(valid_inputs, tmp_path, capsys
 
 
 # case -> (byte offset, struct format and value written into a valid WAV,
-# start of the error): a 0 Hz rate, and format tag 3 (IEEE float)
+# start of the error): a 0 Hz rate, format tag 3 (IEEE float), and a fmt
+# chunk size that runs past the end of the file
 BAD_WAV_HEADERS = {"rate 0": (24, "<I", 0, "bad sample rate 0 Hz in"),
-                   "float": (20, "<H", 3, "unsupported encoding in")}
+                   "float": (20, "<H", 3, "unsupported encoding in"),
+                   "fmt size past EOF": (16, "<I", 2**32 - 1,
+                                         "truncated WAV header in")}
 
 
 @pytest.mark.parametrize("case", list(BAD_WAV_HEADERS))
@@ -606,6 +707,80 @@ def test_bad_wav_header_names_its_file(valid_inputs, tmp_path, capsys, case):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {message} {noisy}")
     assert not out.exists()
+
+
+# file -> (length of its header, (offset, struct format) of each header
+# field); a config file is all header and has no binary fields
+_WAV_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"),
+               (28, "<I"), (32, "<H"), (34, "<H"), (40, "<I")]
+MUTABLE_INPUTS = {"clean.wav": (44, _WAV_FIELDS), "noise.wav": (44, _WAV_FIELDS),
+                  "shapes.nshp": (28, [(4, "<I"), (8, "<I"), (12, "<d"),
+                                       (20, "<I"), (24, "<I")]),
+                  "small.cfg": (None, [])}
+
+
+def _field_values(fmt):
+    """0, 1 and the largest signed and unsigned values of an integer field's
+    width; those as floats, NaN and +-inf for the f64 rate."""
+    if fmt == "<d":
+        return [0.0, 1.0, 2.0**31 - 1, 2.0**32 - 1, math.nan, math.inf, -math.inf]
+    bits = 8 * struct.calcsize(fmt)
+    return [0, 1, 2**(bits - 1) - 1, 2**bits - 1]
+
+
+@st.composite
+def mutated_input(draw, valid_inputs):
+    """(file name, bytes): one valid input with a whole header field
+    rewritten, or with 1 to 4 bytes replaced, each in the header 4 times
+    in 5."""
+    which = draw(st.sampled_from(list(MUTABLE_INPUTS)), label="file")
+    blob = bytearray((valid_inputs / which).read_bytes())
+    header_len, fields = MUTABLE_INPUTS[which]
+    if fields and draw(st.booleans(), label="whole field"):
+        offset, fmt = draw(st.sampled_from(fields), label="field")
+        struct.pack_into(fmt, blob, offset,
+                         draw(st.sampled_from(_field_values(fmt)), label="value"))
+    else:
+        for _ in range(draw(st.integers(1, 4), label="bytes")):
+            end = (header_len or len(blob)) if draw(st.integers(0, 4)) else len(blob)
+            blob[draw(st.integers(0, end - 1))] = draw(st.integers(0, 255))
+    return which, bytes(blob)
+
+
+# eight times the profile's count, 200 by default, about 3 s: the first
+# hundred examples are the simplest, and too few of them reach the header
+@settings(max_examples=8 * settings.default.max_examples)
+@given(data=st.data())
+def test_generated_malformed_input_is_one_line_error(valid_inputs, data):
+    """Every command, given a mutated WAV, .nshp or config file, exits 0, or
+    exits 1 with one error: line, no output file and no solve started: input
+    errors are found before any solve."""
+    which, blob = data.draw(mutated_input(valid_inputs))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = {name: str(valid_inputs / name) for name in MUTABLE_INPUTS}
+        path[which] = str(tmp / which)
+        (tmp / which).write_bytes(blob)
+        clean, noise, shapes = path["clean.wav"], path["noise.wav"], path["shapes.nshp"]
+        runs = [(["train-noise", noise], tmp / "out.nshp", []),
+                (["enhance", clean, shapes], tmp / "out.wav", []),
+                (["evaluate", clean, noise, shapes], None, ["--snr-list", "0"]),
+                (["sweep", clean, noise, shapes], tmp / "out.csv",
+                 ["--L-list", "2", "--lambda-list", "0.2"])]
+        for argv, out, flags in runs:
+            argv += [str(out)] if out else []
+            argv += [*flags, "--config", path["small.cfg"]]
+            err = io.StringIO()
+            with mock.patch.object(nmf, "iterate", wraps=nmf.iterate) as spy, \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                rc = main(argv)
+            if rc != 0:
+                lines = err.getvalue().strip().splitlines()
+                assert rc == 1 and len(lines) == 1 and lines[0].startswith("error:"), \
+                    (argv[0], rc, lines)
+                assert out is None or not out.exists()
+                assert spy.call_count == 0, (argv[0], lines)
 
 
 # valid in Hz, but 2 pi f / sr rounds to pi, or to 0, at 8 kHz

@@ -15,8 +15,7 @@ from harmonmf.dictionary import COLUMN_TRUNCATION
 from harmonmf.enhance import (EnhanceConfig, _run, _spectrum, _start_coeffs,
                               build_speech_atoms, enhance, enhance_oracle,
                               enhance_plain, oracle_speech_atoms,
-                              sweep_atoms_sparsity, wiener_reconstruct,
-                              write_magnitude_csv, write_pgm)
+                              sweep_atoms_sparsity, wiener_reconstruct)
 from harmonmf.signal_io import Signal, snr_db
 from harmonmf.stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                            istft, stft)
@@ -694,17 +693,3 @@ def test_sweep_row_ordering(noise_shapes, desk_mixture):
                                 [4, 2], [0.5, 0.2])
     assert [(r[0], r[1]) for r in rows] == [(2, 0.2), (2, 0.5),
                                             (4, 0.2), (4, 0.5)]
-
-
-def test_pgm_and_csv_dumps(tmp_path, frame_params):
-    rng = np.random.default_rng(0)
-    mag = MagnitudeSpectrogram(rng.random((frame_params.n_bins, 7)), frame_params)
-    pgm = tmp_path / "m.pgm"
-    write_pgm(mag, pgm)
-    data = pgm.read_bytes()
-    assert data.startswith(b"P5\n7 129\n255\n")
-    assert len(data) == len(b"P5\n7 129\n255\n") + 129 * 7
-    csv_path = tmp_path / "m.csv"
-    write_magnitude_csv(mag, csv_path)
-    back = np.loadtxt(csv_path, delimiter=",")
-    assert np.allclose(back, mag.values)

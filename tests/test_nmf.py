@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 from dataclasses import replace
 from unittest import mock
@@ -375,44 +373,6 @@ def test_updates_preserve_nonnegativity(seed):
     assert np.all(result.gains >= 0)
     for group in result.groups:
         assert np.all(group.coeffs >= 0)
-
-
-def test_trace_csv(tmp_path):
-    Y, d = random_problem(0)
-    s = nmf.SolverSettings(iterations=3, seed=0)
-    result = nmf.solve(Y, d, s, mode="lin")
-    path = tmp_path / "trace.csv"
-    nmf.write_trace_csv(result.trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,kl,sparsity_term,density_term,total"
-    assert len(lines) == 5  # header + initial + 3 iterations
-    for line in lines[1:]:
-        it, kl, sp, de, total = line.split(",")
-        assert float(total) == pytest.approx(float(kl) + float(sp) + float(de))
-
-
-TRACE_FLOATS = st.one_of(
-    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e-310,
-                     1e308, -1e308]),
-    st.floats())
-
-
-@given(points=st.lists(st.builds(nmf.ObjectivePoint, st.integers(), TRACE_FLOATS,
-                                 TRACE_FLOATS, TRACE_FLOATS), max_size=8))
-def test_generated_trace_csv_bytes_match_csv_writer(points, tmp_path_factory):
-    """write_trace_csv writes exactly the bytes of csv.writer with a "\\n"
-    line terminator, fed the header and each point's iteration and float
-    reprs, for any int iteration and floats including +-inf, nan, -0.0,
-    subnormals and +-1e308 (the CI digest covers one finite trace only)."""
-    path = tmp_path_factory.getbasetemp() / "drawn_trace.csv"
-    nmf.write_trace_csv(points, path)
-    expected = io.StringIO(newline="")
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(["iteration", "kl", "sparsity_term", "density_term", "total"])
-    for p in points:
-        writer.writerow([p.iteration, repr(p.kl), repr(p.sparsity_term),
-                         repr(p.density_term), repr(p.total)])
-    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def test_solver_settings_validation():
