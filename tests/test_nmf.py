@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from harmonmf import nmf
+from harmonmf.cli import write_rows
 from harmonmf.dictionary import build_noise_bases
 from harmonmf.enhance import EnhanceConfig, build_speech_atoms
 from harmonmf.stft import stft
@@ -380,6 +381,24 @@ def test_solver_settings_validation():
         nmf.SolverSettings(lambda_speech=-1)
     with pytest.raises(ValueError):
         nmf.SolverSettings(iterations=0)
+
+
+def test_trace_csv(tmp_path):
+    """solve's trace, one row per point through the CLI's row writer: the
+    initial point and one per iteration, numbered from 0, each total the sum
+    of its kl, sparsity and density terms."""
+    Y, d = random_problem(0)
+    s = nmf.SolverSettings(iterations=3, seed=0)
+    result = nmf.solve(Y, d, s, mode="lin")
+    path = tmp_path / "trace.csv"
+    write_rows(((p.iteration, p.kl, p.sparsity_term, p.density_term, p.total)
+                for p in result.trace), path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 4  # initial + 3 iterations
+    for i, line in enumerate(lines):
+        it, kl, sp, de, total = line.split(",")
+        assert int(it) == i
+        assert float(total) == pytest.approx(float(kl) + float(sp) + float(de))
 
 
 @pytest.mark.parametrize("mode", ["lin", "dense"])
