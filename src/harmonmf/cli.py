@@ -38,10 +38,14 @@ class CliError(Exception):
 
 
 def parse_config_file(path) -> dict:
-    """Line-oriented key = value pairs, '#' comments; unknown keys are errors."""
+    """Line-oriented key = value pairs, '#' comments, in UTF-8 text; unknown
+    keys are errors, and every error names path:lineno."""
     values = {}
-    with open(path) as fh:
+    # each byte that is not UTF-8 decodes to a lone surrogate, U+DC80..U+DCFF
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                raise CliError(f"{path}:{lineno}: not UTF-8 text")
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -57,7 +61,7 @@ def parse_config_file(path) -> dict:
                 try:
                     values[key] = _CONFIG_KEYS[key](raw)
                 except ValueError:
-                    raise CliError(f"bad value for {key!r}: {raw!r}")
+                    raise CliError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}")
             else:
                 raise CliError(f"{path}:{lineno}: unknown key {key!r}")
     return values

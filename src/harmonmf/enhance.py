@@ -156,15 +156,17 @@ def _spectrum(noisy: Signal, params: FrameParams) -> ComplexSpectrogram:
     return stft(Signal(samples, noisy.sample_rate), params)
 
 
-def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
+def _run(noisy: Signal, speech_atoms: nmf.BasisGroup | None, shapes: NoiseShapes,
          config: EnhanceConfig, frozen: bool = False,
          trace: bool = True) -> EnhanceResult:
     """The one pipeline: check that shapes were trained with config's frame
-    parameters and that noisy is at config.sr (its callers check neither),
-    then solve speech_atoms and the noise atoms from shapes in config.mode
-    (frozen: gains only) on the magnitude of _spectrum(noisy), split the
-    model at the speech columns, and Wiener-filter; returns exactly
-    len(noisy) samples, from the end of _spectrum's leading pad on.
+    parameters and that noisy is at config.sr, and only then build the
+    harmonic group of build_speech_atoms when speech_atoms is None, so a
+    refused request builds no basis; then solve speech_atoms and the noise
+    atoms from shapes in config.mode (frozen: gains only) on the magnitude
+    of _spectrum(noisy), split the model at the speech columns, and
+    Wiener-filter; returns exactly len(noisy) samples, from the end of
+    _spectrum's leading pad on.
     Everything runs in float32, as the solve does: its input is the
     complex64 spectrum's magnitude as it is, each magnitude is the float32
     D_g X_g (the frames-major (X_g^T D_g^T)^T, in the spectrum's layout,
@@ -187,6 +189,7 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup, shapes: NoiseShapes,
         raise ValueError("noise shapes were trained with different frame parameters")
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
+    speech_atoms = speech_atoms or build_speech_atoms(config, params)
     groups = [speech_atoms, build_noise_bases(shapes, config.m_n, config.seed)]
     result = nmf.solve(_spectrum(noisy, params).magnitude().values, groups,
                        config.solver_settings(), mode=config.mode,
@@ -210,8 +213,7 @@ def enhance(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
     the denoised samples are float64.
     With trace=False no objective is computed and the objective trace is
     empty; the output is the same."""
-    return _run(noisy, build_speech_atoms(config, config.frame_params()), shapes,
-                config, trace=trace)
+    return _run(noisy, None, shapes, config, trace=trace)
 
 
 def enhance_oracle(noisy: Signal, speech: nmf.BasisGroup, shapes: NoiseShapes,

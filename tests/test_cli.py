@@ -325,13 +325,14 @@ def test_evaluate_clean_shorter_than_a_window_fails_before_any_solve(workdir, ca
 
 def test_evaluate_plain_defaults_to_L_times_m_columns(workdir, monkeypatch):
     """Without --free-atoms the plain baseline has as many speech columns as
-    lin and dense have harmonic atoms: the config's L * m, 3 * 1 here."""
+    lin and dense have harmonic atoms: the config's L * m, 3 * 1 here, as
+    each solve receives them (the oracle's fit solves a noise group only)."""
     shapes = run_train(workdir)
-    enhance_module = importlib.import_module("harmonmf.enhance")
-    run, speech_columns = enhance_module._run, []
-    monkeypatch.setattr(enhance_module, "_run", lambda noisy, speech, *args, **kw:
-                        speech_columns.append(speech.n_atoms)
-                        or run(noisy, speech, *args, **kw))
+    solve, speech_columns = nmf.solve, []
+    monkeypatch.setattr(nmf, "solve", lambda Y, groups, *args, **kw:
+                        speech_columns.extend(g.n_atoms for g in groups
+                                              if g.kind == "speech")
+                        or solve(Y, groups, *args, **kw))
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
                      str(shapes), "--config", str(workdir / "small.cfg"),
@@ -390,6 +391,40 @@ def test_evaluate_shapes_mismatch_fails_before_oracle_fit(workdir, capsys,
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "frame parameters" in lines[0]
     assert fits == []
+
+
+@pytest.mark.parametrize("command", ["enhance", "evaluate", "sweep"])
+def test_frame_mismatch_fails_before_basis_build(valid_inputs, tmp_path, capsys,
+                                                 command):
+    """A config of window_ms = 1000 against 32 ms shapes, at the default L
+    and p_star, ends enhance, evaluate and sweep in the one frame-parameters
+    error line before any harmonic basis is built: no build_harmonic_basis
+    call, and a traced peak under 2 MiB.  Building the bases before the
+    check traced 62.3 MiB for enhance."""
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("window_ms = 1000\n")
+    clean, noise, shapes = (str(valid_inputs / name)
+                            for name in ("clean.wav", "noise.wav", "shapes.nshp"))
+    out = tmp_path / "out"
+    argv = {"enhance": [clean, shapes, str(out)],
+            "evaluate": [clean, noise, shapes, "--snr-list", "0"],
+            "sweep": [clean, noise, shapes, str(out)]}[command]
+    pipeline = importlib.import_module("harmonmf.enhance")
+    tracemalloc.start()
+    try:
+        with mock.patch.object(pipeline, "build_harmonic_basis",
+                               wraps=pipeline.build_harmonic_basis) as spy:
+            rc = main([command, *argv, "--config", str(cfg)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "frame parameters" in lines[0]
+    assert spy.call_count == 0
+    assert peak < 2 * 2**20, peak
+    assert not out.exists()
 
 
 def test_evaluate_empty_list(workdir, capsys):
@@ -549,6 +584,29 @@ def test_duplicate_config_key_is_one_line_error(workdir, capsys, key, first, sec
     assert rc == 1
     assert capsys.readouterr().err == f"error: {cfg}:3: duplicate key '{key}'\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, lineno, message",
+                         [(b"seed = 1\nL = 3\xff\n", 2, "not UTF-8 text"),
+                          (b"seed = 1\nL = 3x\n", 2, "bad value for 'L': '3x'")])
+def test_config_error_names_its_line(workdir, capsys, text, lineno, message):
+    """A byte that is not UTF-8 and a value its key's type refuses are
+    errors naming path:lineno, as every other config error is."""
+    cfg = workdir / "bad.cfg"
+    cfg.write_bytes(text)
+    out = workdir / "out.wav"
+    rc = main(["enhance", str(workdir / "clean.wav"), "shapes.nshp", str(out),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}:{lineno}: {message}\n"
+    assert not out.exists()
+
+
+def test_config_line_ends(tmp_path):
+    """A line ends in "\n", "\r\n" or "\r"; UTF-8 text beyond ASCII is read."""
+    cfg = tmp_path / "ends.cfg"
+    cfg.write_bytes("# comment é\rL = 7\r\nmode = lin\n".encode())
+    assert parse_config_file(cfg) == {"L": 7, "mode": "lin"}
 
 
 def test_reused_parser_leaks_nothing_between_calls(workdir):
@@ -753,9 +811,10 @@ def mutated_input(draw, valid_inputs):
 @given(data=st.data())
 def test_generated_malformed_input_is_one_line_error(valid_inputs, data):
     """Every command, given a mutated WAV, .nshp or config file, exits 0, or
-    exits 1 with one error: line, no output file and no solve started: input
-    errors are found before any solve."""
+    exits 1 with one error: line, no output file, no solve started and no
+    harmonic basis built: input errors are found before any costly work."""
     which, blob = data.draw(mutated_input(valid_inputs))
+    pipeline = importlib.import_module("harmonmf.enhance")
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = {name: str(valid_inputs / name) for name in MUTABLE_INPUTS}
@@ -772,6 +831,8 @@ def test_generated_malformed_input_is_one_line_error(valid_inputs, data):
             argv += [*flags, "--config", path["small.cfg"]]
             err = io.StringIO()
             with mock.patch.object(nmf, "iterate", wraps=nmf.iterate) as spy, \
+                    mock.patch.object(pipeline, "build_harmonic_basis",
+                                      wraps=pipeline.build_harmonic_basis) as bases, \
                     contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
                 rc = main(argv)
@@ -780,7 +841,7 @@ def test_generated_malformed_input_is_one_line_error(valid_inputs, data):
                 assert rc == 1 and len(lines) == 1 and lines[0].startswith("error:"), \
                     (argv[0], rc, lines)
                 assert out is None or not out.exists()
-                assert spy.call_count == 0, (argv[0], lines)
+                assert spy.call_count == bases.call_count == 0, (argv[0], lines)
 
 
 # valid in Hz, but 2 pi f / sr rounds to pi, or to 0, at 8 kHz
