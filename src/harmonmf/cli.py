@@ -218,10 +218,13 @@ def cmd_evaluate(args) -> int:
     noise = read_wav(_resolve("noise_wav", args.noise_wav, paths))
     shapes = load_noise_shapes(_resolve("shapes_file", args.shapes, paths))
     # the oracle's speech group depends on the clean signal alone: fit it
-    # once, on first use, after lin has checked the inputs
+    # once, on first use, after a pipeline has checked the inputs
     oracle = functools.cache(lambda: oracle_speech_atoms(clean, config, args.oracle_atoms))
     for i, target in enumerate(snr_values):
         noisy, _ = mix_at_snr(clean, noise, target)
+        # plain first: a --free-atoms too large to allocate fails before any solve
+        plain = enhance_plain(noisy, shapes, config, free_atoms=args.free_atoms,
+                              trace=False)
         results = {
             "lin": run_enhance(noisy, shapes,
                                dataclasses.replace(config, mode="lin"),
@@ -229,8 +232,7 @@ def cmd_evaluate(args) -> int:
             "dense": run_enhance(noisy, shapes,
                                  dataclasses.replace(config, mode="dense"),
                                  trace=False),
-            "plain": enhance_plain(noisy, shapes, config,
-                                   free_atoms=args.free_atoms, trace=False),
+            "plain": plain,
             "oracle": enhance_oracle(noisy, oracle(), shapes, config, trace=False),
         }
         if i == 0:  # once the first enhance has checked the inputs

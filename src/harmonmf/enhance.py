@@ -156,17 +156,19 @@ def _spectrum(noisy: Signal, params: FrameParams) -> ComplexSpectrogram:
     return stft(Signal(samples, noisy.sample_rate), params)
 
 
-def _run(noisy: Signal, speech_atoms: nmf.BasisGroup | None, shapes: NoiseShapes,
-         config: EnhanceConfig, frozen: bool = False,
+def _run(noisy: Signal, speech_atoms: nmf.BasisGroup | int | None,
+         shapes: NoiseShapes, config: EnhanceConfig, frozen: bool = False,
          trace: bool = True) -> EnhanceResult:
     """The one pipeline: check that shapes were trained with config's frame
-    parameters and that noisy is at config.sr, and only then build the
-    harmonic group of build_speech_atoms when speech_atoms is None, so a
-    refused request builds no basis; then solve speech_atoms and the noise
-    atoms from shapes in config.mode (frozen: gains only) on the magnitude
-    of _spectrum(noisy), split the model at the speech columns, and
-    Wiener-filter; returns exactly len(noisy) samples, from the end of
-    _spectrum's leading pad on.
+    parameters and that noisy is at config.sr, and only then make the speech
+    group, so a refused request builds no basis and draws no column:
+    speech_atoms None is the harmonic group of build_speech_atoms, a count
+    (any integer, a numpy one too) is that many free columns drawn as
+    1 - U[0, 1) from default_rng(config.seed), and a group is solved as it
+    is.  Then solve it and the noise atoms from shapes in config.mode
+    (frozen: gains only) on the magnitude of _spectrum(noisy), split the
+    model at the speech columns, and Wiener-filter; returns exactly
+    len(noisy) samples, from the end of _spectrum's leading pad on.
     Everything runs in float32, as the solve does: its input is the
     complex64 spectrum's magnitude as it is, each magnitude is the float32
     D_g X_g (the frames-major (X_g^T D_g^T)^T, in the spectrum's layout,
@@ -189,7 +191,11 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup | None, shapes: NoiseShapes
         raise ValueError("noise shapes were trained with different frame parameters")
     if noisy.sample_rate != config.sr:
         raise ValueError("input sample rate does not match configuration")
-    speech_atoms = speech_atoms or build_speech_atoms(config, params)
+    if speech_atoms is None:
+        speech_atoms = build_speech_atoms(config, params)
+    elif not isinstance(speech_atoms, nmf.BasisGroup):  # a count of free columns
+        U = np.random.default_rng(config.seed).random((1, speech_atoms, params.n_bins))
+        speech_atoms = nmf.BasisGroup(None, 1.0 - U, "speech")
     groups = [speech_atoms, build_noise_bases(shapes, config.m_n, config.seed)]
     result = nmf.solve(_spectrum(noisy, params).magnitude().values, groups,
                        config.solver_settings(), mode=config.mode,
@@ -243,14 +249,12 @@ def enhance_plain(noisy: Signal, shapes: NoiseShapes, config: EnhanceConfig,
                   free_atoms: int | None = None, trace: bool = True) -> EnhanceResult:
     """Unconstrained-NMF baseline: free_atoms free speech columns, by default
     config.L * config.m, as many as enhance's harmonic atoms, and the
-    trained noise shapes.  The free columns take the same step in either
-    config.mode and add no density term.  trace is as in enhance."""
-    if free_atoms is None:
-        free_atoms = config.L * config.m
-    rng = np.random.default_rng(config.seed)
-    coeffs = 1.0 - rng.random((1, free_atoms, config.frame_params().n_bins))
-    speech = nmf.BasisGroup(psi=None, coeffs=coeffs, kind="speech")
-    return _run(noisy, speech, shapes, config, trace=trace)
+    trained noise shapes.  _run draws the columns, after its checks, so a
+    refused request allocates none however large free_atoms is.  The free
+    columns take the same step in either config.mode and add no density
+    term.  trace is as in enhance."""
+    return _run(noisy, config.L * config.m if free_atoms is None else free_atoms,
+                shapes, config, trace=trace)
 
 
 def sweep_atoms_sparsity(noisy: Signal, clean: Signal, shapes: NoiseShapes,

@@ -323,6 +323,23 @@ def test_evaluate_clean_shorter_than_a_window_fails_before_any_solve(workdir, ca
     assert captured.err == f"error: {short}: shorter than the oracle fit's analysis window\n"
 
 
+def test_evaluate_too_many_free_atoms_fails_before_any_solve(workdir, capsys):
+    """evaluate solves plain first in each target, so a --free-atoms too
+    large to allocate ends in the one out-of-memory line before lin and
+    dense have solved."""
+    shapes = run_train(workdir)
+    capsys.readouterr()
+    with mock.patch.object(nmf, "solve", wraps=nmf.solve) as spy:
+        rc = main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+                   str(shapes), "--config", str(workdir / "small.cfg"),
+                   "--snr-list", "0", "--free-atoms", "1000000000000000"])
+    assert rc == 1 and spy.call_count == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
+
+
 def test_evaluate_plain_defaults_to_L_times_m_columns(workdir, monkeypatch):
     """Without --free-atoms the plain baseline has as many speech columns as
     lin and dense have harmonic atoms: the config's L * m, 3 * 1 here, as
@@ -337,7 +354,7 @@ def test_evaluate_plain_defaults_to_L_times_m_columns(workdir, monkeypatch):
         assert main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
                      str(shapes), "--config", str(workdir / "small.cfg"),
                      "--snr-list", "0", "--oracle-atoms", "5"]) == 0
-    assert speech_columns == [3, 3, 3, 5]  # lin, dense, plain, oracle
+    assert speech_columns == [3, 3, 3, 5]  # plain, lin, dense, oracle
 
 
 def test_evaluate_fits_oracle_once(workdir, capsys, monkeypatch):
