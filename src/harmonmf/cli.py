@@ -222,9 +222,11 @@ def cmd_evaluate(args) -> int:
     oracle = functools.cache(lambda: oracle_speech_atoms(clean, config, args.oracle_atoms))
     for i, target in enumerate(snr_values):
         noisy, _ = mix_at_snr(clean, noise, target)
-        # plain first: a --free-atoms too large to allocate fails before any solve
+        # plain first, then the oracle's fit: a --free-atoms too large to
+        # allocate fails before any solve, an --oracle-atoms one after plain's
         plain = enhance_plain(noisy, shapes, config, free_atoms=args.free_atoms,
                               trace=False)
+        oracle()
         results = {
             "lin": run_enhance(noisy, shapes,
                                dataclasses.replace(config, mode="lin"),

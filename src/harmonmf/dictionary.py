@@ -96,10 +96,10 @@ def _free_solve(mag: MagnitudeSpectrogram, columns: np.ndarray, iterations: int,
     penalty, in float32 (solve follows Y's dtype; a float32 mag is not
     copied) and without a trace; frozen solves the gains only."""
     group = nmf.BasisGroup(psi=None, coeffs=columns.T[None], kind="noise")
-    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=iterations, seed=seed)
+    settings = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=0,
+                                  iterations=iterations, mode="lin", seed=seed)
     return nmf.solve(mag.values.astype(np.float32, copy=False), [group], settings,
-                     mode="lin", frozen_dictionary=frozen, trace=False)
+                     frozen_dictionary=frozen, trace=False)
 
 
 def fit_free_dictionary(mag: MagnitudeSpectrogram, n_atoms: int,

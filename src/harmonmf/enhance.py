@@ -19,11 +19,12 @@ from .stft import (ComplexSpectrogram, FrameParams, MagnitudeSpectrogram,
                    default_frame_params, istft, stft)
 
 _COEFF_JITTER = 0.001
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
-class EnhanceConfig:
+class EnhanceConfig(nmf.SolverSettings):
+    """The solver's settings plus the frame, the fundamental band and the
+    atom counts: every config-file key but the paths."""
     sr: int = 8000
     window_ms: float = 32.0
     overlap: float = 0.75
@@ -34,23 +35,12 @@ class EnhanceConfig:
     p_star: int = 30
     r: int = 16
     m_n: int = 16
-    lambda_s: float = 0.2
-    lambda_n: float = 0.0
-    alpha: float = 10.0
-    iterations: int = 25
-    mode: str = "dense"
-    seed: int = 0
 
     def __post_init__(self):
-        def require(ok, what, name):
-            if not ok:
-                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
-
+        super().__post_init__()
+        require = self._require
         for name in ("window_ms", "overlap", "f_min", "f_max"):
             require(math.isfinite(getattr(self, name)), "finite", name)
-        for name in ("lambda_s", "lambda_n", "alpha"):  # the solve is float32
-            require(0 <= getattr(self, name) <= _F32_MAX, f"in [0, {_F32_MAX:.8g}]",
-                    name)
         # sr must also fit a float: sr / 2 below overflows otherwise
         require(1 <= self.sr <= sys.float_info.max,
                 f"in [1, {sys.float_info.max:.3g}]", "sr")
@@ -62,10 +52,8 @@ class EnhanceConfig:
                 and 2.0 * math.pi * self.f_max / self.sr < math.pi,
                 "in (f_min, sr/2) and below pi rad/sample", "f_max")
         require(self.L >= 2, "at least 2", "L")
-        for name in ("m", "p_star", "r", "m_n", "iterations"):
+        for name in ("m", "p_star", "r", "m_n"):
             require(getattr(self, name) >= 1, "at least 1", name)
-        require(self.mode in ("lin", "dense"), "'lin' or 'dense'", "mode")
-        require(self.seed >= 0, "non-negative", "seed")
         try:
             # a Hann window of 2 samples is [0, 0]; the .nshp header stores
             # window_len and hop (<= window_len) as u32
@@ -78,13 +66,6 @@ class EnhanceConfig:
 
     def frame_params(self) -> FrameParams:
         return default_frame_params(self.sr, self.window_ms, self.overlap)
-
-    def solver_settings(self) -> nmf.SolverSettings:
-        return nmf.SolverSettings(lambda_speech=self.lambda_s,
-                                  lambda_noise=self.lambda_n,
-                                  alpha=self.alpha,
-                                  iterations=self.iterations,
-                                  seed=self.seed)
 
 
 @dataclass
@@ -197,8 +178,7 @@ def _run(noisy: Signal, speech_atoms: nmf.BasisGroup | int | None,
         U = np.random.default_rng(config.seed).random((1, speech_atoms, params.n_bins))
         speech_atoms = nmf.BasisGroup(None, 1.0 - U, "speech")
     groups = [speech_atoms, build_noise_bases(shapes, config.m_n, config.seed)]
-    result = nmf.solve(_spectrum(noisy, params).magnitude().values, groups,
-                       config.solver_settings(), mode=config.mode,
+    result = nmf.solve(_spectrum(noisy, params).magnitude().values, groups, config,
                        frozen_dictionary=frozen, trace=trace)
     D, X, objective = result.dictionary, result.gains, result.trace
     ms = speech_atoms.n_atoms

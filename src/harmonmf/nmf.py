@@ -62,6 +62,7 @@ import numpy as np
 from . import kernels
 
 EPSILON = 1e-12
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -138,20 +139,31 @@ def _write_rows(group, psi_t, rows):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    lambda_speech: float = 0.2
-    lambda_noise: float = 0.0
+    """The solver's settings: the sparsity weights of speech and of noise
+    atoms, dense mode's density weight, the iteration count, the mode and
+    the seed of the start gains.  The weights are held as Python floats and
+    bounded at the float32 maximum, so a float32 solve never overflows on
+    one."""
+    lambda_s: float = 0.2
+    lambda_n: float = 0.0
     alpha: float = 10.0
     iterations: int = 25
+    mode: str = "dense"
     seed: int = 0
 
+    def _require(self, ok, what, name):
+        if not ok:
+            raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
+
     def __post_init__(self):
-        for name in ("lambda_speech", "lambda_noise", "alpha"):
+        for name in ("lambda_s", "lambda_n", "alpha"):
             # a Python float never promotes a float32 solve to float64
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.lambda_speech < 0 or self.lambda_noise < 0 or self.alpha < 0:
-            raise ValueError("regularization weights must be non-negative")
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
+            self._require(0 <= getattr(self, name) <= _F32_MAX,
+                          f"in [0, {_F32_MAX:.8g}]", name)
+        self._require(self.iterations >= 1, "at least 1", "iterations")
+        self._require(self.mode in ("lin", "dense"), "'lin' or 'dense'", "mode")
+        self._require(self.seed >= 0, "non-negative", "seed")
 
 
 @dataclass(frozen=True)
@@ -182,23 +194,22 @@ def kl_divergence(Y, V) -> float:
     return kernels.kl_divergence_floored(Y, V, EPSILON)
 
 
-def objective(Y, groups, X, settings: SolverSettings, mode: str) -> float:
+def objective(Y, groups, X, settings: SolverSettings) -> float:
     """KL + sparsity penalty, plus the density penalty in dense mode."""
-    return _objective_point(0, Y, realize(groups) @ X, groups, X, settings,
-                            mode).total
+    return _objective_point(0, Y, realize(groups) @ X, groups, X, settings).total
 
 
 def _sparsity_weight(settings, group) -> float:
-    """lambda_speech or lambda_noise, by the group's kind."""
-    return settings.lambda_speech if group.kind == "speech" else settings.lambda_noise
+    """lambda_s or lambda_n, by the group's kind."""
+    return settings.lambda_s if group.kind == "speech" else settings.lambda_n
 
 
-def _objective_point(iteration, Y, V, groups, X, settings, mode) -> ObjectivePoint:
+def _objective_point(iteration, Y, V, groups, X, settings) -> ObjectivePoint:
     kl = kernels.kl_divergence_floored(Y, V, EPSILON)
     sparsity = sum(_sparsity_weight(settings, g) * float(x.sum(dtype=np.float64))
                    for g, x in zip(groups, _rows_of(groups, X)))
     density = 0.0
-    if mode == "dense":
+    if settings.mode == "dense":
         density = settings.alpha * sum(
             float(np.square(g.coeffs, dtype=np.float64).sum())
             for g in groups if g.kind == "speech" and g.psi is not None)
@@ -265,8 +276,8 @@ def _rowdot(a, b):
     return np.einsum("gij,gij->gi", a, b)[..., None]
 
 
-def iterate(Y, groups, settings: SolverSettings, mode: str,
-            frozen_dictionary: bool = False, initial_gains=None):
+def iterate(Y, groups, settings: SolverSettings, frozen_dictionary: bool = False,
+            initial_gains=None):
     """The solver: alternate one joint dictionary step and one gain update
     per iteration, for settings.iterations iterations.
 
@@ -274,7 +285,7 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
     each iteration k: the model V = DX (K x T), the dictionary D (K x n)
     and the gains X (n x T).  They are read-only views of the solve's own
     buffers, valid until the next step: copy what must outlive it.
-    Updates the groups' coefficients in place, by the rule of each mode.
+    Updates the groups' coefficients in place, by the rule of settings.mode.
     With frozen_dictionary only the gains are updated (Oracle baseline).
     Computes in float32 when Y is float32, else in float64, and yields the
     dictionary, gains and coefficients in that dtype; the seeded start is
@@ -291,14 +302,12 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
     Psi^T, 1^T Psi and every array of the loop are formed once per solve:
     one K x T buffer for the model V and its excess E, a K x n buffer for
     E X^T, whose transpose is XE, s, the gain quotient, D^T, the ones
-    that form s and 1^T Psi, and the n x 1 sparsity weights, lambda_speech
-    or lambda_noise by the kind of each atom's group.  Each refresh writes E
+    that form s and 1^T Psi, and the n x 1 sparsity weights, lambda_s or
+    lambda_n by the kind of each atom's group.  Each refresh writes E
     over V: nothing reads V between a refresh and the product that rewrites
     V = DX, and the state is yielded after that product.  The dictionary step rewrites D^T, whose
     transpose is D, and then recomputes V = DX.
     """
-    if mode not in ("lin", "dense"):
-        raise ValueError(f"unknown mode {mode!r}")
     Y = np.asarray(Y)
     dtype = np.float32 if Y.dtype == np.float32 else np.float64
     Y = np.ascontiguousarray(Y, dtype=dtype)
@@ -310,7 +319,7 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
     if any((g.coeffs.shape[2] if g.psi is None else g.psi.shape[1]) != K
            for g in groups):
         raise ValueError("dictionary row count does not match spectrogram")
-    dense = [mode == "dense" and g.kind == "speech" and g.psi is not None
+    dense = [settings.mode == "dense" and g.kind == "speech" and g.psi is not None
              for g in groups]
     if any(np.any(g.coeffs.sum(axis=2, dtype=dtype) <= 0)
            for g, d in zip(groups, dense) if d):
@@ -366,9 +375,8 @@ def iterate(Y, groups, settings: SolverSettings, mode: str,
         yield (it, *state)
 
 
-def solve(Y, groups, settings: SolverSettings, mode: str,
-          frozen_dictionary: bool = False, initial_gains=None,
-          trace: bool = True) -> SolveResult:
+def solve(Y, groups, settings: SolverSettings, frozen_dictionary: bool = False,
+          initial_gains=None, trace: bool = True) -> SolveResult:
     """Run iterate to the end and return its last dictionary and gains, as
     writable arrays, with the groups.
 
@@ -378,10 +386,10 @@ def solve(Y, groups, settings: SolverSettings, mode: str,
     group is changed.
     """
     points = []
-    for it, V, D, X in iterate(Y, groups, settings, mode, frozen_dictionary,
+    for it, V, D, X in iterate(Y, groups, settings, frozen_dictionary,
                                initial_gains):
         if trace:
-            points.append(_objective_point(it, Y, V, groups, X, settings, mode))
+            points.append(_objective_point(it, Y, V, groups, X, settings))
     D.flags.writeable = X.flags.writeable = True  # iterate is done with them
     return SolveResult(groups, D, X, points)
 

@@ -6,6 +6,7 @@ gives a readable scoreboard.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def free_problem(seed, K=32, T=40, n_s=4, n_n=2):
 
 
 def test_criterion_1_monotone_objective():
-    settings = SolverSettings(lambda_speech=0.2, lambda_noise=0.0,
+    settings = SolverSettings(lambda_s=0.2, lambda_n=0.0,
                               alpha=10.0, iterations=25, seed=0)
     start = time.perf_counter()
     worst = 0.0
@@ -57,7 +58,7 @@ def test_criterion_1_monotone_objective():
         for problem, mode in ((random_problem, "lin"), (random_problem, "dense"),
                               (free_problem, "lin")):
             Y, dic = problem(seed)
-            trace = solve(Y, dic, settings, mode).trace
+            trace = solve(Y, dic, replace(settings, mode=mode)).trace
             values = [pt.kl + pt.sparsity_term for pt in trace]
             for prev, cur in zip(values, values[1:]):
                 worst = max(worst, (cur - prev) / (1.0 + abs(prev)))
@@ -87,13 +88,13 @@ def test_criterion_2_exact_fixed_points():
         X0 = rng.random((sum(g.n_atoms for g in dic), T)) + 0.1
         return realize(dic) @ X0, dic, X0
 
-    settings = SolverSettings(lambda_speech=0.0, lambda_noise=0.0,
+    settings = SolverSettings(lambda_s=0.0, lambda_n=0.0,
                               alpha=10.0, iterations=5, seed=0)
     ok = True
     for problem, mode in (("lin", "lin"), ("dense", "dense"), ("free", "lin")):
         Y, dic, X0 = consistent_problem(problem)
         coeffs0 = [g.coeffs.copy() for g in dic]
-        result = solve(Y, dic, settings, mode, initial_gains=X0)
+        result = solve(Y, dic, replace(settings, mode=mode), initial_gains=X0)
         ok = ok and np.array_equal(result.gains, X0)
         ok = ok and all(np.array_equal(g.coeffs, c0)
                         for g, c0 in zip(result.groups, coeffs0))
@@ -107,7 +108,7 @@ def test_criterion_3_constraint_invariants():
     for seed in range(5):
         for mode in ("lin", "dense"):
             Y, dic = random_problem(seed + 100)
-            result = solve(Y, dic, settings, mode)
+            result = solve(Y, dic, replace(settings, mode=mode))
             atoms = [(g, psi, a) for g in result.groups
                      for psi, A in zip(g.psi, g.coeffs) for a in A]
             for j, (group, psi, a) in enumerate(atoms):
@@ -145,9 +146,9 @@ def test_criterion_5_plain_rank1_recovery():
     x = rng.random(30) + 0.1
     Y = np.outer(d, x)
     dic = [BasisGroup(psi=None, coeffs=[[rng.random(16) + 0.1]], kind="speech")]
-    settings = SolverSettings(lambda_speech=0.0, iterations=100, seed=0)
+    settings = SolverSettings(lambda_s=0.0, iterations=100, mode="lin", seed=0)
     start = time.perf_counter()
-    trace = solve(Y, dic, settings, "lin").trace
+    trace = solve(Y, dic, settings).trace
     elapsed = time.perf_counter() - start
     ratio = trace[-1].kl / trace[0].kl
     report(5, "a free column drives rank-1 KL below 1e-6 of its start, "

@@ -78,10 +78,11 @@ def test_train_noise_prints_refit_kl(workdir, capsys):
     shapes = load_noise_shapes(path)
     groups = [nmf.BasisGroup(psi=None, coeffs=[[col]], kind="noise")
               for col in shapes.n_matrix.T]
-    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=config.iterations, seed=config.seed)
+    settings = nmf.SolverSettings(lambda_s=0.0, lambda_n=0.0, alpha=0.0,
+                                  iterations=config.iterations, mode="lin",
+                                  seed=config.seed)
     refit = nmf.solve(mag.values.astype(np.float32), groups, settings,
-                      mode="lin", frozen_dictionary=True)
+                      frozen_dictionary=True)
     kl = nmf.kl_divergence(mag.values, refit.dictionary @ refit.gains)
     assert shapes_fit(shapes, mag, config.iterations, config.seed) == kl
     assert f"final KL divergence: {kl:.6g}" in printed
@@ -340,6 +341,23 @@ def test_evaluate_too_many_free_atoms_fails_before_any_solve(workdir, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: out of memory")
 
 
+def test_evaluate_too_many_oracle_atoms_fails_after_one_solve(workdir, capsys):
+    """evaluate fits the oracle's group right after the plain solve, so an
+    --oracle-atoms too large to allocate ends in the one out-of-memory line
+    before lin and dense have solved."""
+    shapes = run_train(workdir)
+    capsys.readouterr()
+    with mock.patch.object(nmf, "solve", wraps=nmf.solve) as spy:
+        rc = main(["evaluate", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+                   str(shapes), "--config", str(workdir / "small.cfg"),
+                   "--snr-list", "0", "--oracle-atoms", "1000000000000000"])
+    assert rc == 1 and spy.call_count == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
+
+
 def test_evaluate_plain_defaults_to_L_times_m_columns(workdir, monkeypatch):
     """Without --free-atoms the plain baseline has as many speech columns as
     lin and dense have harmonic atoms: the config's L * m, 3 * 1 here, as
@@ -545,6 +563,23 @@ def test_sweep_jobs_capped_at_cell_count(workdir, monkeypatch, L_list, pools):
     assert rc == 0
     assert started == pools
     assert len(out.read_text().splitlines()) == 1 + len(L_list.split(","))
+
+
+def test_sweep_process_pool_matches_serial(workdir):
+    """--jobs 2 solves a 2 x 1 grid in two worker processes, each handed
+    its pickled EnhanceConfig, and writes the bytes --jobs 1 writes."""
+    shapes = run_train(workdir)
+    written = []
+    for jobs in ("1", "2"):
+        out = workdir / f"sweep{jobs}.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["sweep", str(workdir / "clean.wav"), str(workdir / "noise.wav"),
+                       str(shapes), str(out), "--config", str(workdir / "small.cfg"),
+                       "--L-list", "2,4", "--lambda-list", "0.2", "--jobs", jobs])
+        assert rc == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert len(written[0].splitlines()) == 3
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -209,9 +209,9 @@ def test_train_rank1_converges():
     mag = MagnitudeSpectrogram(Y, params)
     groups = [nmf.BasisGroup(psi=None, coeffs=[[1.0 - rng.random(params.n_bins)]],
                              kind="noise")]
-    settings = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
-                                  iterations=100, seed=0)
-    result = nmf.solve(Y, groups, settings, mode="lin")
+    settings = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=0,
+                                  iterations=100, mode="lin", seed=0)
+    result = nmf.solve(Y, groups, settings)
     assert result.trace[-1].kl < 1e-6 * result.trace[0].kl
     shapes = train_noise_shapes(mag, 1, seed=0)
     assert shapes.n_matrix.shape == (params.n_bins, 1)
@@ -270,9 +270,10 @@ def test_train_refit_kl_matches_float64_fit(noise_shapes, frame_params):
     rng = np.random.default_rng(0)
     group = nmf.BasisGroup(psi=None, coeffs=1.0 - rng.random((1, 16, K)),
                            kind="noise")
-    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=FREE_FIT_ITERATIONS, seed=0)
-    D = nmf.solve(mag.values, [group], settings, mode="lin", trace=False).dictionary
+    settings = nmf.SolverSettings(lambda_s=0.0, lambda_n=0.0, alpha=0.0,
+                                  iterations=FREE_FIT_ITERATIONS, mode="lin",
+                                  seed=0)
+    D = nmf.solve(mag.values, [group], settings, trace=False).dictionary
     assert D.dtype == np.float64
     shapes64 = NoiseShapes(D / D.sum(axis=0), frame_params)
     delta = np.max(np.abs(noise_shapes.n_matrix - shapes64.n_matrix)
@@ -293,9 +294,10 @@ def test_train_refit_kl_matches_float64_refit(noise_shapes, frame_params):
     config = EnhanceConfig()
     group = nmf.BasisGroup(psi=None, coeffs=noise_shapes.n_matrix.T[None],
                            kind="noise")
-    settings = nmf.SolverSettings(lambda_speech=0.0, lambda_noise=0.0, alpha=0.0,
-                                  iterations=config.iterations, seed=config.seed)
-    refit = nmf.solve(mag.values, [group], settings, mode="lin",
+    settings = nmf.SolverSettings(lambda_s=0.0, lambda_n=0.0, alpha=0.0,
+                                  iterations=config.iterations, mode="lin",
+                                  seed=config.seed)
+    refit = nmf.solve(mag.values, [group], settings,
                       frozen_dictionary=True, trace=False)
     assert refit.gains.dtype == np.float64
     kl64 = nmf.kl_divergence(mag.values, refit.dictionary @ refit.gains)
@@ -310,9 +312,9 @@ def test_train_constant_frames():
     Y = np.tile(col[:, None], (1, 10))
     groups = [nmf.BasisGroup(psi=None, coeffs=[[1.0 - rng.random(params.n_bins)]],
                              kind="noise") for _ in range(2)]
-    settings = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
-                                  iterations=300, seed=3)
-    result = nmf.solve(Y, groups, settings, mode="lin")
+    settings = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=0,
+                                  iterations=300, mode="lin", seed=3)
+    result = nmf.solve(Y, groups, settings)
     V = result.dictionary @ result.gains
     rel = np.abs(V - V[:, :1]) / np.maximum(V[:, :1], 1e-12)
     assert np.max(rel) < 1e-4

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,7 +120,7 @@ def test_start_coefficients_memoized_and_kept(noise_shapes, desk_mixture, L, m):
     assert group.coeffs.tobytes() == start.tobytes()
     Y = _spectrum(desk_mixture[1], params).magnitude().values.astype(np.float64)
     nmf.solve(Y, [group, h.build_noise_bases(noise_shapes, config.m_n, config.seed)],
-              config.solver_settings(), mode="dense", trace=False)
+              replace(config, mode="dense"), trace=False)
     assert group.coeffs.dtype == np.float64
     assert not np.array_equal(group.coeffs, start)
     assert build_speech_atoms(config, params).coeffs.tobytes() == start.tobytes()
@@ -313,8 +314,7 @@ def test_enhance_magnitudes_are_dictionary_times_gains(noise_shapes, mode):
     assert mag.values.dtype == np.float32
     speech = build_speech_atoms(config, params)
     groups = [speech, h.build_noise_bases(noise_shapes, config.m_n, config.seed)]
-    result = nmf.solve(mag.values, groups, config.solver_settings(), mode=mode,
-                       trace=False)
+    result = nmf.solve(mag.values, groups, replace(config, mode=mode), trace=False)
     D, X = result.dictionary, result.gains
     assert D.dtype == X.dtype == np.float32
     ms = speech.n_atoms
@@ -335,7 +335,7 @@ def float64_spectral_path(noisy, shapes, config):
     speech = build_speech_atoms(config, params)
     groups = [speech, h.build_noise_bases(shapes, config.m_n, config.seed)]
     result = nmf.solve(spec.magnitude().values.astype(np.float32), groups,
-                       config.solver_settings(), mode=config.mode, trace=False)
+                       config, trace=False)
     D, X = result.dictionary.astype(np.float64), result.gains.astype(np.float64)
     ms = speech.n_atoms
     s, n = (MagnitudeSpectrogram(D[:, g] @ X[g], params)
@@ -408,7 +408,7 @@ def test_solve_states_hold_no_float32_subnormal(noise_shapes, mode, pad):
     groups = [build_speech_atoms(config, params),
               h.build_noise_bases(noise_shapes, config.m_n, config.seed)]
     tiny = np.finfo(np.float32).tiny
-    for k, V, D, X in nmf.iterate(Y, groups, config.solver_settings(), mode):
+    for k, V, D, X in nmf.iterate(Y, groups, replace(config, mode=mode)):
         for name, a in (("V", V), ("X", X)):
             normal = (a == 0) | (np.abs(a) >= tiny)
             assert normal.all(), f"{name} subnormal at iteration {k}"
@@ -699,7 +699,6 @@ def test_sweep_single_cell_matches_direct(noise_shapes, desk_mixture):
     assert len(rows) == 1
     L, lam, n_atoms, out_snr = rows[0]
     assert (L, lam, n_atoms) == (5, 0.3, 5 * 2 + 4)
-    from dataclasses import replace
     direct = enhance(noisy, noise_shapes,
                      replace(cfg, L=5, lambda_s=0.3, mode="dense"))
     assert out_snr == snr_db(clean, direct.denoised)

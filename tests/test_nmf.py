@@ -61,8 +61,8 @@ def test_kl_matches_brute_force():
 def test_objective_reduces_to_kl_without_regularizers():
     Y, d = random_problem(0)
     X = np.random.default_rng(1).random((len(d), Y.shape[1]))
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0)
-    assert nmf.objective(Y, d, X, s, "lin") == \
+    s = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=0, mode="lin")
+    assert nmf.objective(Y, d, X, s) == \
         pytest.approx(nmf.kl_divergence(Y, nmf.realize(d) @ X), rel=1e-12)
 
 
@@ -74,16 +74,17 @@ def test_objective_density_term_uniform():
          for _ in range(m_s)]
     X = np.zeros((m_s, 2))
     Y = np.maximum(nmf.realize(d) @ X, 1e-12)
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0)
-    density = nmf.objective(Y, d, X, s, "dense") - nmf.objective(Y, d, X, s, "lin")
+    s = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=10.0)
+    density = (nmf.objective(Y, d, X, replace(s, mode="dense"))
+               - nmf.objective(Y, d, X, replace(s, mode="lin")))
     assert density == pytest.approx(10.0 * m_s / p, rel=1e-12)
 
 
 def sparsity_weights(groups, settings, dtype=np.float64):
-    """The n x 1 sparsity weights in dtype: lambda_speech on the rows of
-    every speech group, lambda_noise on those of every noise group."""
-    return np.concatenate([np.full((g.n_atoms, 1), settings.lambda_speech
-                                   if g.kind == "speech" else settings.lambda_noise,
+    """The n x 1 sparsity weights in dtype: lambda_s on the rows of
+    every speech group, lambda_n on those of every noise group."""
+    return np.concatenate([np.full((g.n_atoms, 1), settings.lambda_s
+                                   if g.kind == "speech" else settings.lambda_n,
                                    dtype) for g in groups])
 
 
@@ -213,9 +214,9 @@ def test_update_atom_dense_large_alpha_goes_uniform():
 def test_solve_trace_monotone(mode):
     for seed in range(5):
         Y, d = random_problem(seed, K=24, T=16, n_speech=6, n_noise=2)
-        s = nmf.SolverSettings(lambda_speech=0.2, lambda_noise=0.0, alpha=10.0,
+        s = nmf.SolverSettings(lambda_s=0.2, lambda_n=0.0, alpha=10.0,
                                iterations=25, seed=seed)
-        trace = nmf.solve(Y, d, s, mode=mode).trace
+        trace = nmf.solve(Y, d, replace(s, mode=mode)).trace
         obj = [p.kl + p.sparsity_term for p in trace]
         for a, b in zip(obj, obj[1:]):
             assert b <= a + 1e-9 * (1 + abs(a))
@@ -223,15 +224,15 @@ def test_solve_trace_monotone(mode):
 
 def test_solve_trace_length():
     Y, d = random_problem(0)
-    s = nmf.SolverSettings(iterations=1, seed=0)
-    trace = nmf.solve(Y, d, s, mode="lin").trace
+    s = nmf.SolverSettings(iterations=1, mode="lin", seed=0)
+    trace = nmf.solve(Y, d, s).trace
     assert len(trace) == 2
 
 
 def test_solve_constraint_preserved_and_nonnegative():
     Y, d = random_problem(21)
-    s = nmf.SolverSettings(iterations=10, seed=21)
-    result = nmf.solve(Y, d, s, mode="dense")
+    s = nmf.SolverSettings(iterations=10, mode="dense", seed=21)
+    result = nmf.solve(Y, d, s)
     for j, group in enumerate(result.groups):
         realized = result.dictionary[:, j]
         assert np.max(np.abs(realized - group.psi[0] @ group.coeffs[0, 0])) < 1e-12
@@ -241,8 +242,8 @@ def test_solve_constraint_preserved_and_nonnegative():
 
 def test_solve_dense_normalization_invariant():
     Y, d = random_problem(22)
-    s = nmf.SolverSettings(iterations=10, seed=22)
-    result = nmf.solve(Y, d, s, mode="dense")
+    s = nmf.SolverSettings(iterations=10, mode="dense", seed=22)
+    result = nmf.solve(Y, d, s)
     for group in result.groups:
         if group.kind == "speech":
             assert abs(group.coeffs[0, 0].sum() - 1.0) <= 1e-10
@@ -276,8 +277,8 @@ def test_free_block_step_is_lee_seung():
                         coeffs=rng.random((1, 2, 3)) + 0.1, kind="noise")]
     D0, A0 = nmf.realize(d), d[-1].coeffs[0].copy()
     X0 = rng.random((n_free + 2, T)) + 0.1
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0, iterations=1)
-    result = nmf.solve(Y, d, s, mode="lin", initial_gains=X0)
+    s = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=0, iterations=1, mode="lin")
+    result = nmf.solve(Y, d, s, initial_gains=X0)
     expected = lee_seung_step(Y, D0, X0, range(n_free))
     realized = result.dictionary
     assert np.allclose(realized[:, :n_free], expected[:, :n_free],
@@ -301,13 +302,13 @@ def test_plain_equals_lin_with_identity_basis():
     Y = rng.random((K, T)) + 0.1
     cols = [rng.random(K) + 0.1 for _ in range(3)]
     X0 = 1.0 - np.random.default_rng(24).random((3, T))
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
-                           iterations=1, seed=24)
+    s = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=0,
+                           iterations=1, mode="lin", seed=24)
 
     def run(n, psi):
         groups = [nmf.BasisGroup(psi=psi, coeffs=[[c]], kind="speech")
                   for c in cols[:n]]
-        return nmf.solve(Y, groups, s, mode="lin",
+        return nmf.solve(Y, groups, s,
                          initial_gains=X0[:n]).dictionary
 
     assert np.max(np.abs(run(1, None) - run(1, np.eye(K)[None]))) < 1e-10
@@ -334,7 +335,7 @@ def test_trace_off_changes_only_the_trace(problem, mode, frozen):
     runs = []
     for trace in (True, False):
         Y, d = problem(29)
-        runs.append(nmf.solve(Y, d, s, mode=mode, frozen_dictionary=frozen,
+        runs.append(nmf.solve(Y, d, replace(s, mode=mode), frozen_dictionary=frozen,
                               trace=trace))
     on, off = runs
     assert np.array_equal(on.gains, off.gains)
@@ -346,8 +347,8 @@ def test_trace_off_changes_only_the_trace(problem, mode, frozen):
 def test_solve_frozen_dictionary():
     Y, d = random_problem(25)
     before = nmf.realize(d)
-    s = nmf.SolverSettings(iterations=5, seed=25)
-    result = nmf.solve(Y, d, s, mode="lin", frozen_dictionary=True)
+    s = nmf.SolverSettings(iterations=5, mode="lin", seed=25)
+    result = nmf.solve(Y, d, s, frozen_dictionary=True)
     assert np.array_equal(result.dictionary, before)
     obj = [p.total for p in result.trace]
     for a, b in zip(obj, obj[1:]):
@@ -360,17 +361,17 @@ def test_solve_plain_rank1_recovery():
     Y = np.outer(rng.random(K) + 0.1, rng.random(T) + 0.1)
     groups = [nmf.BasisGroup(psi=None, coeffs=[[1.0 - rng.random(K)]],
                              kind="speech")]
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=0,
-                           iterations=100, seed=26)
-    result = nmf.solve(Y, groups, s, mode="lin")
+    s = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=0,
+                           iterations=100, mode="lin", seed=26)
+    result = nmf.solve(Y, groups, s)
     assert result.trace[-1].kl < 1e-6 * result.trace[0].kl
 
 
 @given(st.integers(min_value=0, max_value=10000))
 def test_updates_preserve_nonnegativity(seed):
     Y, d = random_problem(seed, K=8, T=6, n_speech=2, n_noise=1, p=3)
-    s = nmf.SolverSettings(iterations=3, seed=seed)
-    result = nmf.solve(Y, d, s, mode="lin")
+    s = nmf.SolverSettings(iterations=3, mode="lin", seed=seed)
+    result = nmf.solve(Y, d, s)
     assert np.all(result.gains >= 0)
     for group in result.groups:
         assert np.all(group.coeffs >= 0)
@@ -378,9 +379,22 @@ def test_updates_preserve_nonnegativity(seed):
 
 def test_solver_settings_validation():
     with pytest.raises(ValueError):
-        nmf.SolverSettings(lambda_speech=-1)
+        nmf.SolverSettings(lambda_s=-1)
     with pytest.raises(ValueError):
         nmf.SolverSettings(iterations=0)
+    with pytest.raises(ValueError):
+        nmf.SolverSettings(mode="plain")
+
+
+@pytest.mark.parametrize("name", ["lambda_s", "lambda_n", "alpha"])
+def test_weight_above_float32_max_is_refused(name):
+    """A weight past the float32 maximum would overflow a float32 solve to
+    inf and NaN gains: the settings refuse it, naming the field, in either
+    dtype, and take the maximum itself."""
+    f32_max = float(np.finfo(np.float32).max)
+    with pytest.raises(ValueError, match=f"^{name} must be in"):
+        nmf.SolverSettings(**{name: 1e39})
+    assert getattr(nmf.SolverSettings(**{name: f32_max}), name) == f32_max
 
 
 def test_trace_csv(tmp_path):
@@ -388,8 +402,8 @@ def test_trace_csv(tmp_path):
     initial point and one per iteration, numbered from 0, each total the sum
     of its kl, sparsity and density terms."""
     Y, d = random_problem(0)
-    s = nmf.SolverSettings(iterations=3, seed=0)
-    result = nmf.solve(Y, d, s, mode="lin")
+    s = nmf.SolverSettings(iterations=3, mode="lin", seed=0)
+    result = nmf.solve(Y, d, s)
     path = tmp_path / "trace.csv"
     write_rows(((p.iteration, p.kl, p.sparsity_term, p.density_term, p.total)
                 for p in result.trace), path)
@@ -409,11 +423,10 @@ def test_noise_first_groups_weigh_by_kind(mode):
     Y, groups = random_problem(40, n_speech=2, n_noise=3)
     X0 = np.random.default_rng(41).random((5, Y.shape[1])) + 0.1
     perm = [2, 3, 4, 0, 1]  # the noise rows, then the speech rows
-    s = nmf.SolverSettings(lambda_speech=0.3, lambda_noise=0.1, iterations=5)
-    speech_first = nmf.solve(Y, cast_copies(groups, np.float64), s, mode,
-                             initial_gains=X0)
+    s = nmf.SolverSettings(lambda_s=0.3, lambda_n=0.1, iterations=5, mode=mode)
+    speech_first = nmf.solve(Y, cast_copies(groups, np.float64), s, initial_gains=X0)
     noise_first = nmf.solve(Y, cast_copies(groups[2:] + groups[:2], np.float64),
-                            s, mode, initial_gains=X0[perm])
+                            s, initial_gains=X0[perm])
     assert np.allclose(noise_first.gains, speech_first.gains[perm], rtol=1e-9, atol=0)
     for point, X in ((noise_first.trace[0], X0[perm]),
                      (noise_first.trace[-1], noise_first.gains)):
@@ -475,11 +488,11 @@ def uniform_speech(groups):
             g.coeffs[:] = (width / width.sum(axis=1, keepdims=True))[:, None, :]
 
 
-def solve_finite(Y, groups, settings, mode):
+def solve_finite(Y, groups, settings):
     """solve with overflow, invalid and divide-by-zero raised (underflow is
     expected); gains and dictionary must come out finite and non-negative."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        result = nmf.solve(Y, groups, settings, mode=mode)
+        result = nmf.solve(Y, groups, settings)
     for a in (result.gains, result.dictionary):
         assert np.all(np.isfinite(a)) and np.all(a >= 0)
     return result
@@ -491,8 +504,8 @@ def solve_finite(Y, groups, settings, mode):
 @given(data=st.data())
 def test_generated_kl_sparsity_monotone(identity, data):
     Y, groups = data.draw(group_problems(identity, zero_lines=True))
-    s = nmf.SolverSettings(lambda_speech=0.2, lambda_noise=0.1, iterations=10)
-    trace = solve_finite(Y, groups, s, "lin").trace
+    s = nmf.SolverSettings(lambda_s=0.2, lambda_n=0.1, iterations=10, mode="lin")
+    trace = solve_finite(Y, groups, s).trace
     obj = [p.kl + p.sparsity_term for p in trace]
     for a, b in zip(obj, obj[1:]):
         assert b <= a + 1e-9 * (1 + abs(a))
@@ -529,8 +542,8 @@ def test_generated_exact_fixed_point(identity, mode, dtype, data):
     X0 = (rng.random((D.shape[1], data.draw(st.integers(1, 8), label="T")))
           + 0.1).astype(dtype)
     coeffs0 = [g.coeffs.copy() for g in groups]
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, alpha=10.0, iterations=3)
-    result = nmf.solve(D @ X0, groups, s, mode=mode, initial_gains=X0)
+    s = nmf.SolverSettings(lambda_s=0, lambda_n=0, alpha=10.0, iterations=3)
+    result = nmf.solve(D @ X0, groups, replace(s, mode=mode), initial_gains=X0)
     assert np.array_equal(result.gains, X0)
     assert np.array_equal(result.dictionary, D)
     for g, c0 in zip(result.groups, coeffs0):
@@ -551,8 +564,8 @@ def test_exact_fixed_point_at_production_size(frame_params, dtype):
     D = nmf.realize(as_dtype(groups, dtype))
     X0 = (rng.random((D.shape[1], 1255)) + 0.1).astype(dtype)
     coeffs0 = [g.coeffs.copy() for g in groups]
-    s = nmf.SolverSettings(lambda_speech=0, lambda_noise=0, iterations=3)
-    result = nmf.solve(D @ X0, groups, s, mode="lin", initial_gains=X0)
+    s = nmf.SolverSettings(lambda_s=0, lambda_n=0, iterations=3, mode="lin")
+    result = nmf.solve(D @ X0, groups, s, initial_gains=X0)
     assert np.array_equal(result.gains, X0)
     assert np.array_equal(result.dictionary, D)
     for g, c0 in zip(result.groups, coeffs0):
@@ -562,7 +575,7 @@ def test_exact_fixed_point_at_production_size(frame_params, dtype):
 @given(data=st.data())
 def test_generated_dense_keeps_simplex(data):
     Y, groups = data.draw(group_problems(zero_lines=True))
-    result = solve_finite(Y, groups, nmf.SolverSettings(iterations=5), "dense")
+    result = solve_finite(Y, groups, nmf.SolverSettings(iterations=5, mode="dense"))
     for g in result.groups:
         assert np.all(g.coeffs >= 0)
         if g.kind == "speech" and g.psi is not None:
@@ -574,7 +587,7 @@ def test_generated_dense_keeps_simplex(data):
 def test_generated_padding_stays_zero(mode, data):
     """A coefficient on a zero-padded basis column stays exactly 0."""
     Y, groups = data.draw(group_problems(zero_lines=True))
-    result = solve_finite(Y, groups, nmf.SolverSettings(iterations=5), mode)
+    result = solve_finite(Y, groups, nmf.SolverSettings(iterations=5, mode=mode))
     for g in result.groups:
         if g.psi is not None:
             padding = ~g.psi.any(axis=1)  # G x p
@@ -588,13 +601,13 @@ def test_generated_plain_equals_lin_with_identity_basis(data):
     Y, rest = data.draw(group_problems("none"))
     K = Y.shape[0]
     column = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(K) + 0.1
-    s = nmf.SolverSettings(iterations=5)
+    s = nmf.SolverSettings(iterations=5, mode="lin")
     results = []
     for psi in (None, np.eye(K)[None]):
         groups = [nmf.BasisGroup(psi=psi, coeffs=[[column]], kind="speech")]
         groups += [nmf.BasisGroup(psi=g.psi, coeffs=g.coeffs, kind=g.kind)
                    for g in rest]  # BasisGroup copies the coefficients
-        results.append(nmf.solve(Y, groups, s, mode="lin"))
+        results.append(nmf.solve(Y, groups, s))
     plain, lin = results
     assert np.allclose(plain.dictionary, lin.dictionary, rtol=1e-9, atol=0)
     assert np.allclose(plain.gains, lin.gains, rtol=1e-9, atol=0)
@@ -704,7 +717,7 @@ def test_generated_step_with_psi_sums_is_bitwise_equal(mode, data):
     # steps are reference_step
     def solve_copies():
         return nmf.solve(Y.astype(dtype), cast_copies(groups, np.float64),
-                         nmf.SolverSettings(iterations=3), mode, trace=False)
+                         nmf.SolverSettings(iterations=3, mode=mode), trace=False)
 
     hoisted = solve_copies()
     with mock.patch.object(nmf, "update_atom_lin",
@@ -780,10 +793,10 @@ def assert_solve_matches_reference(Y, groups, mode, frozen, X0):
         assert_transposed_c_order(D)
         assert D.dtype == ref.dtype and D.strides == ref.strides
         assert D.tobytes() == ref.tobytes()
-    s = nmf.SolverSettings(lambda_noise=0.1, iterations=4)
+    s = nmf.SolverSettings(lambda_n=0.1, iterations=4)
     expected = cast_copies(groups, dtype)
     D_ref, X_ref = reference_solve(Y, expected, s, mode, frozen, X0.copy())
-    result = nmf.solve(Y, cast_copies(groups, np.float64), s, mode,
+    result = nmf.solve(Y, cast_copies(groups, np.float64), replace(s, mode=mode),
                        frozen_dictionary=frozen, initial_gains=X0, trace=False)
     assert_transposed_c_order(result.dictionary)
     assert result.dictionary.strides == D_ref.strides
@@ -867,7 +880,7 @@ def test_generated_trace_is_prefix_of_longer_run(mode, frozen, data):
     k = data.draw(st.integers(1, 4), label="k")
     j = data.draw(st.integers(1, 4), label="j")
     short, long = (nmf.solve(Y, cast_copies(groups, np.float64),
-                             nmf.SolverSettings(iterations=i), mode,
+                             nmf.SolverSettings(iterations=i, mode=mode),
                              frozen_dictionary=frozen).trace for i in (k, k + j))
     assert len(short) == k + 1 and len(long) == k + j + 1
     assert short == long[:k + 1]
@@ -890,9 +903,9 @@ def test_iterate_checkpoints_equal_separate_solves(desk_mixture, noise_shapes):
     50-iteration trace; the yielded arrays are read-only and solve's are
     writable."""
     Y, groups, config = desk_problem(desk_mixture, noise_shapes)
-    settings = replace(config.solver_settings(), iterations=50)
+    settings = replace(config, iterations=50)
     checkpoints = {}
-    for k, V, D, X in nmf.iterate(Y, groups, settings, config.mode):
+    for k, V, D, X in nmf.iterate(Y, groups, settings):
         for a in (V, D, X):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
@@ -903,7 +916,7 @@ def test_iterate_checkpoints_equal_separate_solves(desk_mixture, noise_shapes):
     traces = {}
     for k, (D, X) in checkpoints.items():
         result = nmf.solve(Y, desk_problem(desk_mixture, noise_shapes)[1],
-                           replace(settings, iterations=k), config.mode)
+                           replace(settings, iterations=k))
         assert result.dictionary.tobytes() == D.tobytes()
         assert result.gains.tobytes() == X.tobytes()
         assert result.dictionary.flags.writeable and result.gains.flags.writeable
@@ -916,12 +929,12 @@ def test_unstarted_iterate_changes_no_group(desk_mixture, noise_shapes):
     bytes, and its ValueErrors arrive at the first next()."""
     Y, groups, config = desk_problem(desk_mixture, noise_shapes)
     before = [(g.coeffs.copy(), g.psi.copy()) for g in groups]
-    states = nmf.iterate(Y, groups, config.solver_settings(), config.mode)
+    states = nmf.iterate(Y, groups, config)
     for g, (coeffs, psi) in zip(groups, before):
         assert g.coeffs.dtype == coeffs.dtype and g.psi.dtype == psi.dtype
         assert g.coeffs.tobytes() == coeffs.tobytes()
         assert g.psi.tobytes() == psi.tobytes()
-    failing = nmf.iterate(Y[:, :0], groups, config.solver_settings(), config.mode)
+    failing = nmf.iterate(Y[:, :0], groups, config)
     with pytest.raises(ValueError, match="no frames"):
         next(failing)
     assert next(states)[0] == 0
@@ -936,14 +949,13 @@ def test_seeded_start_zeroes_the_gains_of_silent_frames(mode):
     Y, groups = random_problem(33)
     Y[:, [0, 5, -1]] = 0
     silent = ~Y.any(axis=0)
-    settings = nmf.SolverSettings(iterations=5, seed=4)
+    settings = nmf.SolverSettings(iterations=5, mode=mode, seed=4)
     drawn = 1.0 - np.random.default_rng(4).random((len(groups), Y.shape[1]))
-    states = [X.copy() for _, _, _, X in nmf.iterate(Y, groups, settings, mode)]
+    states = [X.copy() for _, _, _, X in nmf.iterate(Y, groups, settings)]
     assert states[0][:, ~silent].tobytes() == drawn[:, ~silent].tobytes()
     assert not any(X[:, silent].any() for X in states)
     assert all(X[:, ~silent].all() for X in states)
-    given = nmf.iterate(Y, random_problem(33)[1], settings, mode,
-                        initial_gains=drawn)
+    given = nmf.iterate(Y, random_problem(33)[1], settings, initial_gains=drawn)
     assert next(given)[3].tobytes() == drawn.tobytes()
 
 
@@ -974,7 +986,7 @@ def test_solve_rejects_bad_input(case, monkeypatch):
     monkeypatch.setattr(nmf.kernels, "refresh_ratio",
                         lambda *args: refreshes.append(args))
     with pytest.raises(ValueError):
-        nmf.solve(Y, groups, nmf.SolverSettings(iterations=3), mode,
+        nmf.solve(Y, groups, nmf.SolverSettings(iterations=3, mode=mode),
                   initial_gains=X)
     assert refreshes == []
 
@@ -995,7 +1007,6 @@ def no_frames():
 
 # case -> (Y, groups, start gains, mode) on which solve raises ValueError
 FAILING_SOLVES = {
-    "unknown mode": lambda: random_problem(31) + (None, "plain"),
     **{case: (lambda case=case: bad_case(case)) for case in BAD_INPUT},
     "gains shape": lambda: random_problem(31) + (np.ones((2, 3)), "lin"),
     "row count": wrong_row_count,
@@ -1012,7 +1023,7 @@ def test_failing_solve_leaves_groups_unchanged(case, dtype):
     before = [(g.coeffs.copy(), None if g.psi is None else g.psi.copy())
               for g in groups]
     with pytest.raises(ValueError):
-        nmf.solve(Y.astype(dtype), groups, nmf.SolverSettings(iterations=2), mode,
+        nmf.solve(Y.astype(dtype), groups, nmf.SolverSettings(iterations=2, mode=mode),
                   initial_gains=X)
     for g, (coeffs, psi) in zip(groups, before):
         assert g.coeffs.dtype == coeffs.dtype
@@ -1084,8 +1095,8 @@ def test_generated_kl_sparsity_monotone_float32(identity, data):
     and KL, S <= J give sum(Y + V) + S <= 3 J + (1 + 2 log 2) sum(Y)."""
     Y, groups = data.draw(group_problems(identity, zero_lines=True))
     Y = Y.astype(np.float32)
-    s = nmf.SolverSettings(lambda_speech=0.2, lambda_noise=0.1, iterations=10)
-    trace = solve_finite(Y, groups, s, "lin").trace
+    s = nmf.SolverSettings(lambda_s=0.2, lambda_n=0.1, iterations=10, mode="lin")
+    trace = solve_finite(Y, groups, s).trace
     K, T = Y.shape
     N = (max(g.coeffs.shape[2] for g in groups) + sum(g.n_atoms for g in groups)
          + T + K + 4)
@@ -1110,7 +1121,7 @@ def test_generated_constraint_invariants_float32(mode, data):
     Coefficients and gains stay non-negative."""
     Y, groups = data.draw(group_problems(zero_lines=True))
     result = solve_finite(Y.astype(np.float32), groups,
-                          nmf.SolverSettings(iterations=5), mode)
+                          nmf.SolverSettings(iterations=5, mode=mode))
     start = 0
     for g in result.groups:
         p = g.coeffs.shape[2]
@@ -1137,7 +1148,7 @@ def test_solve_dtype_follows_y(mode, frozen):
         X0 = np.random.default_rng(34).random((2 * len(d), Y.shape[1])) + 0.1
         s = nmf.SolverSettings(iterations=2, seed=33)
         for gains in (None, X0):
-            result = nmf.solve(Y.astype(y_dtype), d, s, mode=mode,
+            result = nmf.solve(Y.astype(y_dtype), d, replace(s, mode=mode),
                                frozen_dictionary=frozen, initial_gains=gains)
             assert result.dictionary.dtype == dtype
             assert result.gains.dtype == dtype
