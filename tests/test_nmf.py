@@ -1005,8 +1005,10 @@ def no_frames():
     return Y[:, :0], groups, None, "dense"
 
 
-# case -> (Y, groups, start gains, mode) on which solve raises ValueError
+# case -> (Y, groups, start gains, mode) on which solve, or the SolverSettings
+# built for it, raises ValueError
 FAILING_SOLVES = {
+    "unknown mode": lambda: random_problem(31) + (None, "plain"),
     **{case: (lambda case=case: bad_case(case)) for case in BAD_INPUT},
     "gains shape": lambda: random_problem(31) + (np.ones((2, 3)), "lin"),
     "row count": wrong_row_count,
